@@ -56,6 +56,9 @@ def _load_config(path: str) -> dict:
 
 
 def _numerics(cfg: dict):
+    """Numeric settings with defaults, rejecting degenerate values that
+    would otherwise crash or yield a confident verdict from an empty probe
+    grid."""
     num = cfg.get("numerics", {})
     grid = RadialGrid(float(num.get("r_max", 2.0)), float(num.get("step", 1e-3)))
     probe_cfg = num.get("probe", {})
@@ -64,7 +67,7 @@ def _numerics(cfg: dict):
         factor=float(probe_cfg.get("factor", 2.0)),
         count=int(probe_cfg.get("count", 15)),
     )
-    return {
+    out = {
         "grid": grid,
         "conv_tol": float(num.get("conv_tol", iteration.DEFAULT_CONV_TOL)),
         "max_iter": int(num.get("max_iter", iteration.DEFAULT_MAX_ITER)),
@@ -73,6 +76,17 @@ def _numerics(cfg: dict):
         "tail_tol": float(num.get("tail_tol", 1e-6)),
         "blowup_threshold": float(num.get("blowup_threshold", 1e8)),
     }
+    for ok, rule in (
+            (0 < schedule.r0 < np.inf, "probe.r0 must be positive and finite"),
+            (1 < schedule.factor < np.inf, "probe.factor must exceed 1 and be finite"),
+            (schedule.count >= 1, "probe.count must be at least 1"),
+            (out["segment_nodes"] >= 2, "probe.segment_nodes must be at least 2"),
+            (out["conv_tol"] > 0, "conv_tol must be positive"),
+            (out["tail_tol"] > 0, "tail_tol must be positive"),
+            (out["blowup_threshold"] > 0, "blowup_threshold must be positive")):
+        if not ok:
+            raise _ConfigError(f"numerics: {rule}")
+    return out
 
 
 def _instance_echo(spec) -> dict:

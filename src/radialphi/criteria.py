@@ -113,14 +113,18 @@ class CriteriaEvaluator:
 
     def accumulation_values(self, side: int, bound: str) -> np.ndarray:
         """A_i: prefix integral of k * psi(kernel of weight i)."""
+        env = self.spec.env1 if side == 1 else self.spec.env2
+        k, psi = ((env.k_bar, env.psi_bar) if bound == "bar"
+                  else (env.k_under, env.psi_under))
+
         def build():
-            env = self.spec.env1 if side == 1 else self.spec.env2
-            k, psi = ((env.k_bar, env.psi_bar) if bound == "bar"
-                      else (env.k_under, env.psi_under))
             vals = k * np.asarray(psi(self.kernel(side)), dtype=float)
             _finite_positive(vals, f"accumulation integrand (weight {side})")
             return prefix_trapezoid(vals, self.xs)
-        return self._get(("A", side, bound), build)
+        # keyed on the envelope factors, not the bound: a derived envelope
+        # has psi_under is psi_bar and k_under == k_bar, so both bounds
+        # share one inverse and one array
+        return self._get(("A", side, k, id(psi)), build)
 
     # -- coupling integrals -------------------------------------------------
 

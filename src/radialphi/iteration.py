@@ -141,7 +141,10 @@ def solve(spec: ProblemSpec, grid: RadialGrid,
                 and dv <= conv_tol * (1.0 + float(np.max(state.v)))):
             converged = True
             break
-    res_u, res_v = _fixed_point_residual(spec, state.grid, state)
+    res_u = _residual_u(spec, state)
+    # the last sweep built v from this very u, so the v-image is v itself and
+    # its residual is exactly 0; only a sweepless state needs the half-sweep
+    res_v = _residual_v(spec, state) if state.m == 0 else 0.0
     return RadialSolution(
         grid=state.grid,
         u=state.u,
@@ -154,13 +157,16 @@ def solve(spec: ProblemSpec, grid: RadialGrid,
     )
 
 
-def _fixed_point_residual(spec, grid, state) -> tuple[float, float]:
-    u_img = _half_sweep(spec, grid, state.a1_samples, spec.f1, spec.op1,
+def _residual_u(spec, state) -> float:
+    u_img = _half_sweep(spec, state.grid, state.a1_samples, spec.f1, spec.op1,
                         spec.alpha, state.v, eq="1")
-    v_img = _half_sweep(spec, grid, state.a2_samples, spec.f2, spec.op2,
+    return float(np.max(np.abs(state.u - u_img)))
+
+
+def _residual_v(spec, state) -> float:
+    v_img = _half_sweep(spec, state.grid, state.a2_samples, spec.f2, spec.op2,
                         spec.beta, state.u, eq="2")
-    return (float(np.max(np.abs(state.u - u_img))),
-            float(np.max(np.abs(state.v - v_img))))
+    return float(np.max(np.abs(state.v - v_img)))
 
 
 def residual(spec: ProblemSpec, solution: RadialSolution) -> tuple[float, float]:
@@ -174,4 +180,4 @@ def residual(spec: ProblemSpec, solution: RadialSolution) -> tuple[float, float]
         a1_samples=spec.a1.sample(nodes),
         a2_samples=spec.a2.sample(nodes),
     )
-    return _fixed_point_residual(spec, solution.grid, state)
+    return _residual_u(spec, state), _residual_v(spec, state)

@@ -18,11 +18,20 @@ point h^-1(s1*s2) sits between s1^(1/a1) and s1^(1/a0) times h^-1(s2), and
 symmetrically for s1 < 1.  The derived exponents are widened by a small
 safety margin and the sandwich is re-verified on a sample grid before the
 envelope is accepted.
+
+Families without a closed-form inverse are inverted from a per-operator
+table of (ln t, ln h(t)) on a fixed log grid of t, built on first use and
+kept read-only on the operator.  Each value is bracketed by one table cell
+and solved there by secant steps in log-log space, starting from the
+linear interpolant.  Values outside the table, and the rare value whose
+secant steps do not settle, go to a bracketed bisection, which also owns
+the out-of-range failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -57,6 +66,14 @@ class InversionRangeError(RuntimeError):
 _VALIDATION_GRID = np.logspace(-8.0, 8.0, 512)
 _BRACKET_CAP = 1e300
 _EXPONENT_MARGIN = 1e-3
+# flux table grid: t in [1e-12, 1e12] at 32 nodes per decade
+_TABLE_GRID = np.logspace(-12.0, 12.0, 24 * 32 + 1)
+# the table inverse works through its input in blocks of this many values,
+# which keeps its temporaries small next to the arrays it inverts
+_BLOCK = 8192
+# secant steps a value may take in its table cell before it is handed to
+# bisection; values inside the table settle within four
+_SECANT_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -69,6 +86,12 @@ class PhiOperator:
 
     def __repr__(self):
         return f"PhiOperator({self.label})"
+
+    @cached_property
+    def flux_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (ln t, ln h(t)) on the longest finite, strictly
+        increasing stretch of the table grid; built on first use."""
+        return _flux_table(self)
 
 
 @dataclass(frozen=True)
@@ -258,7 +281,11 @@ def h_eval(op: PhiOperator, t):
 def h_inverse(op: PhiOperator, s, rel_tol: float = 1e-12):
     """Unique t >= 0 with h(t) = s, to relative tolerance ``rel_tol``.
 
-    Uses the analytic inverse when the family has one, otherwise a
+    Uses the analytic inverse when the family has one.  Otherwise each
+    value inside the operator's flux table is solved in its table cell by
+    secant steps on ln h against ln t, clamped to the cell, until a step in
+    ln t is at most ``rel_tol/4``.  Values outside the table, and values
+    whose steps have not settled after a fixed count, fall back to a
     bracketed bisection in log space: the upper bracket doubles from 1
     until h catches s (capped at 1e300, beyond which the operator is
     reported unsuitable), the lower one halves symmetrically.
@@ -275,13 +302,98 @@ def h_inverse(op: PhiOperator, s, rel_tol: float = 1e-12):
     out = np.zeros_like(arr)
     pos = arr > 0
     if np.any(pos):
-        out[pos] = _bisect_inverse(op, arr[pos], rel_tol)
+        vals = arr[pos]
+        t = _table_inverse(op, vals, rel_tol)
+        miss = np.isnan(t)
+        if np.any(miss):
+            t[miss] = _bisect_inverse(op, vals[miss], rel_tol)
+        out[pos] = t
     return float(out[0]) if scalar else out
 
 
 def _h_raw(op: PhiOperator, t: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         return t * np.asarray(op.phi(t), dtype=float)
+
+
+def _h_tolerant(op: PhiOperator, t: np.ndarray) -> np.ndarray:
+    """Flux values with NaN wherever the profile refuses to evaluate
+    (expression profiles reject a whole array for one overflowing entry,
+    so the refusing entries are isolated by halving)."""
+    try:
+        return _h_raw(op, t)
+    except (ValueError, ArithmeticError):
+        if t.size == 1:
+            return np.full(1, np.nan)
+        mid = t.size // 2
+        return np.concatenate((_h_tolerant(op, t[:mid]), _h_tolerant(op, t[mid:])))
+
+
+def _flux_table(op: PhiOperator) -> tuple[np.ndarray, np.ndarray]:
+    log_t = np.log(_TABLE_GRID)
+    with np.errstate(all="ignore"):
+        log_h = np.log(_h_tolerant(op, _TABLE_GRID))
+        good = np.isfinite(log_h[:-1]) & np.isfinite(log_h[1:]) & (np.diff(log_h) > 0)
+    # longest run of good cells [start, stop)
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], good.view(np.int8), [0]))))
+    starts, stops = edges[::2], edges[1::2]
+    if starts.size == 0:
+        keep = slice(0, 0)
+    else:
+        k = int(np.argmax(stops - starts))
+        keep = slice(starts[k], stops[k] + 1)
+    table = (log_t[keep].copy(), log_h[keep].copy())
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def _table_inverse(op: PhiOperator, s: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Preimages of the positive values ``s`` from the flux table; NaN
+    where the table does not bracket a value or its steps did not settle."""
+    log_t, log_h = op.flux_table
+    out = np.full_like(s, np.nan)
+    if log_t.size < 2:
+        return out
+    with np.errstate(all="ignore"):
+        for start in range(0, s.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            out[block] = _secant_block(op, np.log(s[block]), log_t, log_h, rel_tol / 4.0)
+    return out
+
+
+def _secant_block(op, y, log_t, log_h, step_tol):
+    """ln t with ln h(t) = y for one block of targets ``y``; NaN where no
+    table cell brackets a target or its steps did not settle."""
+    res = np.full_like(y, np.nan)
+    cell = np.searchsorted(log_h, y, side="right") - 1
+    idx = np.flatnonzero((cell >= 0) & (cell < log_h.size - 1))
+    if idx.size == 0:
+        return res
+    y, cell = y[idx], cell[idx]
+    a, b = log_t[cell], log_t[cell + 1]
+    fa, fb = log_h[cell] - y, log_h[cell + 1] - y
+    # the linear interpolant is the secant through the cell ends; the next
+    # step pairs it with the end across the root
+    x1 = a - fa * (b - a) / (fb - fa)
+    f1 = np.log(_h_raw(op, np.exp(x1))) - y
+    right = f1 > 0
+    x0 = np.where(right, a, b)
+    f0 = np.where(right, fa, fb)
+    for _ in range(_SECANT_STEPS):
+        den = f1 - f0
+        # a flat pair away from the root cannot step: NaN sends it to bisection
+        step = np.where(den != 0, f1 * (x1 - x0) / den, np.where(f1 == 0, 0.0, np.nan))
+        x2 = np.clip(x1 - step, a, b)
+        done = np.abs(step) <= step_tol
+        res[idx[done]] = np.exp(x2[done])
+        live = ~done & np.isfinite(x2)
+        if not np.any(live):
+            break
+        idx, y, a, b = idx[live], y[live], a[live], b[live]
+        x0, f0, x1 = x1[live], f1[live], x2[live]
+        f1 = np.log(_h_raw(op, np.exp(x1))) - y
+    return res
 
 
 def _bisect_inverse(op: PhiOperator, s: np.ndarray, rel_tol: float) -> np.ndarray:

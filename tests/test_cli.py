@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -121,6 +122,53 @@ class TestClassifyCommand:
                                                    "tail_tol": 1e-2}})
         assert report["consistency"]["u_consistent"] is True
         assert report["consistency"]["v_consistent"] is True
+
+
+class TestNumericsValidation:
+    """Degenerate probe settings are config errors, never a verdict."""
+
+    def run_classify(self, tmp_path, numerics):
+        cfg = manufactured_config(tmp_path)
+        cfg["problem"]["weight1"] = "1"
+        cfg["problem"]["weight2"] = "1"
+        cfg["numerics"].update(numerics)
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["classify", "--config", str(path)])
+        return code, (tmp_path / "report.json").exists()
+
+    def test_zero_probe_count_exits_1(self, tmp_path, capsys):
+        # used to escape as an IndexError traceback
+        assert self.run_classify(tmp_path, {"probe": {"count": 0}}) == (1, False)
+        assert "probe.count" in capsys.readouterr().err
+
+    def test_zero_segment_nodes_exits_1(self, tmp_path, capsys):
+        # used to collapse the probe grid to one node and call the linear
+        # instance both_bounded with exit 0 (the defaults give both_large)
+        assert self.run_classify(tmp_path, {"probe": {"segment_nodes": 0}}) == (1, False)
+        assert "probe.segment_nodes" in capsys.readouterr().err
+
+    def test_unit_probe_factor_exits_1(self, tmp_path, capsys):
+        # used to divide 0/0 in the panel moments and still exit 0
+        assert self.run_classify(tmp_path, {"probe": {"factor": 1.0}}) == (1, False)
+        assert "probe.factor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("numerics", [
+        {"probe": {"r0": 0.0}},
+        {"probe": {"r0": -1.0}},
+        {"probe": {"factor": 0.5}},
+        {"probe": {"segment_nodes": 1}},
+        {"conv_tol": 0.0},
+        {"tail_tol": -1e-6},
+        {"blowup_threshold": 0.0},
+    ])
+    def test_other_degenerate_settings_exit_1(self, tmp_path, numerics):
+        assert self.run_classify(tmp_path, numerics) == (1, False)
+
+    def test_smallest_accepted_settings_run(self, tmp_path):
+        probe = {"count": 1, "segment_nodes": 2, "factor": 1.5}
+        assert self.run_classify(tmp_path, {"probe": probe}) == (0, True)
 
 
 class TestValidateCommand:

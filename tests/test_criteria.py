@@ -46,6 +46,30 @@ class TestAccumulation:
             bar = cr.accumulation(spec, 2, "bar", t)
             assert under <= bar + 1e-12
 
+    def test_shared_envelope_inverts_once(self, lap, monkeypatch):
+        # a derived envelope has psi_under is psi_bar and k_under == k_bar:
+        # both accumulations come from one inverse and one array
+        spec = make_spec(lap, op2=ops.make_operator("plasma", p=2, q=3))
+        assert spec.env2.psi_under is spec.env2.psi_bar
+        calls = []
+        inverse = ops.h_inverse
+        monkeypatch.setattr(ops, "h_inverse",
+                            lambda op, s: calls.append(op) or inverse(op, s))
+        ev = cr.CriteriaEvaluator(spec, np.linspace(0.0, 4.0, 401))
+        assert ev.accumulation_values(2, "under") is ev.accumulation_values(2, "bar")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("k_under, halve_psi", [(0.5, False), (1.0, True)])
+    def test_distinct_envelope_factors_kept_apart(self, lap, k_under, halve_psi):
+        # under differs from bar by k alone, or by psi alone
+        ident = lambda s: np.asarray(s, dtype=float)
+        psi_under = (lambda s: 0.5 * np.asarray(s, dtype=float)) if halve_psi else ident
+        env = ops.EnvelopeSet(k_under=k_under, k_bar=1.0, theta_under=ident,
+                              theta_bar=ident, psi_under=psi_under, psi_bar=ident)
+        ev = cr.CriteriaEvaluator(make_spec(lap, env1=env), np.linspace(0.0, 3.0, 301))
+        assert ev.accumulation_values(1, "bar")[-1] == pytest.approx(1.5, rel=1e-9)
+        assert ev.accumulation_values(1, "under")[-1] == pytest.approx(0.75, rel=1e-9)
+
 
 class TestCoupling:
     def test_zero_weights_all_couplings_vanish(self, lap):

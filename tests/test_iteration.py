@@ -123,6 +123,16 @@ class TestSolve:
         assert ru == pytest.approx(sol.residual_u, abs=1e-14)
         assert rv == pytest.approx(sol.residual_v, abs=1e-14)
 
+    @pytest.mark.parametrize("max_iter", [0, 1, it.DEFAULT_MAX_ITER])
+    def test_reported_v_residual_is_exact(self, lap, grid, max_iter):
+        # solve reports residual_v without the v half-sweep once a sweep has
+        # run: the v-image of the final u is then v itself, bit for bit
+        spec = make_spec(lap, w1="1/(1+r^2)", w2="exp(-r)",
+                         op2=ops.make_operator("plasma", p=2, q=3))
+        sol = it.solve(spec, grid, max_iter=max_iter)
+        assert it.residual(spec, sol)[1] == sol.residual_v
+        assert (sol.residual_v == 0.0) == (max_iter > 0)
+
 
 class TestEnvelopedBounds:
     def test_iterate_ceiling_and_solution_floor(self, lap, grid):

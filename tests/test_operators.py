@@ -1,5 +1,10 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radialphi import exprlang as ex
 from radialphi import operators as ops
@@ -14,6 +19,32 @@ CATALOG = [
     ("plasticity", {"p": 2.0, "q": 1.0}),
     ("newtonian", {"p": 0.5, "q": 1.0}),
 ]
+
+
+# operators without a closed-form inverse: these go through the flux table
+TABULATED = [
+    ("plasma", {"p": 2.0, "q": 3.0}),
+    ("plasma", {"p": 1.5, "q": 2.5}),
+    ("elasticity", {"p": 0.75}),
+    ("elasticity", {"p": 2.0}),
+    ("plasticity", {"p": 2.0, "q": 1.0}),
+    ("plasticity", {"p": 3.0, "q": 2.0}),
+    ("newtonian", {"p": 0.5, "q": 1.0}),
+    ("newtonian", {"p": 0.75, "q": 1.5}),
+    ("custom", {"expr": "1 + t"}),
+    ("custom", {"expr": "sqrt(1 + t^2)"}),
+    # overflows inside the table grid: the table keeps the finite stretch
+    ("custom", {"expr": "1 + t^30"}),
+]
+
+
+@pytest.fixture(scope="module")
+def tabulated():
+    return [ops.make_operator(f, **kw) for f, kw in TABULATED]
+
+
+def bisected(op, s):
+    return ops._bisect_inverse(op, np.asarray(s, dtype=float), 1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +178,94 @@ class TestEnvelopes:
                               theta_under=ident, theta_bar=ident,
                               psi_under=ident, psi_bar=ident)
         assert ops.check_envelope(op, bad, n=16) > 0.0
+
+
+class TestTableInverse:
+    def test_agrees_with_bisection(self, tabulated):
+        # more values than one block, reaching below the table bottom
+        ss = np.logspace(-13, 8, 20001)
+        for op in tabulated:
+            got = ops.h_inverse(op, ss)
+            want = bisected(op, ss)
+            assert np.max(np.abs(got - want) / want) <= 1e-12, op.label
+
+    def test_table_resolves_values_inside_it(self, tabulated):
+        for op in tabulated:
+            _, log_h = op.flux_table
+            ss = np.exp(np.linspace(log_h[0], log_h[-1], 3001)[:-1])
+            got = ops._table_inverse(op, ss, 1e-12)
+            assert not np.any(np.isnan(got)), op.label
+            assert np.max(np.abs(got - bisected(op, ss)) / got) <= 1e-12, op.label
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, len(TABULATED) - 1), st.floats(-13.0, 8.0))
+    def test_agrees_with_bisection_property(self, k, log_s):
+        op = ops.make_operator(TABULATED[k][0], **TABULATED[k][1])
+        s = 10.0 ** log_s
+        got = ops.h_inverse(op, s)
+        want = float(bisected(op, [s])[0])
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_scalar_zero_and_negative(self, tabulated):
+        op = tabulated[0]
+        assert isinstance(ops.h_inverse(op, 6.0), float)
+        assert ops.h_inverse(op, 6.0) == pytest.approx(2.0, rel=1e-12)
+        assert ops.h_inverse(op, 0.0) == 0.0
+        out = ops.h_inverse(op, np.array([0.0, 6.0, 0.0]))
+        assert out[0] == 0.0 and out[2] == 0.0
+        with pytest.raises(ValueError):
+            ops.h_inverse(op, -1.0)
+        with pytest.raises(ValueError):
+            ops.h_inverse(op, np.array([1.0, -1e-3]))
+
+    def test_beyond_table_top_falls_back(self):
+        # h = asinh(t) reaches only about 28 at the top of the table
+        op = ops.make_operator("newtonian", p=1.0, q=1.0)
+        _, log_h = op.flux_table
+        ss = np.array([1.0, 100.0, 300.0])
+        assert ss[1] > np.exp(log_h[-1])
+        got = ops.h_inverse(op, ss)
+        assert got[1] > 1e12
+        assert np.max(np.abs(ops.h_eval(op, got) - ss) / ss) <= 1e-10
+        assert np.max(np.abs(got - bisected(op, ss)) / got) <= 1e-12
+
+    def test_out_of_range_still_raises(self):
+        op = ops.make_operator("newtonian", p=1.0, q=1.0)
+        with pytest.raises(ops.InversionRangeError):
+            ops.h_inverse(op, 1e8)
+        with pytest.raises(ops.InversionRangeError):
+            ops.h_inverse(op, np.array([1.0, 10.0, 1e8]))
+
+    def test_direct_operator_builds_its_own_table(self):
+        op = ops.PhiOperator(family="custom", params=(), label="direct",
+                             phi=lambda t: 1.0 + np.asarray(t))
+        assert ops.h_inverse(op, 6.0) == pytest.approx(2.0, rel=1e-12)
+        log_t, log_h = op.flux_table
+        assert op.flux_table is op.flux_table
+        assert not log_t.flags.writeable and not log_h.flags.writeable
+        assert np.all(np.diff(log_h) > 0)
+
+    def test_table_is_per_operator(self):
+        a = ops.make_operator("plasma", p=2, q=3)
+        b = ops.make_operator("plasma", p=2, q=3)
+        c = ops.make_operator("plasma", p=2, q=4)
+        assert a.flux_table is not b.flux_table
+        assert not np.array_equal(a.flux_table[1], c.flux_table[1])
+
+    def test_concurrent_first_use(self):
+        # threads race to build the table of a fresh operator; every one
+        # must get the same preimages as a sequential call
+        op = ops.make_operator("plasticity", p=2, q=1)
+        ss = np.logspace(-6, 6, 5000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(ops.h_inverse, op, ss) for _ in range(8)]
+                outs = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        want = bisected(op, ss)
+        for out in outs:
+            assert np.array_equal(out, outs[0])
+        assert np.max(np.abs(outs[0] - want) / want) <= 1e-12
