@@ -18,8 +18,7 @@ from .classifier import (BOTH_BOUNDED, BOTH_LARGE, EXISTS_UNCLASSIFIED,
                          converse_advisory, cross_check)
 from .criteria import (CriteriaError, CriteriaEvaluator, CriteriaReport,
                        GrowthBudget, accumulation, accumulation_limit,
-                       build_report, coupling, growth_budget,
-                       growth_budget_inverse, solution_bounds)
+                       build_report, coupling, growth_budget, solution_bounds)
 from .exprlang import Expr, ExprError, parse
 from .iteration import (IterationState, RadialSolution, init_state, residual,
                         solve, step)
@@ -35,8 +34,7 @@ from .oracle import (PowerLawCriteria, PowerLawInstance, SingleEquationReport,
                      manufactured_problem, power_law_criteria,
                      single_equation_check)
 from .quadrature import (LimitVerdict, NumericsError, ProbeSchedule,
-                         RadialGrid, cumulative_integral, improper_limit_probe,
-                         prefix_trapezoid, radial_kernel, radial_kernel_at,
+                         RadialGrid, prefix_trapezoid, radial_kernel_at,
                          verdict_from_trace)
 
 __version__ = "0.1.0"

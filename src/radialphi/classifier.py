@@ -23,7 +23,7 @@ import numpy as np
 
 from .criteria import CriteriaReport, GrowthBudget, effective_lower_envelope, solution_bounds
 from .iteration import RadialSolution
-from .model import HypothesisReport, ProblemSpec
+from .model import PAIRS, HypothesisReport, ProblemSpec
 from .operators import h_inverse
 from .quadrature import LimitVerdict
 
@@ -83,19 +83,24 @@ def _fmt(state) -> str:
 
 
 class _Predicates:
-    """Named tri-state predicates over (spec, report, hypotheses)."""
+    """Named tri-state predicates over (spec, report, hypotheses).
+
+    ``relaxed``, ``budget`` and ``upper`` are keyed by pair; ``budget`` and
+    ``upper`` hold the relaxed variant of a pair whose upper split is
+    relaxed.
+    """
 
     def __init__(self, spec: ProblemSpec, report: CriteriaReport,
                  hyp: HypothesisReport):
         self.spec = spec
         self.report = report
         self.hyp = hyp
-        self.relax_1 = report.budget_12_relaxed is not None
-        self.relax_2 = report.budget_21_relaxed is not None
-        self.budget_12 = report.budget_12_relaxed if self.relax_1 else report.budget_12
-        self.budget_21 = report.budget_21_relaxed if self.relax_2 else report.budget_21
-        self.upper_12 = report.upper_12_relaxed if self.relax_1 else report.upper_12
-        self.upper_21 = report.upper_21_relaxed if self.relax_2 else report.upper_21
+        v = report.verdicts
+        self.relaxed = {pair: v[f"growth_budget_{pair}_relaxed"] is not None
+                        for pair in PAIRS}
+        suffix = {pair: "_relaxed" if self.relaxed[pair] else "" for pair in PAIRS}
+        self.budget = {pair: v[f"growth_budget_{pair}{suffix[pair]}"] for pair in PAIRS}
+        self.upper = {pair: v[f"upper_coupling_{pair}{suffix[pair]}"] for pair in PAIRS}
 
     def weights_ok(self):
         return _T if (self.hyp.ok("weight_1") and self.hyp.ok("weight_2")) else _F
@@ -103,63 +108,58 @@ class _Predicates:
     def monotone_ok(self):
         return _T if (self.hyp.ok("monotone_f1") and self.hyp.ok("monotone_f2")) else _F
 
-    def upper_split(self, side: int):
-        if side == 1 and self.relax_1:
-            return _T
-        if side == 2 and self.relax_2:
-            return _T
-        if self.hyp.ok(f"upper_split_f{side}"):
+    def upper_split(self, pair: str):
+        """Upper split of the pair's own side."""
+        own, other = self.spec.pair(pair)
+        if self.relaxed[pair] or self.hyp.ok(f"upper_split_f{own.index}"):
             return _T
         # the relaxation might still apply if the accumulation probe had
         # resolved; an indeterminate accumulation keeps the question open
-        acc = self.report.acc_2 if side == 1 else self.report.acc_1
+        acc = self.report.verdicts[f"accumulation_{other.index}"]
         return _U if acc.indeterminate else _F
 
-    def lower_split(self, side: int):
-        nl = self.spec.f1 if side == 1 else self.spec.f2
-        low = effective_lower_envelope(nl)
+    def lower_split(self, pair: str):
+        """Lower split of the pair's own side."""
+        own = self.spec.pair(pair)[0]
+        low = effective_lower_envelope(own.nl)
         if low is None:
             return _F
         if low[2]:  # scaling constant >= 1: valid by construction
             return _T
-        return _T if self.hyp.ok(f"lower_split_f{side}") else _F
+        return _T if self.hyp.ok(f"lower_split_f{own.index}") else _F
 
     def budget_divergent(self, pair: str):
-        return _verdict_state(self.budget_12 if pair == "12" else self.budget_21,
-                              "divergent")
+        return _verdict_state(self.budget[pair], "divergent")
 
     def upper_finite(self, pair: str):
-        return _verdict_state(self.upper_12 if pair == "12" else self.upper_21,
-                              "finite")
+        return _verdict_state(self.upper[pair], "finite")
 
     def lower_divergent(self, pair: str):
-        v = self.report.lower_12 if pair == "12" else self.report.lower_21
-        return _verdict_state(v, "divergent")
+        return _verdict_state(self.report.verdicts[f"lower_coupling_{pair}"], "divergent")
 
     def upper_below_budget(self, pair: str):
         """k_bar * P_upper(oo) < H(oo), both finite."""
-        upper = self.upper_12 if pair == "12" else self.upper_21
-        budget = self.budget_12 if pair == "12" else self.budget_21
-        env = self.spec.env1 if pair == "12" else self.spec.env2
+        upper, budget = self.upper[pair], self.budget[pair]
         uf = _verdict_state(upper, "finite")
         bf = _verdict_state(budget, "finite")
         if _F in (uf, bf):
             return _F
         if _U in (uf, bf):
             return _U
-        return _T if env.k_bar * upper.value < budget.value else _F
+        k_bar = self.spec.pair(pair)[0].env.k_bar
+        return _T if k_bar * upper.value < budget.value else _F
 
 
 def _rules(p: _Predicates):
     base = [("weights", p.weights_ok()), ("monotone", p.monotone_ok())]
-    splits = base + [("upper_split_1", p.upper_split(1)),
-                     ("upper_split_2", p.upper_split(2))]
+    splits = base + [("upper_split_1", p.upper_split("12")),
+                     ("upper_split_2", p.upper_split("21"))]
     budgets_diverge = [("budget_12_divergent", p.budget_divergent("12")),
                        ("budget_21_divergent", p.budget_divergent("21"))]
     return [
         ("large_both", BOTH_LARGE, splits + budgets_diverge + [
-            ("lower_split_1", p.lower_split(1)),
-            ("lower_split_2", p.lower_split(2)),
+            ("lower_split_1", p.lower_split("12")),
+            ("lower_split_2", p.lower_split("21")),
             ("lower_12_divergent", p.lower_divergent("12")),
             ("lower_21_divergent", p.lower_divergent("21")),
         ]),
@@ -168,12 +168,12 @@ def _rules(p: _Predicates):
             ("upper_21_finite", p.upper_finite("21")),
         ]),
         ("mixed_u_bounded", U_BOUNDED_V_LARGE, splits + budgets_diverge + [
-            ("lower_split_2", p.lower_split(2)),
+            ("lower_split_2", p.lower_split("21")),
             ("upper_12_finite", p.upper_finite("12")),
             ("lower_21_divergent", p.lower_divergent("21")),
         ]),
         ("mixed_u_large", U_LARGE_V_BOUNDED, splits + budgets_diverge + [
-            ("lower_split_1", p.lower_split(1)),
+            ("lower_split_1", p.lower_split("12")),
             ("lower_12_divergent", p.lower_divergent("12")),
             ("upper_21_finite", p.upper_finite("21")),
         ]),
@@ -182,13 +182,13 @@ def _rules(p: _Predicates):
             ("upper_21_below_budget", p.upper_below_budget("21")),
         ]),
         ("mixed_u_large_sharp", U_LARGE_V_BOUNDED, splits + [
-            ("lower_split_1", p.lower_split(1)),
+            ("lower_split_1", p.lower_split("12")),
             ("budget_12_divergent", p.budget_divergent("12")),
             ("lower_12_divergent", p.lower_divergent("12")),
             ("upper_21_below_budget", p.upper_below_budget("21")),
         ]),
         ("mixed_u_bounded_sharp", U_BOUNDED_V_LARGE, splits + [
-            ("lower_split_2", p.lower_split(2)),
+            ("lower_split_2", p.lower_split("21")),
             ("budget_21_divergent", p.budget_divergent("21")),
             ("lower_21_divergent", p.lower_divergent("21")),
             ("upper_12_below_budget", p.upper_below_budget("12")),
@@ -208,10 +208,11 @@ def classify(spec: ProblemSpec, report: CriteriaReport,
     """
     p = _Predicates(spec, report, hyp)
     warnings = []
-    if p.relax_1:
-        warnings.append("upper split of side 1 relaxed by finite accumulation of weight 2")
-    if p.relax_2:
-        warnings.append("upper split of side 2 relaxed by finite accumulation of weight 1")
+    for pair in PAIRS:
+        if p.relaxed[pair]:
+            own, other = spec.pair(pair)
+            warnings.append(f"upper split of side {own.index} relaxed by finite "
+                            f"accumulation of weight {other.index}")
 
     table = _rules(p)
     for i, (rule, verdict, preds) in enumerate(table):
@@ -252,24 +253,17 @@ def classify(spec: ProblemSpec, report: CriteriaReport,
 
 def _sharp_bounds(spec: ProblemSpec, p: _Predicates) -> dict:
     """Limit values of the sandwich attached to the sharp bounded rule."""
-    def ceil(pair, upper):
-        gb = GrowthBudget(spec, pair,
-                          relaxed=(p.relax_1 if pair == "12" else p.relax_2),
-                          acc_limit=((p.report.acc_2.value if pair == "12"
-                                      else p.report.acc_1.value)
-                                     if (p.relax_1 if pair == "12" else p.relax_2)
-                                     else None))
-        env = spec.env1 if pair == "12" else spec.env2
-        return float(gb.inverse(env.k_bar * upper.value))
-
-    out = {
-        "u_upper_limit": ceil("12", p.upper_12),
-        "v_upper_limit": ceil("21", p.upper_21),
-    }
-    low = p.report.lower_12
-    out["u_lower_limit_growth"] = (low.value if low is not None and low.finite else None)
-    low = p.report.lower_21
-    out["v_lower_limit_growth"] = (low.value if low is not None and low.finite else None)
+    out = {}
+    for pair, name in zip(PAIRS, "uv"):
+        own, other = spec.pair(pair)
+        acc = p.report.verdicts[f"accumulation_{other.index}"]
+        gb = GrowthBudget(spec, pair, relaxed=p.relaxed[pair],
+                          acc_limit=acc.value if p.relaxed[pair] else None)
+        out[f"{name}_upper_limit"] = float(gb.inverse(own.env.k_bar * p.upper[pair].value))
+    for pair, name in zip(PAIRS, "uv"):
+        low = p.report.verdicts[f"lower_coupling_{pair}"]
+        out[f"{name}_lower_limit_growth"] = (low.value if low is not None and low.finite
+                                             else None)
     return out
 
 
@@ -354,8 +348,8 @@ def converse_advisory(spec: ProblemSpec, report: CriteriaReport,
     if classification.verdict != BOTH_LARGE:
         return None
     ss = np.logspace(-3, 3, 13)
-    for nl, env, op in ((spec.f1, spec.env1, spec.op1),
-                        (spec.f2, spec.env2, spec.op2)):
+    for side in spec.sides:
+        nl, env = side.nl, side.env
         if not (nl.has_upper_split and nl.has_lower_split):
             return None
         if env.k_bar != 1.0:
@@ -365,10 +359,11 @@ def converse_advisory(spec: ProblemSpec, report: CriteriaReport,
                            rtol=1e-9, atol=1e-12):
             return None
         if not np.allclose(np.asarray(env.psi_bar(ss), dtype=float),
-                           h_inverse(op, ss), rtol=1e-9, atol=1e-12):
+                           h_inverse(side.op, ss), rtol=1e-9, atol=1e-12):
             return None
-    for name, v in (("upper_coupling_12", report.upper_12),
-                    ("upper_coupling_21", report.upper_21)):
+    for pair in PAIRS:
+        name = f"upper_coupling_{pair}"
+        v = report.verdicts[name]
         if v is not None and v.finite:
             return (f"inconsistency: large verdict requires {name} to diverge, "
                     f"but its probe reported a finite limit")

@@ -34,7 +34,7 @@ from . import classifier, criteria, iteration, model, oracle
 from .exprlang import ExprError
 from .model import SpecError
 from .operators import InversionRangeError, OperatorError, check_envelope
-from .quadrature import NumericsError, ProbeSchedule, RadialGrid
+from .quadrature import NumericsError, ProbeSchedule, RadialGrid, central_diff
 
 __all__ = ["main", "run_config"]
 
@@ -61,6 +61,7 @@ def _numerics(cfg: dict):
     grid."""
     num = cfg.get("numerics", {})
     grid = RadialGrid(float(num.get("r_max", 2.0)), float(num.get("step", 1e-3)))
+    max_iter = float(num.get("max_iter", iteration.DEFAULT_MAX_ITER))
     probe_cfg = num.get("probe", {})
     schedule = ProbeSchedule(
         r0=float(probe_cfg.get("r0", 1.0)),
@@ -70,7 +71,6 @@ def _numerics(cfg: dict):
     out = {
         "grid": grid,
         "conv_tol": float(num.get("conv_tol", iteration.DEFAULT_CONV_TOL)),
-        "max_iter": int(num.get("max_iter", iteration.DEFAULT_MAX_ITER)),
         "schedule": schedule,
         "segment_nodes": int(probe_cfg.get("segment_nodes", 4096)),
         "tail_tol": float(num.get("tail_tol", 1e-6)),
@@ -82,10 +82,12 @@ def _numerics(cfg: dict):
             (schedule.count >= 1, "probe.count must be at least 1"),
             (out["segment_nodes"] >= 2, "probe.segment_nodes must be at least 2"),
             (out["conv_tol"] > 0, "conv_tol must be positive"),
+            (max_iter >= 1 and max_iter.is_integer(), "max_iter must be an integer of at least 1"),
             (out["tail_tol"] > 0, "tail_tol must be positive"),
             (out["blowup_threshold"] > 0, "blowup_threshold must be positive")):
         if not ok:
             raise _ConfigError(f"numerics: {rule}")
+    out["max_iter"] = int(max_iter)
     return out
 
 
@@ -115,20 +117,12 @@ def _write_json(path: str | None, payload: dict):
         fh.write("\n")
 
 
-def _central_diff(values: np.ndarray, step: float) -> np.ndarray:
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * step)
-    out[0] = (values[1] - values[0]) / step
-    out[-1] = (values[-1] - values[-2]) / step
-    return out
-
-
 def _write_solution_csv(path: str | None, sol) -> None:
     if not path:
         return
     nodes = sol.grid.nodes
-    up = _central_diff(sol.u, sol.grid.step)
-    vp = _central_diff(sol.v, sol.grid.step)
+    up = central_diff(sol.u, sol.grid.step)
+    vp = central_diff(sol.v, sol.grid.step)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("r,u,v,u_prime,v_prime\n")
         for row in zip(nodes, sol.u, sol.v, up, vp):
@@ -211,29 +205,27 @@ def cmd_validate(cfg: dict) -> int:
     num = _numerics(cfg)
     hyp = model.check_hypotheses(spec)
     envelopes = {}
-    for name, op, env in (("operator1", spec.op1, spec.env1),
-                          ("operator2", spec.op2, spec.env2)):
-        worst = check_envelope(op, env, n=64, s_min=1e-6, s_max=1e3)
-        envelopes[name] = {"operator": op.label, "worst_violation": worst,
-                           "ok": worst == 0.0, "description": env.description}
-
-    validation: dict = {"hypotheses": hyp.to_dict(), "envelopes": envelopes}
     single = {}
-    for side, (f, a) in (("1", (spec.f1, spec.a1)), ("2", (spec.f2, spec.a2))):
+    for side in spec.sides:
+        worst = check_envelope(side.op, side.env, n=64, s_min=1e-6, s_max=1e3)
+        envelopes[f"operator{side.index}"] = {
+            "operator": side.op.label, "worst_violation": worst,
+            "ok": worst == 0.0, "description": side.env.description}
         try:
             rep = oracle.single_equation_check(
-                f, a, spec.N, schedule=num["schedule"], tail_tol=num["tail_tol"],
-                blowup_threshold=num["blowup_threshold"],
+                side.nl, side.weight, spec.N, schedule=num["schedule"],
+                tail_tol=num["tail_tol"], blowup_threshold=num["blowup_threshold"],
                 segment_nodes=num["segment_nodes"])
-            single[side] = rep.to_dict()
+            single[str(side.index)] = rep.to_dict()
         except SpecError as exc:
-            single[side] = {"error": str(exc)}
-    validation["single_equation"] = single
+            single[str(side.index)] = {"error": str(exc)}
+    validation: dict = {"hypotheses": hyp.to_dict(), "envelopes": envelopes,
+                        "single_equation": single}
 
-    if (spec.f1.family == "power" and spec.f2.family == "power"
-            and spec.op1.family == "laplacian" and spec.op2.family == "laplacian"):
+    if all(side.nl.family == "power" and side.op.family == "laplacian"
+           for side in spec.sides):
         inst = oracle.PowerLawInstance(
-            alpha_exp=_power_exponent(spec.f1), beta_exp=_power_exponent(spec.f2),
+            alpha_exp=dict(spec.f1.params)["gamma"], beta_exp=dict(spec.f2.params)["gamma"],
             a1=spec.a1, a2=spec.a2, N=spec.N)
         validation["power_law"] = oracle.power_law_criteria(
             inst, schedule=num["schedule"], tail_tol=num["tail_tol"],
@@ -248,11 +240,6 @@ def cmd_validate(cfg: dict) -> int:
     _write_json(cfg.get("outputs", {}).get("report_json"), payload)
     print(f"validate: all_ok={payload['all_ok']}")
     return 0
-
-
-def _power_exponent(nl) -> float:
-    # label is "t^<gamma>" for the power family
-    return float(nl.label.split("^", 1)[1])
 
 
 def _set_path(cfg: dict, dotted: str, value):

@@ -23,7 +23,12 @@ stays finely resolved while probes reach radii in the tens of thousands).
 Index conventions: the outer envelope of a coupling integral belongs to the
 equation being bounded (psi_bar_1 for P_12, psi_bar_2 for P_21), matching
 the inverse flux h1^-1 / h2^-1 appearing in the lower variants; the inner
-accumulation always carries the index of the weight inside it.
+accumulation always carries the index of the weight inside it.  Every
+pair-indexed functional reads its own and other side from
+``ProblemSpec.pair``.
+
+``build_report`` collects the probe verdicts in one ordered mapping keyed
+by the report's JSON names (``accumulation_1`` ... ``growth_budget_21_relaxed``).
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Nonlinearity, ProblemSpec
+from .model import PAIRS, Nonlinearity, ProblemSpec
 from .operators import h_inverse
 from .quadrature import (LimitVerdict, ProbeSchedule, prefix_trapezoid,
                          radial_kernel_at, verdict_from_trace)
@@ -45,7 +50,6 @@ __all__ = [
     "accumulation",
     "coupling",
     "growth_budget",
-    "growth_budget_inverse",
     "accumulation_limit",
     "effective_lower_envelope",
     "build_report",
@@ -83,9 +87,7 @@ def _finite_positive(arr: np.ndarray, what: str) -> np.ndarray:
 class CriteriaEvaluator:
     """Memoized prefix arrays for all criteria functionals on one node set.
 
-    ``xs`` must be increasing and start at 0.  Values at an arbitrary radius
-    inside the covered range come from linear interpolation of the prefix
-    arrays.
+    ``xs`` must be increasing and start at 0.
     """
 
     def __init__(self, spec: ProblemSpec, xs: np.ndarray):
@@ -103,7 +105,7 @@ class CriteriaEvaluator:
     # -- primitive layers ---------------------------------------------------
 
     def weight(self, side: int) -> np.ndarray:
-        w = self.spec.a1 if side == 1 else self.spec.a2
+        w = self.spec.sides[side - 1].weight
         return self._get(("w", side), lambda: w.sample(self.xs))
 
     def kernel(self, side: int) -> np.ndarray:
@@ -113,7 +115,7 @@ class CriteriaEvaluator:
 
     def accumulation_values(self, side: int, bound: str) -> np.ndarray:
         """A_i: prefix integral of k * psi(kernel of weight i)."""
-        env = self.spec.env1 if side == 1 else self.spec.env2
+        env = self.spec.sides[side - 1].env
         k, psi = ((env.k_bar, env.psi_bar) if bound == "bar"
                   else (env.k_under, env.psi_under))
 
@@ -128,24 +130,19 @@ class CriteriaEvaluator:
 
     # -- coupling integrals -------------------------------------------------
 
-    def _pair(self, pair: str):
-        if pair == "12":
-            return (self.spec.f1, self.spec.op1, self.spec.env1, 1, 2)
-        if pair == "21":
-            return (self.spec.f2, self.spec.op2, self.spec.env2, 2, 1)
-        raise ValueError(f"pair must be '12' or '21', got {pair!r}")
-
     def upper_coupling_values(self, pair: str) -> np.ndarray | None:
         """Upper coupling: prefix of psi_bar_own(c_bar * K[a_own * xi_bar(1 + A_other)])."""
+        own, other = self.spec.pair(pair)
+
         def build():
-            nl, _, env, own, other = self._pair(pair)
+            nl = own.nl
             if not nl.has_upper_split:
                 return None
-            inner = self.weight(own) * np.asarray(
-                nl.xi_bar(1.0 + self.accumulation_values(other, "bar")), dtype=float)
+            inner = self.weight(own.index) * np.asarray(
+                nl.xi_bar(1.0 + self.accumulation_values(other.index, "bar")), dtype=float)
             _finite_positive(inner, f"upper coupling inner weight ({pair})")
             kern = radial_kernel_at(inner, self.spec.N, self.xs)
-            outer = np.asarray(env.psi_bar(nl.c_bar * kern), dtype=float)
+            outer = np.asarray(own.env.psi_bar(nl.c_bar * kern), dtype=float)
             _finite_positive(outer, f"upper coupling integrand ({pair})")
             return prefix_trapezoid(outer, self.xs)
         return self._get(("Pbar", pair), build)
@@ -153,36 +150,33 @@ class CriteriaEvaluator:
     def upper_coupling_relaxed_values(self, pair: str) -> np.ndarray:
         """Simplified upper coupling used with a finite accumulation limit:
         the inner response factor drops, leaving psi_bar_own(c * K[a_own])."""
+        own = self.spec.pair(pair)[0]
+
         def build():
-            nl, _, env, own, _other = self._pair(pair)
+            nl = own.nl
             c = float(nl.c_bar) if nl.has_upper_split else 1.0
-            outer = np.asarray(env.psi_bar(c * self.kernel(own)), dtype=float)
+            outer = np.asarray(own.env.psi_bar(c * self.kernel(own.index)), dtype=float)
             _finite_positive(outer, f"relaxed upper coupling integrand ({pair})")
             return prefix_trapezoid(outer, self.xs)
         return self._get(("Pbar_relaxed", pair), build)
 
     def lower_coupling_values(self, pair: str) -> np.ndarray | None:
         """Lower coupling: prefix of hinv_own(c_under * K[a_own * xi_under(1 + A_under_other)])."""
+        own, other = self.spec.pair(pair)
+
         def build():
-            nl, op, _, own, other = self._pair(pair)
-            low = effective_lower_envelope(nl)
+            low = effective_lower_envelope(own.nl)
             if low is None:
                 return None
             c_under, xi_under, _auto = low
-            inner = self.weight(own) * np.asarray(
-                xi_under(1.0 + self.accumulation_values(other, "under")), dtype=float)
+            inner = self.weight(own.index) * np.asarray(
+                xi_under(1.0 + self.accumulation_values(other.index, "under")), dtype=float)
             _finite_positive(inner, f"lower coupling inner weight ({pair})")
             kern = radial_kernel_at(inner, self.spec.N, self.xs)
-            outer = h_inverse(op, c_under * kern)
+            outer = h_inverse(own.op, c_under * kern)
             _finite_positive(outer, f"lower coupling integrand ({pair})")
             return prefix_trapezoid(outer, self.xs)
         return self._get(("Punder", pair), build)
-
-    def value_at(self, values: np.ndarray, r) -> float:
-        r = float(r)
-        if r > self.xs[-1] * (1 + 1e-12):
-            raise CriteriaError(f"radius {r:g} outside the evaluated grid")
-        return float(np.interp(r, self.xs, values))
 
 
 # ---------------------------------------------------------------------------
@@ -203,38 +197,29 @@ class GrowthBudget:
 
     def __init__(self, spec: ProblemSpec, pair: str, relaxed: bool = False,
                  acc_limit: float | None = None):
-        if pair == "12":
-            nl_own, nl_other = spec.f1, spec.f2
-            env_own, env_other = spec.env1, spec.env2
-            anchor, start_other = spec.alpha, spec.beta
-        elif pair == "21":
-            nl_own, nl_other = spec.f2, spec.f1
-            env_own, env_other = spec.env2, spec.env1
-            anchor, start_other = spec.beta, spec.alpha
-        else:
-            raise ValueError(f"pair must be '12' or '21', got {pair!r}")
+        own, other = spec.pair(pair)
         self.pair = pair
-        self.anchor = float(anchor)
+        self.anchor = float(own.start)
 
         if relaxed:
             if acc_limit is None or acc_limit <= 0:
                 raise ValueError("relaxed growth budget needs a positive accumulation limit")
-            coupled = float(np.asarray(env_other.theta_bar(
-                np.asarray(nl_other.f(anchor), dtype=float))))
-            m_eff = max(1.0, start_other / coupled) * (1.0 + float(acc_limit))
-            outer = nl_own.f
+            coupled = float(np.asarray(other.env.theta_bar(
+                np.asarray(other.nl.f(own.start), dtype=float))))
+            m_eff = max(1.0, other.start / coupled) * (1.0 + float(acc_limit))
+            outer = own.nl.f
         else:
-            if not nl_own.has_upper_split:
+            if not own.nl.has_upper_split:
                 raise CriteriaError(
                     f"growth budget {pair}: no upper envelope data and no relaxation")
-            m_eff = float(nl_own.M_big)
-            outer = nl_own.g
+            m_eff = float(own.nl.M_big)
+            outer = own.nl.g
 
         def integrand(ts: np.ndarray) -> np.ndarray:
             with np.errstate(over="ignore"):
-                inner = m_eff * np.asarray(env_other.theta_bar(
-                    np.asarray(nl_other.f(ts), dtype=float)), dtype=float)
-                den = np.asarray(env_own.theta_bar(
+                inner = m_eff * np.asarray(other.env.theta_bar(
+                    np.asarray(other.nl.f(ts), dtype=float)), dtype=float)
+                den = np.asarray(own.env.theta_bar(
                     np.asarray(outer(inner), dtype=float)), dtype=float)
             bad = ~(np.isfinite(den) | np.isposinf(den)) | (den <= 0)
             if np.any(bad):
@@ -316,10 +301,6 @@ def growth_budget(spec: ProblemSpec, pair: str, r: float) -> float:
     return GrowthBudget(spec, pair).value(r)
 
 
-def growth_budget_inverse(spec: ProblemSpec, pair: str, y: float) -> float:
-    return float(GrowthBudget(spec, pair).inverse(y))
-
-
 def accumulation_limit(spec: ProblemSpec, side: int,
                        schedule: ProbeSchedule = ProbeSchedule(),
                        tail_tol: float = 1e-6,
@@ -352,57 +333,42 @@ def probe_grid(schedule: ProbeSchedule, segment_nodes: int = 4096):
 class CriteriaReport:
     """All probe verdicts needed by the decision table.
 
-    ``None`` entries mean the functional was unavailable (missing envelope
-    data); failed evaluations surface as indeterminate verdicts with the
-    failure message in the note.
+    ``verdicts`` maps each functional's JSON name to its verdict, in the
+    order of ``_FIELDS``; reading a name as an attribute
+    (``report.upper_coupling_12``) returns the same entry.  ``None`` entries
+    mean the functional was unavailable (missing envelope data, or a relaxed
+    variant whose accumulation limit is not finite and positive); failed
+    evaluations surface as indeterminate verdicts with the failure message
+    in the note.  ``lower_auto`` maps each pair to whether its lower split
+    holds by construction (scaling constant m >= 1).
     """
 
     a_anchor: float
     b_anchor: float
-    acc_1: LimitVerdict
-    acc_2: LimitVerdict
-    upper_12: LimitVerdict | None
-    upper_21: LimitVerdict | None
-    lower_12: LimitVerdict | None
-    lower_21: LimitVerdict | None
-    budget_12: LimitVerdict | None
-    budget_21: LimitVerdict | None
-    upper_12_relaxed: LimitVerdict | None
-    upper_21_relaxed: LimitVerdict | None
-    budget_12_relaxed: LimitVerdict | None
-    budget_21_relaxed: LimitVerdict | None
-    lower_12_auto: bool = False
-    lower_21_auto: bool = False
+    verdicts: dict
+    lower_auto: dict
 
     _FIELDS = (
-        "acc_1", "acc_2",
-        "upper_12", "upper_21", "lower_12", "lower_21",
-        "budget_12", "budget_21",
-        "upper_12_relaxed", "upper_21_relaxed",
-        "budget_12_relaxed", "budget_21_relaxed",
+        "accumulation_1", "accumulation_2",
+        "upper_coupling_12", "upper_coupling_21",
+        "lower_coupling_12", "lower_coupling_21",
+        "growth_budget_12", "growth_budget_21",
+        "upper_coupling_12_relaxed", "upper_coupling_21_relaxed",
+        "growth_budget_12_relaxed", "growth_budget_21_relaxed",
     )
+
+    def __getattr__(self, name):
+        try:
+            return self.__dict__["verdicts"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     def to_dict(self) -> dict:
         out: dict = {"anchors": {"a": self.a_anchor, "b": self.b_anchor}}
-        names = {
-            "acc_1": "accumulation_1",
-            "acc_2": "accumulation_2",
-            "upper_12": "upper_coupling_12",
-            "upper_21": "upper_coupling_21",
-            "lower_12": "lower_coupling_12",
-            "lower_21": "lower_coupling_21",
-            "budget_12": "growth_budget_12",
-            "budget_21": "growth_budget_21",
-            "upper_12_relaxed": "upper_coupling_12_relaxed",
-            "upper_21_relaxed": "upper_coupling_21_relaxed",
-            "budget_12_relaxed": "growth_budget_12_relaxed",
-            "budget_21_relaxed": "growth_budget_21_relaxed",
-        }
-        for attr in self._FIELDS:
-            v = getattr(self, attr)
-            out[names[attr]] = "unavailable" if v is None else v.to_dict()
-        out["lower_12_auto"] = self.lower_12_auto
-        out["lower_21_auto"] = self.lower_21_auto
+        for name, v in self.verdicts.items():
+            out[name] = "unavailable" if v is None else v.to_dict()
+        for pair, auto in self.lower_auto.items():
+            out[f"lower_{pair}_auto"] = auto
         return out
 
 
@@ -432,52 +398,47 @@ def build_report(spec: ProblemSpec,
     ev = CriteriaEvaluator(spec, xs)
     radii = schedule.radii().tolist()
 
-    def probe(arrays_fn):
+    def probe(values_fn, *args):
         def build():
-            vals = arrays_fn()
+            vals = values_fn(*args)
             return None if vals is None else vals[idx]
         return _guarded(build, radii, tail_tol, blowup_threshold)
 
-    acc_1 = probe(lambda: ev.accumulation_values(1, "bar"))
-    acc_2 = probe(lambda: ev.accumulation_values(2, "bar"))
-
-    def budget_probe(pair, relaxed=False, acc=None):
+    def budget_probe(pair, relaxed=False, acc_limit=None):
         def build():
-            gb = GrowthBudget(spec, pair, relaxed=relaxed, acc_limit=acc)
+            gb = GrowthBudget(spec, pair, relaxed=relaxed, acc_limit=acc_limit)
             return np.array([gb.value(r) for r in radii])
-        try:
-            return _guarded(build, radii, tail_tol, blowup_threshold)
-        except CriteriaError:
-            return None
+        return _guarded(build, radii, tail_tol, blowup_threshold)
 
-    low1 = effective_lower_envelope(spec.f1)
-    low2 = effective_lower_envelope(spec.f2)
+    verdicts: dict = {}
+    for side in spec.sides:
+        verdicts[f"accumulation_{side.index}"] = probe(
+            ev.accumulation_values, side.index, "bar")
+    for pair in PAIRS:
+        verdicts[f"upper_coupling_{pair}"] = probe(ev.upper_coupling_values, pair)
+    for pair in PAIRS:
+        verdicts[f"lower_coupling_{pair}"] = probe(ev.lower_coupling_values, pair)
+    for pair in PAIRS:
+        verdicts[f"growth_budget_{pair}"] = (
+            budget_probe(pair) if spec.pair(pair)[0].nl.has_upper_split else None)
 
-    relax_1 = acc_2.finite and (acc_2.value or 0.0) > 0.0
-    relax_2 = acc_1.finite and (acc_1.value or 0.0) > 0.0
+    # the accumulation limit of the other weight relaxes a pair's upper split
+    relax_limit = {}
+    for pair in PAIRS:
+        acc = verdicts[f"accumulation_{spec.pair(pair)[1].index}"]
+        relax_limit[pair] = acc.value if acc.finite and acc.value > 0.0 else None
+    for pair in PAIRS:
+        verdicts[f"upper_coupling_{pair}_relaxed"] = (
+            probe(ev.upper_coupling_relaxed_values, pair) if relax_limit[pair] else None)
+    for pair in PAIRS:
+        verdicts[f"growth_budget_{pair}_relaxed"] = (
+            budget_probe(pair, relaxed=True, acc_limit=relax_limit[pair])
+            if relax_limit[pair] else None)
 
+    lows = {pair: effective_lower_envelope(spec.pair(pair)[0].nl) for pair in PAIRS}
     return CriteriaReport(
-        a_anchor=spec.alpha,
-        b_anchor=spec.beta,
-        acc_1=acc_1,
-        acc_2=acc_2,
-        upper_12=probe(lambda: ev.upper_coupling_values("12")),
-        upper_21=probe(lambda: ev.upper_coupling_values("21")),
-        lower_12=probe(lambda: ev.lower_coupling_values("12")),
-        lower_21=probe(lambda: ev.lower_coupling_values("21")),
-        budget_12=(budget_probe("12") if spec.f1.has_upper_split else None),
-        budget_21=(budget_probe("21") if spec.f2.has_upper_split else None),
-        upper_12_relaxed=(probe(lambda: ev.upper_coupling_relaxed_values("12"))
-                          if relax_1 else None),
-        upper_21_relaxed=(probe(lambda: ev.upper_coupling_relaxed_values("21"))
-                          if relax_2 else None),
-        budget_12_relaxed=(budget_probe("12", relaxed=True, acc=acc_2.value)
-                           if relax_1 else None),
-        budget_21_relaxed=(budget_probe("21", relaxed=True, acc=acc_1.value)
-                           if relax_2 else None),
-        lower_12_auto=bool(low1 and low1[2]),
-        lower_21_auto=bool(low2 and low2[2]),
-    )
+        a_anchor=spec.alpha, b_anchor=spec.beta, verdicts=verdicts,
+        lower_auto={pair: bool(low and low[2]) for pair, low in lows.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -493,16 +454,12 @@ def solution_bounds(spec: ProblemSpec, xs: np.ndarray) -> dict:
     """
     ev = CriteriaEvaluator(spec, xs)
     out: dict = {"u_upper": None, "v_upper": None, "u_lower": None, "v_lower": None}
-    if spec.f1.has_upper_split:
-        pb = ev.upper_coupling_values("12")
-        out["u_upper"] = GrowthBudget(spec, "12").inverse(spec.env1.k_bar * pb)
-    if spec.f2.has_upper_split:
-        pb = ev.upper_coupling_values("21")
-        out["v_upper"] = GrowthBudget(spec, "21").inverse(spec.env2.k_bar * pb)
-    pl = ev.lower_coupling_values("12")
-    if pl is not None:
-        out["u_lower"] = spec.alpha + pl
-    pl = ev.lower_coupling_values("21")
-    if pl is not None:
-        out["v_lower"] = spec.beta + pl
+    for pair, name in zip(PAIRS, "uv"):
+        own = spec.pair(pair)[0]
+        if own.nl.has_upper_split:
+            pb = ev.upper_coupling_values(pair)
+            out[f"{name}_upper"] = GrowthBudget(spec, pair).inverse(own.env.k_bar * pb)
+        pl = ev.lower_coupling_values(pair)
+        if pl is not None:
+            out[f"{name}_lower"] = own.start + pl
     return out

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ProblemSpec
+from .model import ProblemSpec, Side
 from .operators import h_inverse
 from .quadrature import NumericsError, RadialGrid, prefix_trapezoid, radial_kernel_at
 
@@ -88,31 +88,31 @@ def init_state(spec: ProblemSpec, grid: RadialGrid) -> IterationState:
     )
 
 
-def _half_sweep(spec: ProblemSpec, grid: RadialGrid, weight_samples, nl, op,
-                start: float, other: np.ndarray, eq: str) -> np.ndarray:
+def _half_sweep(spec: ProblemSpec, grid: RadialGrid, weight_samples, side: Side,
+                other: np.ndarray) -> np.ndarray:
+    """Image of one equation: ``side``'s component from the other one."""
     nodes = grid.nodes
     with np.errstate(over="ignore", invalid="ignore"):
-        forcing = weight_samples * np.asarray(nl.f(other), dtype=float)
+        forcing = weight_samples * np.asarray(side.nl.f(other), dtype=float)
     if not np.all(np.isfinite(forcing)):
         k = int(np.argmax(~np.isfinite(forcing)))
         raise NumericsError(
-            f"non-finite forcing in equation {eq} at r={nodes[k]:.6g} "
+            f"non-finite forcing in equation {side.index} at r={nodes[k]:.6g} "
             f"(possible blow-up inside the grid)")
     kernel = radial_kernel_at(forcing, spec.N, nodes)
-    slope = h_inverse(op, kernel)
+    slope = h_inverse(side.op, kernel)
     if not np.all(np.isfinite(slope)):
         k = int(np.argmax(~np.isfinite(slope)))
         raise NumericsError(
-            f"non-finite inverse flux in equation {eq} at r={nodes[k]:.6g}")
-    return start + prefix_trapezoid(slope, nodes)
+            f"non-finite inverse flux in equation {side.index} at r={nodes[k]:.6g}")
+    return side.start + prefix_trapezoid(slope, nodes)
 
 
 def step(state: IterationState, spec: ProblemSpec) -> IterationState:
     """One sweep: u from the previous v, then v from the new u."""
-    u_new = _half_sweep(spec, state.grid, state.a1_samples, spec.f1, spec.op1,
-                        spec.alpha, state.v, eq="1")
-    v_new = _half_sweep(spec, state.grid, state.a2_samples, spec.f2, spec.op2,
-                        spec.beta, u_new, eq="2")
+    side1, side2 = spec.sides
+    u_new = _half_sweep(spec, state.grid, state.a1_samples, side1, state.v)
+    v_new = _half_sweep(spec, state.grid, state.a2_samples, side2, u_new)
     du = float(np.max(np.abs(u_new - state.u)))
     dv = float(np.max(np.abs(v_new - state.v)))
     return IterationState(
@@ -158,14 +158,12 @@ def solve(spec: ProblemSpec, grid: RadialGrid,
 
 
 def _residual_u(spec, state) -> float:
-    u_img = _half_sweep(spec, state.grid, state.a1_samples, spec.f1, spec.op1,
-                        spec.alpha, state.v, eq="1")
+    u_img = _half_sweep(spec, state.grid, state.a1_samples, spec.sides[0], state.v)
     return float(np.max(np.abs(state.u - u_img)))
 
 
 def _residual_v(spec, state) -> float:
-    v_img = _half_sweep(spec, state.grid, state.a2_samples, spec.f2, spec.op2,
-                        spec.beta, state.u, eq="2")
+    v_img = _half_sweep(spec, state.grid, state.a2_samples, spec.sides[1], state.u)
     return float(np.max(np.abs(state.v - v_img)))
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import Nonlinearity, ProblemSpec, SpecError, Weight, build_problem
 from .operators import PhiOperator, h_eval
-from .quadrature import (LimitVerdict, ProbeSchedule, RadialGrid,
+from .quadrature import (LimitVerdict, ProbeSchedule, RadialGrid, central_diff,
                          prefix_trapezoid, radial_kernel_at, verdict_from_trace)
 from .criteria import probe_grid
 
@@ -260,14 +260,6 @@ def single_equation_check(f: Nonlinearity, a: Weight, N: int,
 # ---------------------------------------------------------------------------
 # Manufactured solutions
 
-def _central_diff(values: np.ndarray, step: float) -> np.ndarray:
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * step)
-    out[0] = (values[1] - values[0]) / step
-    out[-1] = (values[-1] - values[-2]) / step
-    return out
-
-
 def manufactured_problem(u_star, v_star, op1: PhiOperator, op2: PhiOperator,
                          f1: Nonlinearity, f2: Nonlinearity,
                          N: int, grid: RadialGrid) -> ProblemSpec:
@@ -288,9 +280,9 @@ def manufactured_problem(u_star, v_star, op1: PhiOperator, op2: PhiOperator,
             raise SpecError(f"{name} is not nondecreasing on the grid")
 
     def weight_for(target, op, f_other, other_vals, name):
-        slope = np.maximum(_central_diff(target, step), 0.0)
+        slope = np.maximum(central_diff(target, step), 0.0)
         flux = nodes ** (N - 1) * h_eval(op, slope)
-        flux_rate = _central_diff(flux, step)
+        flux_rate = central_diff(flux, step)
         denom = nodes ** (N - 1) * np.asarray(f_other.f(other_vals), dtype=float)
         if np.any(denom[1:] <= 0):
             raise SpecError(

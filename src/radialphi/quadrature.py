@@ -6,8 +6,9 @@ oracles) is built from three primitives:
 
 * prefix trapezoid integration along a node array,
 * the kernel  K[w](t) = t^(1-N) * integral_0^t s^(N-1) w(s) ds,
-* a heuristic probe that decides whether a nondecreasing functional of the
-  truncation radius converges or diverges as the radius grows.
+* a heuristic probe (``verdict_from_trace``) that decides from its values
+  at the radii of a ``ProbeSchedule`` whether a nondecreasing functional of
+  the truncation radius converges or diverges as the radius grows.
 
 The kernel integrates s^(N-1) times the piecewise-linear interpolant of the
 samples exactly on each panel (closed-form moments of s^(N-1)), so constant
@@ -26,11 +27,9 @@ __all__ = [
     "LimitVerdict",
     "ProbeSchedule",
     "NumericsError",
-    "cumulative_integral",
+    "central_diff",
     "prefix_trapezoid",
-    "radial_kernel",
     "radial_kernel_at",
-    "improper_limit_probe",
     "verdict_from_trace",
 ]
 
@@ -76,9 +75,14 @@ def prefix_trapezoid(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def cumulative_integral(values: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """Composite-trapezoid prefix integral on a RadialGrid; output[0] = 0."""
-    return prefix_trapezoid(values, grid.nodes)
+def central_diff(values: np.ndarray, step: float) -> np.ndarray:
+    """Derivative of samples on a uniform grid: central differences inside,
+    one-sided differences at both ends."""
+    out = np.empty_like(values)
+    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * step)
+    out[0] = (values[1] - values[0]) / step
+    out[-1] = (values[-1] - values[-2]) / step
+    return out
 
 
 def _panel_moments(xs: np.ndarray, dim: int):
@@ -98,7 +102,9 @@ def _panel_moments(xs: np.ndarray, dim: int):
 def radial_kernel_at(values: np.ndarray, dim: int, xs: np.ndarray) -> np.ndarray:
     """K[w](t) = t^(1-dim) * integral_0^t s^(dim-1) w(s) ds at nodes ``xs``.
 
-    ``xs`` must start at 0, where K is 0 by the integrand limit.
+    ``xs`` must start at 0, where K is 0 by the integrand limit.  A
+    non-finite input sample raises ValueError; a kernel that overflows on
+    finite input raises NumericsError.
     """
     values = np.asarray(values, dtype=float)
     xs = np.asarray(xs, dtype=float)
@@ -116,13 +122,8 @@ def radial_kernel_at(values: np.ndarray, dim: int, xs: np.ndarray) -> np.ndarray
     out[0] = 0.0
     out[1:] = prefix[1:] * xs[1:] ** (1 - dim)
     if not np.all(np.isfinite(out)):
-        raise ValueError("radial kernel overflowed (dimension too large for this range)")
+        raise NumericsError("radial kernel overflowed (dimension too large for this range)")
     return out
-
-
-def radial_kernel(values: np.ndarray, dim: int, grid: RadialGrid) -> np.ndarray:
-    """Radial averaging kernel on a RadialGrid (see radial_kernel_at)."""
-    return radial_kernel_at(values, dim, grid.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -181,34 +182,18 @@ _DECAY_RATIO = 0.9
 _DECAY_WINDOW = 4
 
 
-def improper_limit_probe(func, schedule: ProbeSchedule,
-                         tail_tol: float = 1e-6,
-                         blowup_threshold: float = 1e8) -> LimitVerdict:
-    """Classify the limit of a nondecreasing functional ``func(R)``.
-
-    Evaluates at the geometric radii of ``schedule``.  Divergent when the
-    last value exceeds ``blowup_threshold``, when an evaluation goes
-    non-finite, or when the last few increments fail to decay.  Finite when
-    increments decay geometrically and the geometric tail estimate is below
-    ``tail_tol``.  Anything else is reported as indeterminate rather than
-    guessed; a logarithmically divergent functional under a short schedule
-    lands here on purpose.
-    """
-    radii = schedule.radii()
-    values = []
-    for r in radii:
-        v = float(func(float(r)))
-        if not np.isfinite(v):
-            trace = tuple(zip(radii[: len(values) + 1], values + [v]))
-            return LimitVerdict("divergent", note=f"non-finite value at radius {r:g}",
-                                probes=trace)
-        values.append(v)
-    return verdict_from_trace(radii.tolist(), values, tail_tol, blowup_threshold)
-
-
 def verdict_from_trace(radii, values, tail_tol: float = 1e-6,
                        blowup_threshold: float = 1e8) -> LimitVerdict:
-    """Same decision logic as improper_limit_probe for precomputed values."""
+    """Classify the limit of a nondecreasing functional F(R) from its values
+    ``values`` at the increasing probe radii ``radii``.
+
+    Divergent when a value is non-finite, when the last value exceeds
+    ``blowup_threshold``, or when the last few increments fail to decay.
+    Finite when increments decay geometrically and the geometric tail
+    estimate is below ``tail_tol``.  Anything else is reported as
+    indeterminate rather than guessed; a logarithmically divergent
+    functional under a short schedule lands here on purpose.
+    """
     values = [float(v) for v in values]
     if any(not np.isfinite(v) for v in values):
         k = next(i for i, v in enumerate(values) if not np.isfinite(v))

@@ -61,8 +61,9 @@ class TestDecisionTable:
     def test_indeterminate_probe_poisons_rule(self, lap):
         spec, rep, hyp, cls = classify_weights(lap, "1", "1")
         assert cls.verdict == cl.BOTH_LARGE
-        poisoned = replace(rep, lower_12=LimitVerdict("indeterminate",
-                                                      note="synthetic"))
+        poisoned = replace(rep, verdicts={
+            **rep.verdicts,
+            "lower_coupling_12": LimitVerdict("indeterminate", note="synthetic")})
         out = cl.classify(spec, poisoned, hyp)
         assert out.verdict == cl.INDETERMINATE
         assert any("lower_12_divergent" in w for w in out.warnings)
@@ -95,7 +96,7 @@ class TestDecisionTable:
         hyp = model.check_hypotheses(spec)
         rep = cr.build_report(spec, tail_tol=1e-2)
         cls = cl.classify(spec, rep, hyp)
-        assert rep.budget_12_relaxed is not None
+        assert rep.growth_budget_12_relaxed is not None
         assert cls.verdict in (cl.BOTH_BOUNDED, cl.INDETERMINATE)
         if cls.verdict == cl.BOTH_BOUNDED:
             assert cls.matched_rule == "bounded_both_sharp"

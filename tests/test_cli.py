@@ -2,6 +2,7 @@ import csv
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from radialphi import cli
@@ -83,6 +84,21 @@ class TestSolveCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert "error" in report
 
+    def test_kernel_overflow_exits_2(self, tmp_path, capsys):
+        # the radial kernel overflows in high dimension: a numeric failure,
+        # which used to be reported as a config error with exit 1
+        cfg = manufactured_config(tmp_path)
+        cfg["problem"]["N"] = 400
+        path = write_config(tmp_path, cfg)
+        with np.errstate(all="ignore"):
+            assert cli.main(["solve", "--config", str(path)]) == 2
+            report = json.loads((tmp_path / "report.json").read_text())
+            assert report["error"]["kind"] == "NumericsError"
+            assert "overflowed" in report["error"]["message"]
+            assert cli.main(["classify", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["classification"]["verdict"] == "indeterminate"
+
 
 class TestClassifyCommand:
     def classify(self, tmp_path, w1, w2, extra=None):
@@ -162,6 +178,8 @@ class TestNumericsValidation:
         {"conv_tol": 0.0},
         {"tail_tol": -1e-6},
         {"blowup_threshold": 0.0},
+        {"max_iter": -3},
+        {"max_iter": 1.5},
     ])
     def test_other_degenerate_settings_exit_1(self, tmp_path, numerics):
         assert self.run_classify(tmp_path, numerics) == (1, False)
@@ -199,6 +217,18 @@ class TestValidateCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert "power_law" in report["validation"]
         assert report["validation"]["single_equation"]["1"]["solvable"]
+
+    def test_power_law_oracle_reads_exact_exponents(self, tmp_path):
+        # the product is 1.00000035; the exponents printed with %g read
+        # 1 and 1 and used to give product_le_one true
+        cfg = manufactured_config(tmp_path)
+        cfg["problem"]["f1"] = {"family": "power", "gamma": 1.0000004}
+        cfg["problem"]["f2"] = {"family": "power", "gamma": 0.99999995}
+        cfg["numerics"]["tail_tol"] = 1e-2
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["validation"]["power_law"]["product_le_one"] is False
 
 
 class TestSweepCommand:

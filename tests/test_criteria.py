@@ -141,6 +141,14 @@ class TestGrowthBudget:
         gb = cr.GrowthBudget(spec, "12")
         assert gb.inverse(1e9) == np.inf
 
+    def test_unknown_pair_rejected(self, lap):
+        spec = make_spec(lap)
+        with pytest.raises(ValueError, match="pair"):
+            cr.GrowthBudget(spec, "13")
+        for bound in ("bar", "under"):
+            with pytest.raises(ValueError, match="pair"):
+                cr.coupling(spec, "13", bound, 1.0)
+
     def test_anchor_maps_to_zero(self, lap):
         spec = make_spec(lap, alpha=2.5)
         gb = cr.GrowthBudget(spec, "12")
@@ -180,17 +188,17 @@ class TestReport:
     def test_zero_weights_report(self, lap):
         spec = make_spec(lap, w1="0", w2="0")
         rep = cr.build_report(spec)
-        assert rep.upper_12.finite and rep.upper_12.value == 0.0
-        assert rep.upper_21.finite
-        assert rep.lower_12.finite and rep.lower_12.value == 0.0
+        assert rep.upper_coupling_12.finite and rep.upper_coupling_12.value == 0.0
+        assert rep.upper_coupling_21.finite
+        assert rep.lower_coupling_12.finite and rep.lower_coupling_12.value == 0.0
         # identity couplings keep the budget divergent regardless of weights
-        assert rep.budget_12.divergent
+        assert rep.growth_budget_12.divergent
 
     def test_linear_instance_lower_couplings_diverge(self, lap):
         spec = make_spec(lap)
         rep = cr.build_report(spec)
-        assert rep.lower_12.divergent
-        assert rep.lower_21.divergent
+        assert rep.lower_coupling_12.divergent
+        assert rep.lower_coupling_21.divergent
 
     def test_anchors_echoed(self, lap):
         spec = make_spec(lap, alpha=1.25, beta=2.5)
@@ -211,12 +219,12 @@ class TestReport:
     def test_relaxed_entries_only_with_finite_accumulation(self, lap):
         spec = make_spec(lap)  # unit weights: accumulations diverge
         rep = cr.build_report(spec)
-        assert rep.upper_12_relaxed is None
-        assert rep.budget_12_relaxed is None
+        assert rep.upper_coupling_12_relaxed is None
+        assert rep.growth_budget_12_relaxed is None
         spec2 = make_spec(lap, w1="(1+r)^(-4)", w2="(1+r)^(-4)")
         rep2 = cr.build_report(spec2, tail_tol=1e-2)
-        assert rep2.upper_12_relaxed is not None
-        assert rep2.budget_12_relaxed is not None
+        assert rep2.upper_coupling_12_relaxed is not None
+        assert rep2.growth_budget_12_relaxed is not None
 
     def test_evaluation_failure_becomes_indeterminate_entry(self, lap):
         # a nonlinearity whose upper split data divides by zero at probe
@@ -228,9 +236,9 @@ class TestReport:
             a1=model.weight_from_expr("1"), a2=model.weight_from_expr("1"),
             f1=bad, f2=model.power_nonlinearity(1.0))
         rep = cr.build_report(spec)
-        assert rep.upper_12.indeterminate
-        assert "failed" in rep.upper_12.note
-        assert rep.upper_21 is not None and not rep.upper_21.indeterminate
+        assert rep.upper_coupling_12.indeterminate
+        assert "failed" in rep.upper_coupling_12.note
+        assert rep.upper_coupling_21 is not None and not rep.upper_coupling_21.indeterminate
 
     def test_report_serializes(self, lap):
         import json
@@ -238,6 +246,15 @@ class TestReport:
                               tail_tol=1e-2)
         text = json.dumps(rep.to_dict())
         assert "upper_coupling_12" in text
+
+    def test_verdicts_keyed_by_json_name(self, lap):
+        rep = cr.build_report(make_spec(lap))
+        assert tuple(rep.verdicts) == rep._FIELDS
+        assert list(rep.to_dict()) == ["anchors", *rep._FIELDS,
+                                       "lower_12_auto", "lower_21_auto"]
+        assert rep.upper_coupling_21 is rep.verdicts["upper_coupling_21"]
+        with pytest.raises(AttributeError):
+            rep.upper_21
 
     def test_missing_lower_data_marked_unavailable(self, lap):
         # a custom nonlinearity without lower-split data (and scaling
@@ -249,5 +266,5 @@ class TestReport:
             f1=nl, f2=model.power_nonlinearity(1.0))
         assert spec.f1.m_small < 1.0
         rep = cr.build_report(spec)
-        assert rep.lower_12 is None
+        assert rep.lower_coupling_12 is None
         assert rep.to_dict()["lower_coupling_12"] == "unavailable"

@@ -19,6 +19,22 @@ def unit_problem(lap, **kwargs):
     return model.build_problem(**defaults)
 
 
+class TestSides:
+    def test_pair_21_is_side_2_then_side_1(self, lap):
+        spec = unit_problem(lap, alpha=1.5, a2=model.weight_from_expr("2"))
+        own, other = spec.pair("21")
+        assert (own.index, other.index) == (2, 1)
+        assert (own.op, own.env, own.weight, own.nl, own.start) == (
+            spec.op2, spec.env2, spec.a2, spec.f2, spec.beta)
+        assert (other.op, other.env, other.weight, other.nl, other.start) == (
+            spec.op1, spec.env1, spec.a1, spec.f1, spec.alpha)
+        assert spec.pair("12") == spec.sides
+
+    def test_unknown_pair_rejected(self, lap):
+        with pytest.raises(ValueError, match="pair"):
+            unit_problem(lap).pair("13")
+
+
 class TestAssembly:
     def test_auto_constants_unit_case(self, lap):
         # alpha=beta=1, identity couplings, identity-like envelopes:

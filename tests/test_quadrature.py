@@ -6,6 +6,11 @@ from hypothesis import strategies as st
 from radialphi import quadrature as qd
 
 
+def probe(func, schedule):
+    radii = schedule.radii().tolist()
+    return qd.verdict_from_trace(radii, [func(r) for r in radii])
+
+
 class TestRadialGrid:
     def test_first_node_exactly_zero(self):
         assert qd.RadialGrid(2.0, 1e-3).nodes[0] == 0.0
@@ -25,20 +30,22 @@ class TestRadialGrid:
 
 
 class TestCumulativeIntegral:
+    """Prefix trapezoid integration on RadialGrid nodes."""
+
     def test_constant_exact(self):
         g = qd.RadialGrid(1.0, 0.01)
-        out = qd.cumulative_integral(np.ones(len(g)), g)
+        out = qd.prefix_trapezoid(np.ones(len(g)), g.nodes)
         assert out[0] == 0.0
         assert out[-1] == pytest.approx(1.0, abs=1e-14)
 
     def test_linear_exact(self):
         g = qd.RadialGrid(1.0, 0.01)
-        out = qd.cumulative_integral(g.nodes, g)
+        out = qd.prefix_trapezoid(g.nodes, g.nodes)
         assert out[-1] == pytest.approx(0.5, abs=1e-14)
 
     def test_quadratic_within_step_squared(self):
         g = qd.RadialGrid(1.0, 1e-3)
-        out = qd.cumulative_integral(g.nodes ** 2, g)
+        out = qd.prefix_trapezoid(g.nodes ** 2, g.nodes)
         assert out[-1] == pytest.approx(1.0 / 3.0, abs=1e-6)
 
     def test_rejects_non_finite(self):
@@ -46,7 +53,7 @@ class TestCumulativeIntegral:
         vals = np.ones(len(g))
         vals[3] = np.inf
         with pytest.raises(ValueError):
-            qd.cumulative_integral(vals, g)
+            qd.prefix_trapezoid(vals, g.nodes)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-5, 5), st.floats(-5, 5))
@@ -54,8 +61,8 @@ class TestCumulativeIntegral:
         g = qd.RadialGrid(2.0, 0.01)
         w1 = np.sin(g.nodes) + 2.0
         w2 = np.exp(-g.nodes)
-        lhs = qd.cumulative_integral(a * w1 + b * w2, g)
-        rhs = a * qd.cumulative_integral(w1, g) + b * qd.cumulative_integral(w2, g)
+        lhs = qd.prefix_trapezoid(a * w1 + b * w2, g.nodes)
+        rhs = a * qd.prefix_trapezoid(w1, g.nodes) + b * qd.prefix_trapezoid(w2, g.nodes)
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -63,26 +70,26 @@ class TestRadialKernel:
     def test_constant_weight(self):
         # K[1](t) = t/N: exact for the product-panel rule
         g = qd.RadialGrid(3.0, 1e-3)
-        out = qd.radial_kernel(np.ones(len(g)), 3, g)
+        out = qd.radial_kernel_at(np.ones(len(g)), 3, g.nodes)
         assert out[0] == 0.0
         assert np.max(np.abs(out - g.nodes / 3.0)) < 1e-8
         assert out[-1] == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_weight(self):
         g = qd.RadialGrid(1.0, 0.01)
-        assert np.all(qd.radial_kernel(np.zeros(len(g)), 3, g) == 0.0)
+        assert np.all(qd.radial_kernel_at(np.zeros(len(g)), 3, g.nodes) == 0.0)
 
     def test_linear_weight(self):
         # w(s)=s, N=3: K(t) = t^2/4
         g = qd.RadialGrid(2.0, 1e-3)
-        out = qd.radial_kernel(g.nodes, 3, g)
+        out = qd.radial_kernel_at(g.nodes, 3, g.nodes)
         assert np.max(np.abs(out - g.nodes ** 2 / 4.0)) < 1e-8
         assert out[-1] == pytest.approx(1.0, abs=1e-8)
 
     def test_higher_dimension(self):
         # w ~ 1: K(t) = t/N for any N
         g = qd.RadialGrid(1.0, 1e-3)
-        out = qd.radial_kernel(np.ones(len(g)), 7, g)
+        out = qd.radial_kernel_at(np.ones(len(g)), 7, g.nodes)
         assert np.max(np.abs(out - g.nodes / 7.0)) < 1e-8
 
     def test_rejects_non_finite(self):
@@ -90,22 +97,30 @@ class TestRadialKernel:
         vals = np.ones(len(g))
         vals[-1] = np.nan
         with pytest.raises(ValueError):
-            qd.radial_kernel(vals, 3, g)
+            qd.radial_kernel_at(vals, 3, g.nodes)
+
+    def test_overflow_is_numerics_error(self):
+        g = qd.RadialGrid(2.0, 1e-3)
+        with np.errstate(all="ignore"), pytest.raises(qd.NumericsError,
+                                                      match="overflowed"):
+            qd.radial_kernel_at(np.ones(len(g)), 400, g.nodes)
 
 
 class TestImproperLimitProbe:
+    """verdict_from_trace on a functional sampled at the schedule radii."""
+
     def test_saturating_exponential(self):
-        v = qd.improper_limit_probe(lambda r: 1 - np.exp(-r), qd.ProbeSchedule())
+        v = probe(lambda r: 1 - np.exp(-r), qd.ProbeSchedule())
         assert v.finite
         assert v.value == pytest.approx(1.0, abs=1e-6)
 
     def test_logarithm_diverges(self):
-        v = qd.improper_limit_probe(np.log1p, qd.ProbeSchedule())
+        v = probe(np.log1p, qd.ProbeSchedule())
         assert v.divergent
 
     def test_reciprocal_tail(self):
         # needs a longer schedule for the tail to pass the default tolerance
-        v = qd.improper_limit_probe(lambda r: 2 - 1 / r, qd.ProbeSchedule(count=25))
+        v = probe(lambda r: 2 - 1 / r, qd.ProbeSchedule(count=25))
         assert v.finite
         assert v.value == pytest.approx(2.0, rel=1e-4)
 
@@ -113,29 +128,28 @@ class TestImproperLimitProbe:
         assert qd.ProbeSchedule().radii()[-1] == 16384.0
 
     def test_blowup_threshold(self):
-        v = qd.improper_limit_probe(lambda r: r ** 2, qd.ProbeSchedule())
+        v = probe(lambda r: r ** 2, qd.ProbeSchedule())
         assert v.divergent
 
     def test_non_finite_is_divergent_with_note(self):
-        v = qd.improper_limit_probe(
-            lambda r: np.inf if r > 100 else r, qd.ProbeSchedule())
+        v = probe(lambda r: np.inf if r > 100 else r, qd.ProbeSchedule())
         assert v.divergent
         assert "non-finite" in v.note
 
     def test_constant_functional_is_finite_zero_error(self):
-        v = qd.improper_limit_probe(lambda r: 3.0, qd.ProbeSchedule())
+        v = probe(lambda r: 3.0, qd.ProbeSchedule())
         assert v.finite
         assert v.value == 3.0
         assert v.error == 0.0
 
     def test_trace_retained(self):
-        v = qd.improper_limit_probe(lambda r: 1 - np.exp(-r), qd.ProbeSchedule())
+        v = probe(lambda r: 1 - np.exp(-r), qd.ProbeSchedule())
         assert len(v.probes) == 15
         assert v.probes[0][0] == 1.0
 
     def test_slow_log_divergence_not_called_finite(self):
         # increments of sqrt(log) shrink but their ratios approach 1
-        v = qd.improper_limit_probe(lambda r: np.sqrt(np.log1p(r)),
+        v = probe(lambda r: np.sqrt(np.log1p(r)),
                                     qd.ProbeSchedule())
         assert not v.finite
 
