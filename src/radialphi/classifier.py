@@ -278,6 +278,7 @@ _LARGENESS = {
     EXISTS_UNCLASSIFIED: (None, None),
     INDETERMINATE: (None, None),
 }
+_GROWTH_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -293,12 +294,11 @@ class ConsistencyReport:
 
 
 def cross_check(spec: ProblemSpec, classification: Classification,
-                solution: RadialSolution,
-                growth_margin: float = 1e-3) -> ConsistencyReport:
+                solution: RadialSolution) -> ConsistencyReport:
     """Confront the verdict with a computed solution on its finite grid.
 
-    A component called large must have grown by more than ``growth_margin``
-    over the outer half of the grid; a component called bounded must show
+    A component called large must have grown by more than 1e-3 over the
+    outer half of the grid; a component called bounded must show
     flattening increments and stay below its enveloped ceiling.
     """
     nodes = solution.grid.nodes
@@ -316,9 +316,9 @@ def cross_check(spec: ProblemSpec, classification: Classification,
         outer = float(values[-1] - values[i_half])
         inner = float(values[i_half] - values[i_quarter])
         if expect_large:
-            ok = outer > growth_margin
+            ok = outer > _GROWTH_MARGIN
             details.append(f"{name}: outer-half growth {outer:.3g} vs margin "
-                           f"{growth_margin:g} -> {'ok' if ok else 'flat'}")
+                           f"{_GROWTH_MARGIN:g} -> {'ok' if ok else 'flat'}")
             return ok
         flattening = outer <= inner * 1.05 + 1e-12
         ok = flattening

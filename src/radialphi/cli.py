@@ -23,17 +23,16 @@ from __future__ import annotations
 
 import argparse
 import copy
+import itertools
 import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 from . import classifier, criteria, iteration, model, oracle
 from .exprlang import ExprError
 from .model import SpecError
-from .operators import InversionRangeError, OperatorError, check_envelope
+from .operators import OperatorError, check_envelope
 from .quadrature import NumericsError, ProbeSchedule, RadialGrid, central_diff
 
 __all__ = ["main", "run_config"]
@@ -58,37 +57,26 @@ def _load_config(path: str) -> dict:
 def _numerics(cfg: dict):
     """Numeric settings with defaults, rejecting degenerate values that
     would otherwise crash or yield a confident verdict from an empty probe
-    grid."""
+    grid.  The probe settings are defaulted and checked by ProbeSchedule."""
     num = cfg.get("numerics", {})
     grid = RadialGrid(float(num.get("r_max", 2.0)), float(num.get("step", 1e-3)))
+    conv_tol = float(num.get("conv_tol", iteration.DEFAULT_CONV_TOL))
     max_iter = float(num.get("max_iter", iteration.DEFAULT_MAX_ITER))
     probe_cfg = num.get("probe", {})
-    schedule = ProbeSchedule(
-        r0=float(probe_cfg.get("r0", 1.0)),
-        factor=float(probe_cfg.get("factor", 2.0)),
-        count=int(probe_cfg.get("count", 15)),
-    )
-    out = {
-        "grid": grid,
-        "conv_tol": float(num.get("conv_tol", iteration.DEFAULT_CONV_TOL)),
-        "schedule": schedule,
-        "segment_nodes": int(probe_cfg.get("segment_nodes", 4096)),
-        "tail_tol": float(num.get("tail_tol", 1e-6)),
-        "blowup_threshold": float(num.get("blowup_threshold", 1e8)),
-    }
-    for ok, rule in (
-            (0 < schedule.r0 < np.inf, "probe.r0 must be positive and finite"),
-            (1 < schedule.factor < np.inf, "probe.factor must exceed 1 and be finite"),
-            (schedule.count >= 1, "probe.count must be at least 1"),
-            (out["segment_nodes"] >= 2, "probe.segment_nodes must be at least 2"),
-            (out["conv_tol"] > 0, "conv_tol must be positive"),
-            (max_iter >= 1 and max_iter.is_integer(), "max_iter must be an integer of at least 1"),
-            (out["tail_tol"] > 0, "tail_tol must be positive"),
-            (out["blowup_threshold"] > 0, "blowup_threshold must be positive")):
-        if not ok:
-            raise _ConfigError(f"numerics: {rule}")
-    out["max_iter"] = int(max_iter)
-    return out
+    settings = {key: float(probe_cfg[key])
+                for key in ("r0", "factor", "count", "segment_nodes") if key in probe_cfg}
+    settings.update((key, float(num[key]))
+                    for key in ("tail_tol", "blowup_threshold") if key in num)
+    try:
+        schedule = ProbeSchedule(**settings)
+    except ValueError as exc:
+        raise _ConfigError(f"numerics: {exc}") from exc
+    if not conv_tol > 0:
+        raise _ConfigError("numerics: conv_tol must be positive")
+    if not (max_iter >= 1 and max_iter.is_integer()):
+        raise _ConfigError("numerics: max_iter must be an integer of at least 1")
+    return {"grid": grid, "conv_tol": conv_tol, "max_iter": int(max_iter),
+            "schedule": schedule}
 
 
 def _instance_echo(spec) -> dict:
@@ -135,7 +123,7 @@ def cmd_solve(cfg: dict) -> int:
     outputs = cfg.get("outputs", {})
     try:
         sol = iteration.solve(spec, num["grid"], num["conv_tol"], num["max_iter"])
-    except (NumericsError, InversionRangeError) as exc:
+    except NumericsError as exc:
         _write_json(outputs.get("report_json"), {
             "instance": _instance_echo(spec),
             "error": {"kind": type(exc).__name__, "message": str(exc)},
@@ -156,10 +144,7 @@ def _classification_payload(cfg: dict):
     spec = model.assemble(cfg["problem"])
     num = _numerics(cfg)
     hyp = model.check_hypotheses(spec)
-    report = criteria.build_report(
-        spec, schedule=num["schedule"], tail_tol=num["tail_tol"],
-        blowup_threshold=num["blowup_threshold"],
-        segment_nodes=num["segment_nodes"])
+    report = criteria.build_report(spec, num["schedule"])
     cls = classifier.classify(spec, report, hyp)
     payload = {
         "instance": _instance_echo(spec),
@@ -181,7 +166,7 @@ def cmd_classify(cfg: dict) -> int:
         advisory = classifier.converse_advisory(spec, report, cls)
         if advisory is not None:
             payload["advisory"] = advisory
-    except (NumericsError, InversionRangeError, criteria.CriteriaError) as exc:
+    except NumericsError as exc:
         _write_json(cfg.get("outputs", {}).get("report_json"), {
             "error": {"kind": type(exc).__name__, "message": str(exc)},
         })
@@ -207,15 +192,13 @@ def cmd_validate(cfg: dict) -> int:
     envelopes = {}
     single = {}
     for side in spec.sides:
-        worst = check_envelope(side.op, side.env, n=64, s_min=1e-6, s_max=1e3)
+        worst = check_envelope(side.op, side.env, n=64, s_min=1e-6)
         envelopes[f"operator{side.index}"] = {
             "operator": side.op.label, "worst_violation": worst,
             "ok": worst == 0.0, "description": side.env.description}
         try:
             rep = oracle.single_equation_check(
-                side.nl, side.weight, spec.N, schedule=num["schedule"],
-                tail_tol=num["tail_tol"], blowup_threshold=num["blowup_threshold"],
-                segment_nodes=num["segment_nodes"])
+                side.nl, side.weight, spec.N, num["schedule"])
             single[str(side.index)] = rep.to_dict()
         except SpecError as exc:
             single[str(side.index)] = {"error": str(exc)}
@@ -228,9 +211,7 @@ def cmd_validate(cfg: dict) -> int:
             alpha_exp=dict(spec.f1.params)["gamma"], beta_exp=dict(spec.f2.params)["gamma"],
             a1=spec.a1, a2=spec.a2, N=spec.N)
         validation["power_law"] = oracle.power_law_criteria(
-            inst, schedule=num["schedule"], tail_tol=num["tail_tol"],
-            blowup_threshold=num["blowup_threshold"],
-            segment_nodes=num["segment_nodes"]).to_dict()
+            inst, num["schedule"]).to_dict()
 
     ok = all(c["ok"] for c in hyp.to_dict().values()
              if not c["note"].startswith("no ")) and \
@@ -252,25 +233,6 @@ def _set_path(cfg: dict, dotted: str, value):
     node[keys[-1]] = value
 
 
-def _sweep_points(axes):
-    if not axes:
-        return
-    names = [ax["name"] for ax in axes]
-    lists = [ax["values"] for ax in axes]
-    idx = [0] * len(lists)
-    while True:
-        yield {n: lst[i] for n, lst, i in zip(names, lists, idx)}
-        k = len(idx) - 1
-        while k >= 0:
-            idx[k] += 1
-            if idx[k] < len(lists[k]):
-                break
-            idx[k] = 0
-            k -= 1
-        if k < 0:
-            return
-
-
 def _fmt_cell(value) -> str:
     if isinstance(value, float):
         return _CSV_FLOAT % value
@@ -281,8 +243,12 @@ def cmd_sweep(cfg: dict) -> int:
     sweep = cfg.get("sweep", {})
     axes = sweep.get("axes", [])
     out_path = sweep.get("csv") or cfg.get("outputs", {}).get("sweep_csv")
-    points = list(_sweep_points(axes))
     names = [ax["name"] for ax in axes]
+    # every combination, the last axis fastest; no axes means no points,
+    # not the one empty combination of an empty product
+    points = ([dict(zip(names, combo))
+               for combo in itertools.product(*(ax["values"] for ax in axes))]
+              if axes else [])
 
     def run_point(point):
         local = copy.deepcopy(cfg)
@@ -292,7 +258,7 @@ def cmd_sweep(cfg: dict) -> int:
         try:
             _, _, _, cls, _ = _classification_payload(local)
             return point, cls.verdict, cls.matched_rule
-        except (NumericsError, InversionRangeError, criteria.CriteriaError) as exc:
+        except NumericsError as exc:
             return point, "numeric_failure", type(exc).__name__
 
     workers = os.environ.get("RPS_THREADS")
@@ -334,7 +300,7 @@ def run_config(command: str, cfg: dict) -> int:
             KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (NumericsError, InversionRangeError, criteria.CriteriaError) as exc:
+    except NumericsError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
 

@@ -19,6 +19,7 @@ between bounded and unbounded components:
 Evaluation is prefix-sum based on one shared node array (uniform for desk
 use, piecewise-uniform geometric for improper-limit probes, so the origin
 stays finely resolved while probes reach radii in the tens of thousands).
+Every probe consumer takes one ``ProbeSchedule`` with all probe settings.
 
 Index conventions: the outer envelope of a coupling integral belongs to the
 equation being bounded (psi_bar_1 for P_12, psi_bar_2 for P_21), matching
@@ -39,8 +40,8 @@ import numpy as np
 
 from .model import PAIRS, Nonlinearity, ProblemSpec
 from .operators import h_inverse
-from .quadrature import (LimitVerdict, ProbeSchedule, prefix_trapezoid,
-                         radial_kernel_at, verdict_from_trace)
+from .quadrature import (LimitVerdict, NumericsError, ProbeSchedule,
+                         prefix_trapezoid, radial_kernel_at)
 
 __all__ = [
     "CriteriaError",
@@ -58,7 +59,7 @@ __all__ = [
 ]
 
 
-class CriteriaError(RuntimeError):
+class CriteriaError(NumericsError):
     """A criteria functional could not be evaluated."""
 
 
@@ -275,21 +276,19 @@ class GrowthBudget:
 # ---------------------------------------------------------------------------
 # Desk-level evaluation (uniform grid per call)
 
-def _desk_evaluator(spec: ProblemSpec, r: float, nodes: int) -> CriteriaEvaluator:
-    return CriteriaEvaluator(spec, np.linspace(0.0, float(r), nodes))
+def _desk_evaluator(spec: ProblemSpec, r: float) -> CriteriaEvaluator:
+    return CriteriaEvaluator(spec, np.linspace(0.0, float(r), 4097))
 
 
-def accumulation(spec: ProblemSpec, side: int, bound: str, t: float,
-                 nodes: int = 4097) -> float:
+def accumulation(spec: ProblemSpec, side: int, bound: str, t: float) -> float:
     """A_i(t) with bound 'bar' or 'under'."""
-    ev = _desk_evaluator(spec, t, nodes)
+    ev = _desk_evaluator(spec, t)
     return float(ev.accumulation_values(side, bound)[-1])
 
 
-def coupling(spec: ProblemSpec, pair: str, bound: str, r: float,
-             nodes: int = 4097) -> float:
+def coupling(spec: ProblemSpec, pair: str, bound: str, r: float) -> float:
     """P_pair(r) with bound 'bar' or 'under'."""
-    ev = _desk_evaluator(spec, r, nodes)
+    ev = _desk_evaluator(spec, r)
     vals = (ev.upper_coupling_values(pair) if bound == "bar"
             else ev.lower_coupling_values(pair))
     if vals is None:
@@ -302,30 +301,25 @@ def growth_budget(spec: ProblemSpec, pair: str, r: float) -> float:
 
 
 def accumulation_limit(spec: ProblemSpec, side: int,
-                       schedule: ProbeSchedule = ProbeSchedule(),
-                       tail_tol: float = 1e-6,
-                       blowup_threshold: float = 1e8,
-                       segment_nodes: int = 4096) -> LimitVerdict:
+                       schedule: ProbeSchedule = ProbeSchedule()) -> LimitVerdict:
     """Limit verdict for A_i(t) as t grows (the relaxation constant)."""
-    xs, idx = probe_grid(schedule, segment_nodes)
+    xs, idx = probe_grid(schedule)
     ev = CriteriaEvaluator(spec, xs)
-    vals = ev.accumulation_values(side, "bar")[idx]
-    return verdict_from_trace(schedule.radii().tolist(), vals.tolist(),
-                              tail_tol, blowup_threshold)
+    return schedule.verdict(ev.accumulation_values(side, "bar")[idx])
 
 
 # ---------------------------------------------------------------------------
 # Probe grid and report
 
-def probe_grid(schedule: ProbeSchedule, segment_nodes: int = 4096):
+def probe_grid(schedule: ProbeSchedule):
     """Piecewise-uniform geometric node array covering [0, R_last] with
     ``segment_nodes`` panels per probe segment, plus the probe indices."""
     radii = schedule.radii()
-    xs = [np.linspace(0.0, radii[0], segment_nodes + 1)]
+    xs = [np.linspace(0.0, radii[0], schedule.segment_nodes + 1)]
     for k in range(1, len(radii)):
-        xs.append(np.linspace(radii[k - 1], radii[k], segment_nodes + 1)[1:])
+        xs.append(np.linspace(radii[k - 1], radii[k], schedule.segment_nodes + 1)[1:])
     nodes = np.concatenate(xs)
-    idx = np.array([segment_nodes * (k + 1) for k in range(len(radii))])
+    idx = np.array([schedule.segment_nodes * (k + 1) for k in range(len(radii))])
     return nodes, idx
 
 
@@ -372,29 +366,26 @@ class CriteriaReport:
         return out
 
 
-def _guarded(builder, radii, tail_tol, blowup) -> LimitVerdict | None:
+def _guarded(builder, schedule: ProbeSchedule) -> LimitVerdict | None:
     """Run one functional builder; evaluation failures become indeterminate
     verdicts instead of aborting the remaining entries."""
     try:
         vals = builder()
-    except (CriteriaError, RuntimeError, ValueError) as exc:
+    except (RuntimeError, ValueError) as exc:
         return LimitVerdict("indeterminate", note=f"evaluation failed: {exc}")
     if vals is None:
         return None
-    return verdict_from_trace(radii, [float(v) for v in vals], tail_tol, blowup)
+    return schedule.verdict(vals)
 
 
 def build_report(spec: ProblemSpec,
-                 schedule: ProbeSchedule = ProbeSchedule(),
-                 tail_tol: float = 1e-6,
-                 blowup_threshold: float = 1e8,
-                 segment_nodes: int = 4096) -> CriteriaReport:
+                 schedule: ProbeSchedule = ProbeSchedule()) -> CriteriaReport:
     """Probe every criteria functional and assemble the report.
 
     Relaxed variants are evaluated only when the matching accumulation limit
     is finite and positive, which is when the decision table may use them.
     """
-    xs, idx = probe_grid(schedule, segment_nodes)
+    xs, idx = probe_grid(schedule)
     ev = CriteriaEvaluator(spec, xs)
     radii = schedule.radii().tolist()
 
@@ -402,13 +393,13 @@ def build_report(spec: ProblemSpec,
         def build():
             vals = values_fn(*args)
             return None if vals is None else vals[idx]
-        return _guarded(build, radii, tail_tol, blowup_threshold)
+        return _guarded(build, schedule)
 
     def budget_probe(pair, relaxed=False, acc_limit=None):
         def build():
             gb = GrowthBudget(spec, pair, relaxed=relaxed, acc_limit=acc_limit)
             return np.array([gb.value(r) for r in radii])
-        return _guarded(build, radii, tail_tol, blowup_threshold)
+        return _guarded(build, schedule)
 
     verdicts: dict = {}
     for side in spec.sides:

@@ -132,11 +132,11 @@ def _tokenize(source: str):
 
 
 class _Parser:
-    def __init__(self, tokens, params: Mapping[str, float], variable: str | None):
+    def __init__(self, tokens, params: Mapping[str, float]):
         self.tokens = tokens
         self.i = 0
         self.params = params
-        self.variable = variable
+        self.variable = None
 
     def peek(self):
         return self.tokens[self.i]
@@ -232,18 +232,16 @@ class _Parser:
         return Call(name, tuple(args))
 
 
-def parse(source: str, params: Mapping[str, float] | None = None,
-          variable: str | None = None) -> "Expr":
+def parse(source: str, params: Mapping[str, float] | None = None) -> "Expr":
     """Parse ``source`` into an Expr.
 
-    params are substituted as numeric literals.  The free variable is
-    either given explicitly or inferred from the first identifier that is
-    neither a function nor a parameter; a second distinct identifier is an
-    error.
+    params are substituted as numeric literals.  The free variable is the
+    first identifier that is neither a function nor a parameter; a second
+    distinct identifier is an error.
     """
     if not isinstance(source, str) or source.strip() == "":
         raise SyntaxError_("empty expression", 0)
-    parser = _Parser(_tokenize(source), params or {}, variable)
+    parser = _Parser(_tokenize(source), params or {})
     root = parser.parse_expression()
     kind, text, pos = parser.peek()
     if kind != "eof":

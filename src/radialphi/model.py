@@ -334,7 +334,7 @@ def build_problem(N: int, alpha: float, beta: float,
         if env is None:
             env, _ = derive_envelopes(op)
         else:
-            worst = check_envelope(op, env, n=24, s_min=1e-4, s_max=1e3)
+            worst = check_envelope(op, env, n=24, s_min=1e-4)
             if worst > 1e-9:
                 raise SpecError(
                     f"override envelope for operator {i} violates the sandwich by {worst:.3g}")
@@ -530,12 +530,12 @@ class HypothesisReport:
         return {c.name: c.to_dict() for c in self.checks}
 
 
-def _sample_upper_split(nl: Nonlinearity, budget: int) -> HypothesisCheck:
+def _sample_upper_split(nl: Nonlinearity) -> HypothesisCheck:
     name = "upper_split"
     if not nl.has_upper_split:
         return HypothesisCheck(name, False, note="no upper envelope data")
     ws = 2.0 ** np.arange(0, 11)
-    ts = nl.threshold * np.logspace(0, 4, budget)
+    ts = nl.threshold * np.logspace(0, 4, 64)
     tv, wv = np.meshgrid(ts, ws, indexing="ij")
     with np.errstate(over="ignore"):
         lhs = np.asarray(nl.f(tv * wv), dtype=float)
@@ -545,7 +545,7 @@ def _sample_upper_split(nl: Nonlinearity, budget: int) -> HypothesisCheck:
     viol = np.where(finite, (lhs - rhs) / scale, np.inf)
     worst = float(np.max(viol))
     return HypothesisCheck(name, worst <= 1e-9, max(worst, 0.0),
-                           note=f"sampled on {budget}x{len(ws)} (t, w) grid")
+                           note=f"sampled on {len(ts)}x{len(ws)} (t, w) grid")
 
 
 def _sample_lower_split(nl: Nonlinearity) -> HypothesisCheck:
@@ -562,8 +562,7 @@ def _sample_lower_split(nl: Nonlinearity) -> HypothesisCheck:
                            note=f"sampled at w in powers of 2 up to {ws[-1]:g}")
 
 
-def check_hypotheses(spec: ProblemSpec, sample_budget: int = 64,
-                     span: float = 64.0) -> HypothesisReport:
+def check_hypotheses(spec: ProblemSpec, span: float = 64.0) -> HypothesisReport:
     """Per-hypothesis pass/fail with worst sampled violation magnitudes."""
     checks = []
     xs = np.linspace(0.0, span, 513)
@@ -579,8 +578,8 @@ def check_hypotheses(spec: ProblemSpec, sample_budget: int = 64,
             checks.append(HypothesisCheck(tag, True))
         except SpecError as exc:
             checks.append(HypothesisCheck(tag, False, note=str(exc)))
-    checks.append(replace(_sample_upper_split(spec.f1, sample_budget), name="upper_split_f1"))
-    checks.append(replace(_sample_upper_split(spec.f2, sample_budget), name="upper_split_f2"))
+    checks.append(replace(_sample_upper_split(spec.f1), name="upper_split_f1"))
+    checks.append(replace(_sample_upper_split(spec.f2), name="upper_split_f2"))
     checks.append(replace(_sample_lower_split(spec.f1), name="lower_split_f1"))
     checks.append(replace(_sample_lower_split(spec.f2), name="lower_split_f2"))
     return HypothesisReport(checks=tuple(checks))

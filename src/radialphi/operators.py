@@ -37,6 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .exprlang import Expr
+from .quadrature import NumericsError
 
 __all__ = [
     "PhiOperator",
@@ -57,7 +58,7 @@ class OperatorError(ValueError):
     """Bad operator parameters or failed profile validation."""
 
 
-class InversionRangeError(RuntimeError):
+class InversionRangeError(NumericsError):
     """The flux map could not be inverted at the requested value."""
 
 
@@ -66,6 +67,8 @@ class InversionRangeError(RuntimeError):
 _VALIDATION_GRID = np.logspace(-8.0, 8.0, 512)
 _BRACKET_CAP = 1e300
 _EXPONENT_MARGIN = 1e-3
+# relative tolerance of every flux inverse
+_REL_TOL = 1e-12
 # flux table grid: t in [1e-12, 1e12] at 32 nodes per decade
 _TABLE_GRID = np.logspace(-12.0, 12.0, 24 * 32 + 1)
 # the table inverse works through its input in blocks of this many values,
@@ -278,17 +281,17 @@ def h_eval(op: PhiOperator, t):
     return float(out[0]) if scalar else out
 
 
-def h_inverse(op: PhiOperator, s, rel_tol: float = 1e-12):
-    """Unique t >= 0 with h(t) = s, to relative tolerance ``rel_tol``.
+def h_inverse(op: PhiOperator, s):
+    """Unique t >= 0 with h(t) = s, to relative tolerance 1e-12.
 
-    Uses the analytic inverse when the family has one.  Otherwise each
-    value inside the operator's flux table is solved in its table cell by
-    secant steps on ln h against ln t, clamped to the cell, until a step in
-    ln t is at most ``rel_tol/4``.  Values outside the table, and values
-    whose steps have not settled after a fixed count, fall back to a
-    bracketed bisection in log space: the upper bracket doubles from 1
-    until h catches s (capped at 1e300, beyond which the operator is
-    reported unsuitable), the lower one halves symmetrically.
+    Uses the analytic inverse when the family has one.  Otherwise each value
+    inside the operator's flux table is solved in its table cell by secant
+    steps on ln h against ln t, clamped to the cell, until a step in ln t is
+    at most a quarter of that.  Values outside the table, and values whose
+    steps have not settled after a fixed count, fall back to a bracketed
+    bisection in log space: the upper bracket doubles from 1 until h catches
+    s (capped at 1e300, beyond which the operator is reported unsuitable),
+    the lower one halves symmetrically.
     """
     arr = np.asarray(s, dtype=float)
     scalar = arr.ndim == 0
@@ -303,10 +306,10 @@ def h_inverse(op: PhiOperator, s, rel_tol: float = 1e-12):
     pos = arr > 0
     if np.any(pos):
         vals = arr[pos]
-        t = _table_inverse(op, vals, rel_tol)
+        t = _table_inverse(op, vals)
         miss = np.isnan(t)
         if np.any(miss):
-            t[miss] = _bisect_inverse(op, vals[miss], rel_tol)
+            t[miss] = _bisect_inverse(op, vals[miss])
         out[pos] = t
     return float(out[0]) if scalar else out
 
@@ -348,7 +351,7 @@ def _flux_table(op: PhiOperator) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def _table_inverse(op: PhiOperator, s: np.ndarray, rel_tol: float) -> np.ndarray:
+def _table_inverse(op: PhiOperator, s: np.ndarray) -> np.ndarray:
     """Preimages of the positive values ``s`` from the flux table; NaN
     where the table does not bracket a value or its steps did not settle."""
     log_t, log_h = op.flux_table
@@ -358,7 +361,7 @@ def _table_inverse(op: PhiOperator, s: np.ndarray, rel_tol: float) -> np.ndarray
     with np.errstate(all="ignore"):
         for start in range(0, s.size, _BLOCK):
             block = slice(start, start + _BLOCK)
-            out[block] = _secant_block(op, np.log(s[block]), log_t, log_h, rel_tol / 4.0)
+            out[block] = _secant_block(op, np.log(s[block]), log_t, log_h, _REL_TOL / 4.0)
     return out
 
 
@@ -396,7 +399,7 @@ def _secant_block(op, y, log_t, log_h, step_tol):
     return res
 
 
-def _bisect_inverse(op: PhiOperator, s: np.ndarray, rel_tol: float) -> np.ndarray:
+def _bisect_inverse(op: PhiOperator, s: np.ndarray) -> np.ndarray:
     lo = np.ones_like(s)
     hi = np.ones_like(s)
     h1 = _h_raw(op, np.ones_like(s))
@@ -427,7 +430,7 @@ def _bisect_inverse(op: PhiOperator, s: np.ndarray, rel_tol: float) -> np.ndarra
 
     # log-space bisection: each pass halves ln(hi/lo), so ~50 passes push a
     # factor-2 bracket far below any useful relative tolerance
-    n_iter = max(10, int(np.ceil(np.log2(np.log(2.0) / max(rel_tol, 1e-15)))) + 4)
+    n_iter = max(10, int(np.ceil(np.log2(np.log(2.0) / _REL_TOL))) + 4)
     log_lo = np.log(lo)
     log_hi = np.log(hi)
     for _ in range(n_iter):
@@ -441,23 +444,21 @@ def _bisect_inverse(op: PhiOperator, s: np.ndarray, rel_tol: float) -> np.ndarra
 # ---------------------------------------------------------------------------
 # Envelope derivation
 
-def derive_envelopes(op: PhiOperator,
-                     validation_range: tuple[float, float] = (1e-8, 1e8),
-                     samples_per_decade: int = 512) -> tuple[EnvelopeSet, GrowthExponents]:
+def derive_envelopes(op: PhiOperator) -> tuple[EnvelopeSet, GrowthExponents]:
     """Derive a multiplicative sandwich for h^-1 plus growth metadata.
 
     Estimates l, m (bounds of t*Phi'/Phi with Phi' = h and Phi by cumulative
     quadrature) and a0, a1 (bounds of the logarithmic slope of h).  The
-    slope grid is widened beyond ``validation_range`` until it covers the
-    preimages of the flux values the sandwich is certified for (products up
-    to 1e7 and down to 1e-13): slowly growing fluxes push those preimages
-    far past any fixed range, and a slope estimated short of them would
-    certify a sandwich that fails at large arguments.  Refuses when the
-    Phi-ratio drops to 1 or below, or when the slope bounds fail to stay
-    positive, or when the constructed sandwich is violated on the sample
-    grid.
+    slope grid, 512 samples per decade, is widened beyond t in [1e-8, 1e8]
+    until it covers the preimages of the flux values the sandwich is
+    certified for (products up to 1e7 and down to 1e-13): slowly growing
+    fluxes push those preimages far past any fixed range, and a slope
+    estimated short of them would certify a sandwich that fails at large
+    arguments.  Refuses when the Phi-ratio drops to 1 or below, or when the
+    slope bounds fail to stay positive, or when the constructed sandwich is
+    violated on the sample grid.
     """
-    t_lo, t_hi = validation_range
+    t_lo, t_hi = 1e-8, 1e8
     try:
         t_hi = max(t_hi, float(h_inverse(op, 1e7)))
         t_lo = min(t_lo, max(float(h_inverse(op, 1e-13)), 1e-200))
@@ -466,7 +467,7 @@ def derive_envelopes(op: PhiOperator,
             f"{op.label}: flux map too slow for the sandwich construction "
             f"({exc}); refused") from exc
     decades = np.log10(t_hi) - np.log10(t_lo)
-    samples = max(4097, int(samples_per_decade * decades) + 1)
+    samples = max(4097, int(512 * decades) + 1)
     tt = np.logspace(np.log10(t_lo), np.log10(t_hi), samples)
     hh = _h_raw(op, tt)
     if not (np.all(np.isfinite(hh)) and np.all(hh > 0)):
@@ -521,7 +522,7 @@ def derive_envelopes(op: PhiOperator,
         psi_bar=psi,
         description=(f"power sandwich from flux slope in [{a0:.6g}, {a1:.6g}]"),
     )
-    worst = check_envelope(op, env, n=24, s_min=1e-4, s_max=1e3)
+    worst = check_envelope(op, env, n=24, s_min=1e-4)
     if worst > 1e-9:
         raise OperatorError(
             f"{op.label}: derived sandwich violated by {worst:.3g}; refused")
@@ -529,10 +530,10 @@ def derive_envelopes(op: PhiOperator,
 
 
 def check_envelope(op: PhiOperator, env: EnvelopeSet,
-                   n: int = 64, s_min: float = 1e-6, s_max: float = 1e3) -> float:
+                   n: int = 64, s_min: float = 1e-6) -> float:
     """Worst relative violation of the sandwich on an n-by-n log grid of
-    (s1, s2) in (0, s_max]^2.  Zero means the sandwich held everywhere."""
-    ss = np.logspace(np.log10(s_min), np.log10(s_max), n)
+    (s1, s2) in [s_min, 1e3]^2.  Zero means the sandwich held everywhere."""
+    ss = np.logspace(np.log10(s_min), 3.0, n)
     s1 = np.repeat(ss, n)
     s2 = np.tile(ss, n)
     mid = h_inverse(op, s1 * s2)

@@ -13,6 +13,9 @@ checks itself:
 * the method of manufactured solutions: pick the exact solution pair,
   reverse-engineer the weights from the radial flux by finite differences,
   and solve the synthesized instance back.
+
+The probe-based oracles take the ``ProbeSchedule`` of the criteria report,
+so both read their integrals at the same radii with the same tolerances.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from .model import Nonlinearity, ProblemSpec, SpecError, Weight, build_problem
 from .operators import PhiOperator, h_eval
 from .quadrature import (LimitVerdict, ProbeSchedule, RadialGrid, central_diff,
-                         prefix_trapezoid, radial_kernel_at, verdict_from_trace)
+                         prefix_trapezoid, radial_kernel_at)
 from .criteria import probe_grid
 
 __all__ = [
@@ -134,17 +137,13 @@ class PowerLawCriteria:
 
 
 def power_law_criteria(inst: PowerLawInstance,
-                       schedule: ProbeSchedule = ProbeSchedule(),
-                       tail_tol: float = 1e-6,
-                       blowup_threshold: float = 1e8,
-                       segment_nodes: int = 4096) -> PowerLawCriteria:
+                       schedule: ProbeSchedule = ProbeSchedule()) -> PowerLawCriteria:
     """Probe the four classical integrals of the power-law system.
 
     coupling_1(R) = integral_0^R t a1(t) (t^(2-N) integral_0^t s^(N-3) Q(s) ds)^alpha dt
     with Q the first moment of a2 (and symmetrically for coupling_2).
     """
-    xs, idx = probe_grid(schedule, segment_nodes)
-    radii = schedule.radii().tolist()
+    xs, idx = probe_grid(schedule)
     a1v = inst.a1.sample(xs)
     a2v = inst.a2.sample(xs)
 
@@ -161,14 +160,11 @@ def power_law_criteria(inst: PowerLawInstance,
     m1 = prefix_trapezoid(xs * a1v, xs)[idx]
     m2 = prefix_trapezoid(xs * a2v, xs)[idx]
 
-    def verdict(vals):
-        return verdict_from_trace(radii, vals.tolist(), tail_tol, blowup_threshold)
-
     return PowerLawCriteria(
-        coupling_1=verdict(c1),
-        coupling_2=verdict(c2),
-        moment_1=verdict(m1),
-        moment_2=verdict(m2),
+        coupling_1=schedule.verdict(c1),
+        coupling_2=schedule.verdict(c2),
+        moment_1=schedule.verdict(m1),
+        moment_2=schedule.verdict(m2),
         product_le_one=inst.alpha_exp * inst.beta_exp <= 1.0,
     )
 
@@ -195,11 +191,8 @@ class SingleEquationReport:
 
 
 def single_equation_check(f: Nonlinearity, a: Weight, N: int,
-                          schedule: ProbeSchedule = ProbeSchedule(),
-                          tail_tol: float = 1e-6,
-                          blowup_threshold: float = 1e8,
-                          segment_nodes: int = 4096) -> SingleEquationReport:
-    """Classical single-equation blow-up criterion.
+                          schedule: ProbeSchedule = ProbeSchedule()) -> SingleEquationReport:
+    """Classical single-equation blow-up criterion, probed along ``schedule``.
 
     The equation with a sublinear-type nonlinearity (divergent reciprocal
     integral from 1) admits an unbounded radial solution exactly when the
@@ -214,7 +207,7 @@ def single_equation_check(f: Nonlinearity, a: Weight, N: int,
     prev = 1.0
     for r in radii:
         if r > prev:
-            segs.append(np.linspace(prev, r, segment_nodes + 1)[1:])
+            segs.append(np.linspace(prev, r, schedule.segment_nodes + 1)[1:])
             prev = r
     ts = np.concatenate(segs)
     fv = np.asarray(f.f(ts), dtype=float)
@@ -222,14 +215,14 @@ def single_equation_check(f: Nonlinearity, a: Weight, N: int,
         raise SpecError(f"nonlinearity {f.label}: not positive on [1, oo) samples")
     recip = prefix_trapezoid(1.0 / fv, ts)
     recip_at = np.interp(np.asarray(radii), ts, recip)
-    v_recip = verdict_from_trace(radii, recip_at.tolist(), tail_tol, blowup_threshold)
+    v_recip = schedule.verdict(recip_at)
 
-    xs, idx = probe_grid(schedule, segment_nodes)
+    xs, idx = probe_grid(schedule)
     av = a.sample(xs)
     acc = prefix_trapezoid(radial_kernel_at(av, N, xs), xs)[idx]
-    v_acc = verdict_from_trace(radii, acc.tolist(), tail_tol, blowup_threshold)
+    v_acc = schedule.verdict(acc)
     moment = prefix_trapezoid(xs * av, xs)[idx] / (N - 2)
-    v_moment = verdict_from_trace(radii, moment.tolist(), tail_tol, blowup_threshold)
+    v_moment = schedule.verdict(moment)
 
     agrees = None
     if v_acc.finite and v_moment.finite:

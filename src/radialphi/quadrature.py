@@ -8,7 +8,8 @@ oracles) is built from three primitives:
 * the kernel  K[w](t) = t^(1-N) * integral_0^t s^(N-1) w(s) ds,
 * a heuristic probe (``verdict_from_trace``) that decides from its values
   at the radii of a ``ProbeSchedule`` whether a nondecreasing functional of
-  the truncation radius converges or diverges as the radius grows.
+  the truncation radius converges or diverges as the radius grows; the
+  schedule holds and validates every setting of the probe.
 
 The kernel integrates s^(N-1) times the piecewise-linear interpolant of the
 samples exactly on each panel (closed-form moments of s^(N-1)), so constant
@@ -35,7 +36,7 @@ __all__ = [
 
 
 class NumericsError(RuntimeError):
-    """A computation produced a non-finite intermediate value."""
+    """A computation produced a non-finite value; base of every numeric failure."""
 
 
 @dataclass(frozen=True)
@@ -114,13 +115,15 @@ def radial_kernel_at(values: np.ndarray, dim: int, xs: np.ndarray) -> np.ndarray
         raise ValueError("kernel grid must start at 0")
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite input sample")
-    c0, c1 = _panel_moments(xs, dim)
-    prefix = np.empty_like(values)
-    prefix[0] = 0.0
-    np.cumsum(c0 * values[:-1] + c1 * values[1:], out=prefix[1:])
-    out = np.empty_like(values)
-    out[0] = 0.0
-    out[1:] = prefix[1:] * xs[1:] ** (1 - dim)
+    # an overflow is reported once, by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        c0, c1 = _panel_moments(xs, dim)
+        prefix = np.empty_like(values)
+        prefix[0] = 0.0
+        np.cumsum(c0 * values[:-1] + c1 * values[1:], out=prefix[1:])
+        out = np.empty_like(values)
+        out[0] = 0.0
+        out[1:] = prefix[1:] * xs[1:] ** (1 - dim)
     if not np.all(np.isfinite(out)):
         raise NumericsError("radial kernel overflowed (dimension too large for this range)")
     return out
@@ -131,12 +134,39 @@ def radial_kernel_at(values: np.ndarray, dim: int, xs: np.ndarray) -> np.ndarray
 
 @dataclass(frozen=True)
 class ProbeSchedule:
+    """Every setting of the improper-limit probe: the radii r0 * factor**k
+    for k < count, ``segment_nodes`` panels per probe segment, and the
+    verdict tolerances.  A degenerate setting raises ValueError."""
+
     r0: float = 1.0
     factor: float = 2.0
     count: int = 15
+    segment_nodes: int = 4096
+    tail_tol: float = 1e-6
+    blowup_threshold: float = 1e8
+
+    def __post_init__(self):
+        for ok, rule in (
+                (0 < self.r0 < np.inf, "probe.r0 must be positive and finite"),
+                (1 < self.factor < np.inf, "probe.factor must exceed 1 and be finite"),
+                (float(self.count).is_integer(), "probe.count must be an integer"),
+                (self.count >= 1, "probe.count must be at least 1"),
+                (float(self.segment_nodes).is_integer(), "probe.segment_nodes must be an integer"),
+                (self.segment_nodes >= 2, "probe.segment_nodes must be at least 2"),
+                (self.tail_tol > 0, "tail_tol must be positive"),
+                (self.blowup_threshold > 0, "blowup_threshold must be positive")):
+            if not ok:
+                raise ValueError(rule)
+        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "segment_nodes", int(self.segment_nodes))
 
     def radii(self) -> np.ndarray:
         return self.r0 * self.factor ** np.arange(self.count)
+
+    def verdict(self, values) -> LimitVerdict:
+        """Limit verdict of a functional from its values at ``radii()``."""
+        return verdict_from_trace(self.radii().tolist(), values,
+                                  self.tail_tol, self.blowup_threshold)
 
 
 @dataclass(frozen=True)
@@ -182,8 +212,8 @@ _DECAY_RATIO = 0.9
 _DECAY_WINDOW = 4
 
 
-def verdict_from_trace(radii, values, tail_tol: float = 1e-6,
-                       blowup_threshold: float = 1e8) -> LimitVerdict:
+def verdict_from_trace(radii, values, tail_tol: float,
+                       blowup_threshold: float) -> LimitVerdict:
     """Classify the limit of a nondecreasing functional F(R) from its values
     ``values`` at the increasing probe radii ``radii``.
 

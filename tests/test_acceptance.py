@@ -18,6 +18,7 @@ from radialphi import iteration as it
 from radialphi import model
 from radialphi import operators as ops
 from radialphi import oracle
+from radialphi import quadrature as qd
 from radialphi.quadrature import RadialGrid
 
 
@@ -150,7 +151,7 @@ def test_criterion_3_manufactured_convergence():
 def test_criterion_4_kernel_accumulation_limit_identity():
     rep = oracle.single_equation_check(
         model.power_nonlinearity(1.0),
-        model.weight_from_expr("(1+r^2)^(-2)"), 3, tail_tol=1e-3)
+        model.weight_from_expr("(1+r^2)^(-2)"), 3, qd.ProbeSchedule(tail_tol=1e-3))
     v = rep.kernel_accumulation
     rel = abs(v.value - 0.5) / 0.5 if v.finite else np.inf
     ok = v.finite and rel <= 1e-4
@@ -165,7 +166,7 @@ def test_criterion_5_envelope_inequality():
     for family, params in families:
         op = ops.make_operator(family, **params)
         env, _ = ops.derive_envelopes(op)
-        worst = max(worst, ops.check_envelope(op, env, n=64, s_min=1e-6, s_max=1e3))
+        worst = max(worst, ops.check_envelope(op, env, n=64, s_min=1e-6))
     ok = worst == 0.0
     _report(5, "envelope inequality", ok,
             f"worst sandwich violation {worst:.2e} on 64x64 grids to 1e3")
@@ -178,7 +179,7 @@ def _classify_weights(w1, w2):
         a1=model.weight_from_expr(w1), a2=model.weight_from_expr(w2),
         f1=model.power_nonlinearity(1.0), f2=model.power_nonlinearity(1.0))
     hyp = model.check_hypotheses(spec)
-    rep = cr.build_report(spec, tail_tol=1e-2)
+    rep = cr.build_report(spec, qd.ProbeSchedule(tail_tol=1e-2))
     return cl.classify(spec, rep, hyp)
 
 
@@ -244,14 +245,14 @@ def test_criterion_7_oracle_agreement():
         inst = oracle.PowerLawInstance(a_exp, b_exp,
                                        model.weight_from_expr(w1),
                                        model.weight_from_expr(w2))
-        truth = oracle.power_law_criteria(inst, tail_tol=1e-2).large_solution
+        truth = oracle.power_law_criteria(inst, qd.ProbeSchedule(tail_tol=1e-2)).large_solution
         spec = model.build_problem(
             N=3, alpha=1.0, beta=1.0, op1=lap, op2=lap,
             a1=model.weight_from_expr(w1), a2=model.weight_from_expr(w2),
             f1=model.power_nonlinearity(a_exp),
             f2=model.power_nonlinearity(b_exp))
         hyp = model.check_hypotheses(spec)
-        rep = cr.build_report(spec, tail_tol=1e-2)
+        rep = cr.build_report(spec, qd.ProbeSchedule(tail_tol=1e-2))
         cls = cl.classify(spec, rep, hyp)
         if truth is None or cls.verdict == cl.INDETERMINATE:
             abstentions += 1

@@ -8,6 +8,7 @@ from radialphi import criteria as cr
 from radialphi import iteration as it
 from radialphi import model
 from radialphi import operators as ops
+from radialphi import quadrature as qd
 from radialphi.quadrature import LimitVerdict, RadialGrid
 
 
@@ -23,7 +24,7 @@ def classify_weights(lap, w1, w2, tail_tol=1e-2, **kwargs):
         f1=model.power_nonlinearity(kwargs.pop("g1", 1.0)),
         f2=model.power_nonlinearity(kwargs.pop("g2", 1.0)), **kwargs)
     hyp = model.check_hypotheses(spec)
-    rep = cr.build_report(spec, tail_tol=tail_tol)
+    rep = cr.build_report(spec, qd.ProbeSchedule(tail_tol=tail_tol))
     return spec, rep, hyp, cl.classify(spec, rep, hyp)
 
 
@@ -94,7 +95,7 @@ class TestDecisionTable:
             f1=model.exp_minus_one_nonlinearity(),
             f2=model.exp_minus_one_nonlinearity())
         hyp = model.check_hypotheses(spec)
-        rep = cr.build_report(spec, tail_tol=1e-2)
+        rep = cr.build_report(spec, qd.ProbeSchedule(tail_tol=1e-2))
         cls = cl.classify(spec, rep, hyp)
         assert rep.growth_budget_12_relaxed is not None
         assert cls.verdict in (cl.BOTH_BOUNDED, cl.INDETERMINATE)
@@ -109,7 +110,7 @@ class TestDecisionTable:
             f1=model.exp_minus_one_nonlinearity(),
             f2=model.power_nonlinearity(1.0))
         hyp = model.check_hypotheses(spec)
-        rep = cr.build_report(spec, tail_tol=1e-2)
+        rep = cr.build_report(spec, qd.ProbeSchedule(tail_tol=1e-2))
         cls = cl.classify(spec, rep, hyp)
         assert cls.verdict == cl.INDETERMINATE
 
@@ -152,7 +153,7 @@ class TestConverseAdvisory:
             a1=model.weight_from_expr("1"), a2=model.weight_from_expr("1"),
             f1=model.power_nonlinearity(1.0), f2=model.power_nonlinearity(1.0))
         hyp = model.check_hypotheses(spec)
-        rep = cr.build_report(spec, tail_tol=1e-2)
+        rep = cr.build_report(spec, qd.ProbeSchedule(tail_tol=1e-2))
         cls = cl.classify(spec, rep, hyp)
         assert cls.verdict == cl.BOTH_LARGE
         note = cl.converse_advisory(spec, rep, cls)

@@ -99,6 +99,17 @@ class TestSolveCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["classification"]["verdict"] == "indeterminate"
 
+    def test_kernel_overflow_warns_nothing(self, tmp_path, capsys):
+        # the overflow used to flood stderr with numpy RuntimeWarnings
+        # before the single numeric failure
+        cfg = manufactured_config(tmp_path)
+        cfg["problem"]["N"] = 400
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["solve", "--config", str(path)]) == 2
+        assert "overflowed" in capsys.readouterr().err
+
 
 class TestClassifyCommand:
     def classify(self, tmp_path, w1, w2, extra=None):
@@ -180,6 +191,9 @@ class TestNumericsValidation:
         {"blowup_threshold": 0.0},
         {"max_iter": -3},
         {"max_iter": 1.5},
+        {"probe": {"count": 1.5}},
+        {"probe": {"count": 15.7}},
+        {"probe": {"segment_nodes": 2.5}},
     ])
     def test_other_degenerate_settings_exit_1(self, tmp_path, numerics):
         assert self.run_classify(tmp_path, numerics) == (1, False)
@@ -302,6 +316,9 @@ class TestSweepCommand:
         rows = read_csv(tmp_path / "pairs.csv")
         assert len(rows) == 4
         assert all(r["verdict"] == "both_large" for r in rows)
+        # the last axis varies fastest
+        assert [(float(r["gamma1"]), float(r["gamma2"])) for r in rows] == [
+            (0.5, 0.5), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0)]
 
 
 class TestDeterminism:

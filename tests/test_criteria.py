@@ -6,6 +6,7 @@ import pytest
 from radialphi import criteria as cr
 from radialphi import model
 from radialphi import operators as ops
+from radialphi import quadrature as qd
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +164,7 @@ class TestAccumulationLimit:
 
     def test_integrable_weight_finite(self, lap):
         spec = make_spec(lap, w2="(1+r)^(-4)")
-        v = cr.accumulation_limit(spec, 2, tail_tol=1e-3)
+        v = cr.accumulation_limit(spec, 2, qd.ProbeSchedule(tail_tol=1e-3))
         assert v.finite
         assert v.value > 0
 
@@ -178,7 +179,7 @@ class TestYangLimitIdentity:
         # identity envelope (psi = id, k = 1): the accumulation limit equals
         # the first weight moment over N-2 for integrable-tail weights
         spec = make_spec(lap, w1="(1+r^2)^(-2)")
-        v = cr.accumulation_limit(spec, 1, tail_tol=1e-3)
+        v = cr.accumulation_limit(spec, 1, qd.ProbeSchedule(tail_tol=1e-3))
         assert v.finite
         # integral of r/(1+r^2)^2 is 1/2, N-2 = 1
         assert v.value == pytest.approx(0.5, rel=1e-4)
@@ -222,7 +223,7 @@ class TestReport:
         assert rep.upper_coupling_12_relaxed is None
         assert rep.growth_budget_12_relaxed is None
         spec2 = make_spec(lap, w1="(1+r)^(-4)", w2="(1+r)^(-4)")
-        rep2 = cr.build_report(spec2, tail_tol=1e-2)
+        rep2 = cr.build_report(spec2, qd.ProbeSchedule(tail_tol=1e-2))
         assert rep2.upper_coupling_12_relaxed is not None
         assert rep2.growth_budget_12_relaxed is not None
 
@@ -243,7 +244,7 @@ class TestReport:
     def test_report_serializes(self, lap):
         import json
         rep = cr.build_report(make_spec(lap, w1="(1+r)^(-3)", w2="(1+r)^(-3)"),
-                              tail_tol=1e-2)
+                              qd.ProbeSchedule(tail_tol=1e-2))
         text = json.dumps(rep.to_dict())
         assert "upper_coupling_12" in text
 

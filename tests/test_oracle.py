@@ -6,6 +6,7 @@ from radialphi import iteration as it
 from radialphi import model
 from radialphi import operators as ops
 from radialphi import oracle
+from radialphi import quadrature as qd
 from radialphi.quadrature import RadialGrid
 
 
@@ -26,7 +27,7 @@ def weight(src, **params):
 class TestPowerLawCriteria:
     def test_unit_weights_large(self):
         inst = oracle.PowerLawInstance(1.0, 1.0, weight("1"), weight("1"))
-        out = oracle.power_law_criteria(inst, tail_tol=1e-2)
+        out = oracle.power_law_criteria(inst, qd.ProbeSchedule(tail_tol=1e-2))
         assert out.moment_1.divergent and out.moment_2.divergent
         assert out.coupling_1.divergent and out.coupling_2.divergent
         assert out.large_solution is True
@@ -34,7 +35,7 @@ class TestPowerLawCriteria:
     def test_integrable_weights_no_large(self):
         inst = oracle.PowerLawInstance(
             1.0, 1.0, weight("(1+r)^(-4)"), weight("(1+r)^(-4)"))
-        out = oracle.power_law_criteria(inst, tail_tol=1e-2)
+        out = oracle.power_law_criteria(inst, qd.ProbeSchedule(tail_tol=1e-2))
         # first moment of (1+r)^-4 is 1/6
         assert out.moment_1.finite
         assert out.moment_1.value == pytest.approx(1.0 / 6.0, rel=1e-4)
@@ -43,26 +44,26 @@ class TestPowerLawCriteria:
 
     def test_zero_weight_everything_finite(self):
         inst = oracle.PowerLawInstance(1.0, 1.0, weight("0"), weight("1"))
-        out = oracle.power_law_criteria(inst, tail_tol=1e-2)
+        out = oracle.power_law_criteria(inst, qd.ProbeSchedule(tail_tol=1e-2))
         assert out.coupling_1.finite and out.coupling_1.value == 0.0
         assert out.large_solution is False
 
     def test_product_above_one_abstains(self):
         inst = oracle.PowerLawInstance(2.0, 2.0, weight("1"), weight("1"))
-        out = oracle.power_law_criteria(inst, tail_tol=1e-2)
+        out = oracle.power_law_criteria(inst, qd.ProbeSchedule(tail_tol=1e-2))
         assert out.large_solution is None
 
 
 class TestSingleEquationCriterion:
     def test_linear_nonlinearity_applicable(self, f_id):
-        rep = oracle.single_equation_check(f_id, weight("1"), 3, tail_tol=1e-3)
+        rep = oracle.single_equation_check(f_id, weight("1"), 3, qd.ProbeSchedule(tail_tol=1e-3))
         assert rep.reciprocal_integral.divergent
         assert rep.kernel_accumulation.divergent
         assert rep.solvable == "solvable"
 
     def test_quadratic_nonlinearity_not_applicable(self):
         rep = oracle.single_equation_check(
-            model.power_nonlinearity(2.0), weight("1"), 3, tail_tol=1e-3)
+            model.power_nonlinearity(2.0), weight("1"), 3, qd.ProbeSchedule(tail_tol=1e-3))
         assert rep.reciprocal_integral.finite
         assert rep.reciprocal_integral.value == pytest.approx(1.0, rel=1e-4)
         assert rep.solvable == "not_applicable"
@@ -70,7 +71,7 @@ class TestSingleEquationCriterion:
     def test_limit_identity(self, f_id):
         # weight (1+r^2)^-2: moment integral is 1/2 and N-2 = 1
         rep = oracle.single_equation_check(
-            f_id, weight("(1+r^2)^(-2)"), 3, tail_tol=1e-3)
+            f_id, weight("(1+r^2)^(-2)"), 3, qd.ProbeSchedule(tail_tol=1e-3))
         assert rep.kernel_accumulation.finite
         assert rep.kernel_accumulation.value == pytest.approx(0.5, rel=1e-4)
         assert rep.limit_identity_agrees is True
@@ -153,9 +154,9 @@ class TestOracleVersusClassifier:
                 f1=model.power_nonlinearity(1.0),
                 f2=model.power_nonlinearity(1.0))
             hyp = model.check_hypotheses(spec)
-            rep = cr.build_report(spec, tail_tol=1e-2)
+            rep = cr.build_report(spec, qd.ProbeSchedule(tail_tol=1e-2))
             cls = cl.classify(spec, rep, hyp)
             inst = oracle.PowerLawInstance(1.0, 1.0, weight(src), weight(src))
-            out = oracle.power_law_criteria(inst, tail_tol=1e-2)
+            out = oracle.power_law_criteria(inst, qd.ProbeSchedule(tail_tol=1e-2))
             assert out.large_solution is expect
             assert (cls.verdict == cl.BOTH_LARGE) is expect

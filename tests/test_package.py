@@ -4,12 +4,21 @@ import pkgutil
 import pytest
 
 import radialphi
+from radialphi.criteria import CriteriaError
+from radialphi.operators import InversionRangeError
+from radialphi.quadrature import NumericsError
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(radialphi.__path__))
 
 
 def test_every_module_listed():
     assert {"classifier", "cli", "criteria", "model", "quadrature"} <= set(MODULES)
+
+
+def test_numeric_failures_share_one_base():
+    # the CLI maps every numeric failure to exit 2 through this one base
+    assert issubclass(InversionRangeError, NumericsError)
+    assert issubclass(CriteriaError, NumericsError)
 
 
 @pytest.mark.parametrize("name", MODULES)

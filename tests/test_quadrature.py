@@ -7,8 +7,7 @@ from radialphi import quadrature as qd
 
 
 def probe(func, schedule):
-    radii = schedule.radii().tolist()
-    return qd.verdict_from_trace(radii, [func(r) for r in radii])
+    return schedule.verdict([func(r) for r in schedule.radii().tolist()])
 
 
 class TestRadialGrid:
@@ -127,6 +126,24 @@ class TestImproperLimitProbe:
     def test_default_schedule_reaches_16384(self):
         assert qd.ProbeSchedule().radii()[-1] == 16384.0
 
+    @pytest.mark.parametrize("settings", [
+        {"r0": 0.0}, {"r0": -1.0}, {"r0": np.inf},
+        {"factor": 1.0}, {"factor": 0.5}, {"factor": np.inf},
+        {"count": 0}, {"count": 1.5}, {"count": np.nan},
+        {"segment_nodes": 1}, {"segment_nodes": 0}, {"segment_nodes": 2.5},
+        {"tail_tol": 0.0}, {"tail_tol": -1e-6}, {"blowup_threshold": 0.0},
+    ])
+    def test_degenerate_schedule_rejected(self, settings):
+        # count 0 used to raise IndexError in the probe grid, and
+        # segment_nodes 0 to yield a confident verdict from one node
+        with pytest.raises(ValueError, match=next(iter(settings))):
+            qd.ProbeSchedule(**settings)
+
+    def test_whole_valued_float_counts_stored_as_int(self):
+        s = qd.ProbeSchedule(count=15.0, segment_nodes=4096.0)
+        assert type(s.count) is int and type(s.segment_nodes) is int
+        assert s == qd.ProbeSchedule()
+
     def test_blowup_threshold(self):
         v = probe(lambda r: r ** 2, qd.ProbeSchedule())
         assert v.divergent
@@ -158,8 +175,7 @@ class TestImproperLimitProbe:
                     max_size=14))
     def test_finite_requires_decaying_tail_increments(self, increments):
         values = np.concatenate(([0.0], np.cumsum(increments)))
-        v = qd.verdict_from_trace(qd.ProbeSchedule().radii().tolist(),
-                                  values.tolist(), tail_tol=1e-2)
+        v = qd.ProbeSchedule(tail_tol=1e-2).verdict(values.tolist())
         if v.finite:
             tail = np.diff(values)[-4:]
             for a, b in zip(tail[:-1], tail[1:]):
