@@ -29,6 +29,8 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 from . import classifier, criteria, iteration, model, oracle
 from .exprlang import ExprError
 from .model import SpecError
@@ -105,16 +107,112 @@ def _write_json(path: str | None, payload: dict):
         fh.write("\n")
 
 
+def _numeric_failure(cfg: dict, exc: NumericsError, payload: dict) -> int:
+    """Report a numeric failure: the error JSON, a stderr line, exit 2."""
+    payload["error"] = {"kind": type(exc).__name__, "message": str(exc)}
+    _write_json(cfg.get("outputs", {}).get("report_json"), payload)
+    print(f"numeric failure: {exc}", file=sys.stderr)
+    return 2
+
+
 def _write_solution_csv(path: str | None, sol) -> None:
+    """The solution table r, u, v, u', v' as ``_CSV_FLOAT`` text.
+
+    Blocks of ``_CSV_BLOCK`` rows are formatted at once from integer
+    digits, byte-identical to formatting every float with ``_CSV_FLOAT``.
+    Each |x| becomes a 13-digit mantissa m = round(|x| * 10**(12 - e)) in
+    [1e12, 1e13) and a decimal exponent e.  The exact |x| times the
+    correctly rounded scale, rounded once more, is within 2.3e-3 of the
+    exact product (two relative errors of 2**-53 on a product below 1e13),
+    so ``rint`` rounds it as ``_CSV_FLOAT`` does whenever its fraction lies
+    more than 0.01 from one half.  Values inside that band (about 2%),
+    values whose e = floor(log10|x|) leaves the product outside
+    [1e12, 1e13) (an off-by-one log10 next to a power of 10, or |x|
+    outside [1e-100, 1e101), subnormals included, where e is clipped to
+    [-100, 100]) and mantissas that round up to 1e13 are formatted by
+    ``_CSV_FLOAT`` and parsed back into (m, e).  So every digit written is
+    proven, and none rests on the accuracy of log10.
+    """
     if not path:
         return
-    nodes = sol.grid.nodes
-    up = central_diff(sol.u, sol.grid.step)
-    vp = central_diff(sol.v, sol.grid.step)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("r,u,v,u_prime,v_prime\n")
-        for row in zip(nodes, sol.u, sol.v, up, vp):
-            fh.write(",".join(_CSV_FLOAT % x for x in row) + "\n")
+    cols = (sol.grid.nodes, sol.u, sol.v,
+            central_diff(sol.u, sol.grid.step), central_diff(sol.v, sol.grid.step))
+    with open(path, "wb") as fh:
+        fh.write(b"r,u,v,u_prime,v_prime\n")
+        for start in range(0, cols[0].size, _CSV_BLOCK):
+            fh.write(_csv_rows(np.column_stack([c[start:start + _CSV_BLOCK] for c in cols])))
+
+
+# rows per formatted block: the formatter holds about 1 KB of temporaries
+# per row; over the 11 solves of the benchmark menu, blocks of 4096 rows
+# raised the peak RSS by 1.2 MB and blocks of 1024 by 0.2 MB, at one speed
+_CSV_BLOCK = 1024
+# "0000" ... "9999" as ASCII rows, gathered as one 4-byte word each; built
+# in uint8, since int64 arithmetic on the table raised peak RSS by 1.2 MB
+_DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_DIGITS4 = np.stack(np.meshgrid(*[_DIGIT] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+# exponent digits by |e|: two and a NUL below 100, three from 100 on
+_EXP_DIGITS = np.where(np.arange(1000)[:, None] < 100,
+                       np.column_stack((_DIGITS4[:1000, 2:], np.zeros(1000, np.uint8))),
+                       _DIGITS4[:1000, 1:])
+# the cell bytes without the sign and the third exponent digit
+_NARROW = np.r_[1:19, 20]
+# 10**(12 - e), correctly rounded, for decimal exponents e in [-100, 100]
+_SCALE = np.array([float(f"1e{12 - e}") for e in range(-100, 101)])
+
+
+def _csv_rows(table: np.ndarray) -> bytes:
+    """Rows of ``table`` with every float formatted by ``_CSV_FLOAT``,
+    comma-separated, each row ending in a newline.  Rows holding a
+    non-finite value are formatted one float at a time."""
+    finite = np.isfinite(table).all(axis=1)
+    if finite.all():
+        return _finite_csv_rows(table)
+    parts, start = [], 0
+    for i in np.flatnonzero(~finite):
+        parts.append(_finite_csv_rows(table[start:i]))
+        parts.append((",".join(_CSV_FLOAT % x for x in table[i]) + "\n").encode())
+        start = i + 1
+    parts.append(_finite_csv_rows(table[start:]))
+    return b"".join(parts)
+
+
+def _finite_csv_rows(table: np.ndarray) -> bytes:
+    """``_csv_rows`` of a finite table, from the (m, e) digits described
+    in ``_write_solution_csv``.  Each cell is 21 bytes: sign, digit, point,
+    12 digits, "e", exponent sign, three exponent digits and the
+    separator.  A NUL fills an unused sign or third exponent digit; a block
+    with neither drops both slots, any other block squeezes the NULs out.
+    """
+    a = np.abs(table)
+    zero = a == 0
+    e = np.clip(np.floor(np.log10(np.where(zero, 1.0, a))).astype(np.int64), -100, 100)
+    y = a * _SCALE[e + 100]
+    m = np.rint(y)
+    exact = zero | ((y >= 1e12) & (m < 1e13) & (np.abs(y - m) < 0.49))
+    m = np.where(exact, m, 0.0).astype(np.int64)
+    for i in np.flatnonzero(~exact):
+        mantissa, exponent = (_CSV_FLOAT % table.flat[i]).split("e")
+        m.flat[i] = int(mantissa.lstrip("-").replace(".", ""))
+        e.flat[i] = int(exponent)
+
+    cells = np.empty(table.shape + (21,), np.uint8)
+    neg = np.signbit(table)
+    lead, rest = np.divmod(m, 10**12)
+    e_abs = np.abs(e)
+    cells[..., 0] = np.where(neg, ord("-"), 0)
+    cells[..., 1] = lead + ord("0")
+    cells[..., 2] = ord(".")
+    groups = np.stack((rest // 10**8, rest // 10**4 % 10**4, rest % 10**4), axis=-1)
+    cells[..., 3:15] = _DIGITS4.view(np.uint32)[groups, 0].view(np.uint8)
+    cells[..., 15] = ord("e")
+    cells[..., 16] = np.where(e < 0, ord("-"), ord("+"))
+    cells[..., 17:20] = _EXP_DIGITS[e_abs]
+    cells[..., 20] = ord(",")
+    cells[:, -1, 20] = ord("\n")
+    if neg.any() or (e_abs >= 100).any():
+        return cells.tobytes().replace(b"\0", b"")
+    return cells[..., _NARROW].tobytes()
 
 
 def cmd_solve(cfg: dict) -> int:
@@ -124,12 +222,7 @@ def cmd_solve(cfg: dict) -> int:
     try:
         sol = iteration.solve(spec, num["grid"], num["conv_tol"], num["max_iter"])
     except NumericsError as exc:
-        _write_json(outputs.get("report_json"), {
-            "instance": _instance_echo(spec),
-            "error": {"kind": type(exc).__name__, "message": str(exc)},
-        })
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 2
+        return _numeric_failure(cfg, exc, {"instance": _instance_echo(spec)})
     _write_solution_csv(outputs.get("solution_csv"), sol)
     _write_json(outputs.get("report_json"), {
         "instance": _instance_echo(spec),
@@ -167,11 +260,7 @@ def cmd_classify(cfg: dict) -> int:
         if advisory is not None:
             payload["advisory"] = advisory
     except NumericsError as exc:
-        _write_json(cfg.get("outputs", {}).get("report_json"), {
-            "error": {"kind": type(exc).__name__, "message": str(exc)},
-        })
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 2
+        return _numeric_failure(cfg, exc, {})
     _write_json(cfg.get("outputs", {}).get("report_json"), payload)
     print(f"classify: verdict={cls.verdict} rule={cls.matched_rule}")
     return 0
@@ -188,6 +277,23 @@ def cmd_validate(cfg: dict) -> int:
         print(f"validate: all_ok=False ({exc})")
         return 0
     num = _numerics(cfg)
+    try:
+        validation = _validation(spec, num["schedule"])
+    except NumericsError as exc:
+        return _numeric_failure(cfg, exc, {"instance": _instance_echo(spec)})
+    ok = all(c["ok"] for c in validation["hypotheses"].values()
+             if not c["note"].startswith("no ")) and \
+        all(e["ok"] for e in validation["envelopes"].values())
+    payload = {"instance": _instance_echo(spec), "validation": validation,
+               "all_ok": bool(ok)}
+    _write_json(cfg.get("outputs", {}).get("report_json"), payload)
+    print(f"validate: all_ok={payload['all_ok']}")
+    return 0
+
+
+def _validation(spec, schedule: ProbeSchedule) -> dict:
+    """Hypotheses, envelope sandwich checks and the oracle runs of one
+    instance."""
     hyp = model.check_hypotheses(spec)
     envelopes = {}
     single = {}
@@ -197,8 +303,7 @@ def cmd_validate(cfg: dict) -> int:
             "operator": side.op.label, "worst_violation": worst,
             "ok": worst == 0.0, "description": side.env.description}
         try:
-            rep = oracle.single_equation_check(
-                side.nl, side.weight, spec.N, num["schedule"])
+            rep = oracle.single_equation_check(side.nl, side.weight, spec.N, schedule)
             single[str(side.index)] = rep.to_dict()
         except SpecError as exc:
             single[str(side.index)] = {"error": str(exc)}
@@ -210,17 +315,8 @@ def cmd_validate(cfg: dict) -> int:
         inst = oracle.PowerLawInstance(
             alpha_exp=dict(spec.f1.params)["gamma"], beta_exp=dict(spec.f2.params)["gamma"],
             a1=spec.a1, a2=spec.a2, N=spec.N)
-        validation["power_law"] = oracle.power_law_criteria(
-            inst, num["schedule"]).to_dict()
-
-    ok = all(c["ok"] for c in hyp.to_dict().values()
-             if not c["note"].startswith("no ")) and \
-        all(e["ok"] for e in envelopes.values())
-    payload = {"instance": _instance_echo(spec), "validation": validation,
-               "all_ok": bool(ok)}
-    _write_json(cfg.get("outputs", {}).get("report_json"), payload)
-    print(f"validate: all_ok={payload['all_ok']}")
-    return 0
+        validation["power_law"] = oracle.power_law_criteria(inst, schedule).to_dict()
+    return validation
 
 
 def _set_path(cfg: dict, dotted: str, value):

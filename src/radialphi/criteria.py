@@ -367,11 +367,12 @@ class CriteriaReport:
 
 
 def _guarded(builder, schedule: ProbeSchedule) -> LimitVerdict | None:
-    """Run one functional builder; evaluation failures become indeterminate
-    verdicts instead of aborting the remaining entries."""
+    """Run one functional builder; numeric and input failures become
+    indeterminate verdicts instead of aborting the remaining entries, while
+    any other error (a programming error) surfaces."""
     try:
         vals = builder()
-    except (RuntimeError, ValueError) as exc:
+    except (NumericsError, ValueError) as exc:
         return LimitVerdict("indeterminate", note=f"evaluation failed: {exc}")
     if vals is None:
         return None

@@ -1,11 +1,16 @@
 import csv
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from radialphi import cli
+from radialphi import cli, iteration, model
+from radialphi.quadrature import RadialGrid, central_diff
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -244,6 +249,20 @@ class TestValidateCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["validation"]["power_law"]["product_le_one"] is False
 
+    def test_numeric_failure_writes_error_json(self, tmp_path, capsys):
+        # validate used to exit 2 without writing its report
+        cfg = manufactured_config(tmp_path)
+        cfg["problem"]["N"] = 400
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["validate", "--config", str(path)]) == 2
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["instance"]["N"] == 400
+        assert report["error"]["kind"] == "NumericsError"
+        assert "overflowed" in report["error"]["message"]
+        assert "numeric failure" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_decay_exponent_sweep(self, tmp_path):
@@ -340,3 +359,92 @@ class TestDeterminism:
         first = (tmp_path / "solution.csv").read_bytes()
         cli.main(["solve", "--config", str(path)])
         assert first == (tmp_path / "solution.csv").read_bytes()
+
+
+def reference_rows(table) -> bytes:
+    """Every float formatted on its own, the writer's contract."""
+    return "".join(",".join("%.12e" % x for x in row) + "\n"
+                   for row in table).encode()
+
+
+def reference_csv(cols) -> bytes:
+    return b"r,u,v,u_prime,v_prime\n" + reference_rows(zip(*cols))
+
+
+# 13-digit mantissas ending in exactly one half, and their neighbours
+_TIES = st.builds(lambda m, k, side: np.nextafter((m + 0.5) * 10.0 ** k, side),
+                  st.integers(10**12, 10**13 - 1), st.integers(-40, 30),
+                  st.sampled_from([-np.inf, 0.0, np.inf]))
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e22, 1e23,
+          9.9999999999995e-1, 1e-100, 9.999999999999e99, 1e100, -1e300,
+          1.7976931348623157e308, 0.5e-3, 0.5e-7, 0.5e-12, 2.5e-13,
+          float("nan"), float("inf"), float("-inf")]
+# exact ties at the 13th digit, rounded half to even; the last one carries
+_EXACT_TIES = [1234567890123.5, 1234567890122.5, 12345678901235.0,
+               12345678901225.0, -1000000000000.5, 9999999999999.5]
+
+
+class TestSolutionCsv:
+    """The bulk writer is byte-identical to %.12e on every float."""
+
+    @given(st.lists(st.lists(st.floats(), min_size=5, max_size=5), min_size=1, max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_per_float_format(self, rows):
+        table = np.array(rows, dtype=float)
+        assert cli._csv_rows(table) == reference_rows(table)
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 5)),
+                  elements=st.one_of(st.floats(), _TIES, st.sampled_from(_EDGES))))
+    @settings(max_examples=100, deadline=None)
+    def test_mixed_blocks_match_per_float_format(self, table):
+        assert cli._csv_rows(table) == reference_rows(table)
+
+    @pytest.mark.parametrize(
+        "x", _EDGES + _EXACT_TIES + [0.5 * 10.0 ** -k for k in (1, 2, 5, 9, 13)])
+    def test_edge_values(self, x):
+        for row in ([x], [x, 1.0, -x], [1.0, 2.0, x]):
+            table = np.array([row])
+            assert cli._csv_rows(table) == reference_rows(table)
+
+    def test_edge_values_in_one_block(self):
+        table = np.array(_EDGES + _EXACT_TIES[:4]).reshape(-1, 4)
+        assert cli._csv_rows(table) == reference_rows(table)
+
+    @pytest.mark.parametrize("offset", [-0.5, 0.5])
+    def test_exact_when_log10_misjudges_exponent(self, monkeypatch, offset):
+        # every value whose exponent guess is off must take the fallback
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + offset)
+        rng = np.random.default_rng(7)
+        table = rng.uniform(0.0, 1.0, (200, 5)) * 10.0 ** np.arange(-6, 9, 3)
+        assert cli._csv_rows(table) == reference_rows(table)
+
+    def test_manufactured_solve_golden(self, tmp_path):
+        cfg = manufactured_config(tmp_path)
+        assert cli.run_config("solve", cfg) == 0
+        num = cli._numerics(cfg)
+        sol = iteration.solve(model.assemble(cfg["problem"]), num["grid"],
+                              num["conv_tol"], num["max_iter"])
+        cols = (sol.grid.nodes, sol.u, sol.v,
+                central_diff(sol.u, sol.grid.step), central_diff(sol.v, sol.grid.step))
+        assert (tmp_path / "solution.csv").read_bytes() == reference_csv(cols)
+
+    @pytest.mark.parametrize("rows", [2, cli._CSV_BLOCK - 1, cli._CSV_BLOCK,
+                                      cli._CSV_BLOCK + 1, 20_001])
+    def test_block_boundaries(self, tmp_path, rows):
+        # a solution grid has at least two nodes; one row is test_single_row
+        rng = np.random.default_rng(rows)
+        grid = RadialGrid(0.5 * (rows - 1), 0.5)
+        u = rng.standard_normal(rows) * 10.0 ** rng.integers(-5, 5, rows)
+        v = np.exp(rng.uniform(-50, 50, rows))
+        path = tmp_path / "solution.csv"
+        cli._write_solution_csv(str(path), SimpleNamespace(grid=grid, u=u, v=v))
+        cols = (grid.nodes, u, v, central_diff(u, 0.5), central_diff(v, 0.5))
+        text = path.read_bytes()
+        assert text == reference_csv(cols)
+        assert text.count(b"\n") == rows + 1
+
+    def test_single_row(self):
+        table = np.array([[0.0, 1.0, 1.0, -0.0, 2.5e-13]])
+        assert cli._csv_rows(table) == b"0.000000000000e+00,1.000000000000e+00," \
+            b"1.000000000000e+00,-0.000000000000e+00,2.500000000000e-13\n"

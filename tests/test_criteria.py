@@ -241,6 +241,25 @@ class TestReport:
         assert "failed" in rep.upper_coupling_12.note
         assert rep.upper_coupling_21 is not None and not rep.upper_coupling_21.indeterminate
 
+    @pytest.mark.parametrize("error", [NotImplementedError, RecursionError, TypeError])
+    def test_programming_error_surfaces(self, lap, monkeypatch, error):
+        # a bare RuntimeError subclass used to be recorded as an
+        # indeterminate verdict
+        def broken(self, pair):
+            raise error("broken builder")
+        monkeypatch.setattr(cr.CriteriaEvaluator, "upper_coupling_values", broken)
+        with pytest.raises(error, match="broken builder"):
+            cr.build_report(make_spec(lap))
+
+    def test_numeric_failure_in_builder_is_indeterminate(self, lap, monkeypatch):
+        def overflowing(self, pair):
+            raise qd.NumericsError("overflow in builder")
+        monkeypatch.setattr(cr.CriteriaEvaluator, "upper_coupling_values", overflowing)
+        rep = cr.build_report(make_spec(lap))
+        assert rep.upper_coupling_12.indeterminate
+        assert "overflow in builder" in rep.upper_coupling_12.note
+        assert rep.lower_coupling_12.divergent
+
     def test_report_serializes(self, lap):
         import json
         rep = cr.build_report(make_spec(lap, w1="(1+r)^(-3)", w2="(1+r)^(-3)"),
