@@ -34,6 +34,7 @@ by the report's JSON names (``accumulation_1`` ... ``growth_budget_21_relaxed``)
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,13 +314,21 @@ def accumulation_limit(spec: ProblemSpec, side: int,
 
 def probe_grid(schedule: ProbeSchedule):
     """Piecewise-uniform geometric node array covering [0, R_last] with
-    ``segment_nodes`` panels per probe segment, plus the probe indices."""
-    radii = schedule.radii()
-    xs = [np.linspace(0.0, radii[0], schedule.segment_nodes + 1)]
+    ``segment_nodes`` panels per probe segment, plus the probe indices.
+
+    Both arrays are read-only and shared: one pair per probe geometry."""
+    return _probe_grid(tuple(schedule.radii().tolist()), schedule.segment_nodes)
+
+
+@functools.lru_cache(maxsize=4)
+def _probe_grid(radii: tuple, segment_nodes: int):
+    xs = [np.linspace(0.0, radii[0], segment_nodes + 1)]
     for k in range(1, len(radii)):
-        xs.append(np.linspace(radii[k - 1], radii[k], schedule.segment_nodes + 1)[1:])
+        xs.append(np.linspace(radii[k - 1], radii[k], segment_nodes + 1)[1:])
     nodes = np.concatenate(xs)
-    idx = np.array([schedule.segment_nodes * (k + 1) for k in range(len(radii))])
+    idx = segment_nodes * np.arange(1, len(radii) + 1)
+    nodes.flags.writeable = False
+    idx.flags.writeable = False
     return nodes, idx
 
 

@@ -100,6 +100,9 @@ def _half_sweep(spec: ProblemSpec, grid: RadialGrid, weight_samples, side: Side,
             f"non-finite forcing in equation {side.index} at r={nodes[k]:.6g} "
             f"(possible blow-up inside the grid)")
     kernel = radial_kernel_at(forcing, spec.N, nodes)
+    # the flux inverse is the memory peak of a solver sweep: hold no dead
+    # array there
+    del forcing
     slope = h_inverse(side.op, kernel)
     if not np.all(np.isfinite(slope)):
         k = int(np.argmax(~np.isfinite(slope)))

@@ -15,10 +15,46 @@ The kernel integrates s^(N-1) times the piecewise-linear interpolant of the
 samples exactly on each panel (closed-form moments of s^(N-1)), so constant
 and linear integrands are reproduced to roundoff.  Plain trapezoid applied
 to the product s^(N-1) w(s) would lose several digits near the origin.
+
+The moments depend only on the nodes and N, so they live in a ``KernelPlan``
+built once per (node values, N):
+
+* **Blocks.**  The first panel, which contains 0, is a block of its own;
+  from there each block runs to the last node at most twice its bottom
+  radius (a single wider panel is a block too).  For a factor-2 probe
+  schedule every probe-segment edge is such a doubling edge, so each outer
+  segment is one block.
+* **Rescaling.**  Inside a block with top radius T the prefix integral is
+  carried in units of T^N: panel weights come from the nodes divided by T,
+  the carry into the next block is (bottom/T)^N, and K at a node t is
+  t * (T/t)^N times that sum.  No stored power exceeds 2^N, so N = 120 on
+  probes reaching 16384 stays finite where the unscaled s^N and t^(1-N)
+  overflowed once N * log10(R) passed about 308; the plan still overflows
+  when 2^N leaves the float range (N from about 1025).
+* **Row sharing.**  Blocks whose scaled nodes are bitwise equal share one
+  row of weights and output factors.  The 14 outer segments of the default
+  schedule are power-of-two scalings of one another, so that plan stores
+  8192 panels (about 0.2 MB) for 61,440: the first segment's 4096 in 13
+  rows and one row that every outer segment shares.
+* **Cache.**  ``radial_kernel_at`` finds its plan by a signature (size, N,
+  first and last node) and confirms it by comparing every node value, so a
+  node array changed in place gets a new plan.  Up to eight plans are kept,
+  least recently used out first, and the plan of a node array that owns
+  its read-only memory (a probe grid, a ``RadialGrid``) holds it weakly
+  and drops its weights when the array is freed.  Each plan is built once
+  under a lock, so threads share it.
+* **Applying.**  Per stretch of blocks, two multiplies and an add give the
+  panel increments, one cumulative sum per block (one for all the blocks
+  that repeat a row) and a carry at each block edge give the prefix, and
+  one multiply each by the output factors and by t give K; the only
+  temporary holds the second multiply.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +64,7 @@ __all__ = [
     "LimitVerdict",
     "ProbeSchedule",
     "NumericsError",
+    "KernelPlan",
     "central_diff",
     "prefix_trapezoid",
     "radial_kernel_at",
@@ -41,7 +78,7 @@ class NumericsError(RuntimeError):
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform grid 0 = r_0 < r_1 < ... < r_n = r_max."""
+    """Uniform grid 0 = r_0 < r_1 < ... < r_n = r_max; the nodes are read-only."""
 
     r_max: float
     step: float
@@ -51,7 +88,9 @@ class RadialGrid:
         if not (self.r_max > 0 and self.step > 0):
             raise ValueError("r_max and step must be positive")
         n = max(1, int(round(self.r_max / self.step)))
-        nodes = np.linspace(0.0, self.r_max, n + 1)
+        # owned and read-only, so kernel plans hold it instead of a copy
+        nodes = np.linspace(0.0, self.r_max, n + 1).copy()
+        nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "step", self.r_max / n)
 
@@ -86,44 +125,213 @@ def central_diff(values: np.ndarray, step: float) -> np.ndarray:
     return out
 
 
-def _panel_moments(xs: np.ndarray, dim: int):
-    """Weights (c0, c1) with integral_{x_k}^{x_k+1} s^(dim-1) w(s) ds
-    = c0_k w_k + c1_k w_k+1 for piecewise-linear w.  Both are nonnegative,
-    so nonnegative samples integrate to nonnegative prefix sums."""
-    lo = xs[:-1]
-    hi = xs[1:]
+# ---------------------------------------------------------------------------
+# Radial kernel
+
+def _block_weights(x: np.ndarray, dim, out: list) -> float:
+    """Weights of one block from its nodes ``x`` divided by its top radius T.
+
+    Writes into the three arrays ``out`` the panel moments (c0, c1), with
+    integral s^(N-1) w(s) ds / T^N = c0_k w_k + c1_k w_k+1 over panel k,
+    and the output factors (T/t)^N at the nodes above the bottom one;
+    returns the carry (bottom/T)^N.  Both moments are nonnegative, so
+    nonnegative samples integrate to nonnegative prefix sums."""
+    # powers are taken per node, not per panel, so the rounding of a node's
+    # power cancels between its two panels in the prefix sum
+    p = x ** dim
+    q = x ** (dim + 1)
+    np.power(x[1:], -dim, out=out[2])
+    lo, hi = x[:-1], x[1:]
     dx = hi - lo
-    pn = (hi ** dim - lo ** dim) / dim
-    pn1 = (hi ** (dim + 1) - lo ** (dim + 1)) / (dim + 1)
-    c0 = (hi * pn - pn1) / dx
-    c1 = (pn1 - lo * pn) / dx
-    return c0, c1
+    pn = (p[1:] - p[:-1]) / dim
+    pn1 = (q[1:] - q[:-1]) / (dim + 1)
+    np.divide(hi * pn - pn1, dx, out=out[0])
+    np.divide(pn1 - lo * pn, dx, out=out[1])
+    return float(p[0])
+
+
+class KernelPlan:
+    """Read-only kernel plan of one node array and dimension.
+
+    ``weights`` holds three arrays (c0, c1, output factor), each with the
+    rows of every distinct block geometry side by side.  ``runs`` groups
+    the blocks for ``apply``: ``(start, shape, c0, c1, scale, cuts)``
+    covers the panels from node ``start`` on as a ``shape`` matrix with
+    weight views ``c0, c1, scale``.  One row of several blocks, cut at
+    ``cuts = ((begin, end, carry), ...)``, is a stretch of blocks whose
+    rows lie side by side in the weights; several rows are consecutive
+    blocks that share one row of weights, and ``cuts`` is their carry.
+
+    A node array that owns its read-only memory is taken as immutable and
+    held by weak reference: when it is freed the plan drops its weights, so
+    a grid's plan does not outlive the grid.  Any other node array, such
+    as a writable one or a view, is copied.
+
+    Rejects, with ValueError, a dimension below 1 and nodes that are not
+    finite, strictly increasing and starting at 0; raises NumericsError
+    when an output factor overflows.
+    """
+
+    def __init__(self, nodes: np.ndarray, dim):
+        if dim < 1:
+            raise ValueError("dimension must be >= 1")
+        if nodes.ndim != 1 or nodes.size == 0 or nodes[0] != 0.0:
+            raise ValueError("kernel grid must start at 0")
+        if not (np.all(np.isfinite(nodes)) and np.all(nodes[1:] > nodes[:-1])):
+            raise ValueError("kernel nodes must be finite and strictly increasing")
+
+        rows: dict = {}  # bytes of the scaled nodes -> offset in the weights
+        edges = []
+        start = width = 0
+        while start < nodes.size - 1:
+            top_at = int(np.searchsorted(nodes, 2.0 * nodes[start], side="right")) - 1
+            stop = max(start + 1, top_at)
+            key = (nodes[start:stop + 1] / nodes[stop]).tobytes()
+            if key not in rows:
+                rows[key] = width
+                width += stop - start
+            edges.append((start, stop, rows[key]))
+            start = stop
+        weights = tuple(np.empty(width) for _ in range(3))
+        carries = {}
+        with np.errstate(over="ignore"):
+            for key, offset in rows.items():
+                x = np.frombuffer(key)
+                cols = slice(offset, offset + x.size - 1)
+                carries[offset] = _block_weights(x, dim, [w[cols] for w in weights])
+        for w in weights:
+            w.flags.writeable = False
+        if not np.all(np.isfinite(weights[2])):
+            raise NumericsError(
+                f"radial kernel overflowed (dimension {dim}: 2^N leaves the float range)")
+        runs: list = []  # [start, row count, panels per row, offset, cuts]
+        for start, stop, offset in edges:
+            n, carry = stop - start, carries[offset]
+            last = runs[-1] if runs else None
+            if last and last[3] == offset and last[2] == n and len(last[4]) == 1:
+                last[1] += 1
+            elif last and last[1] == 1 and last[3] + last[2] == offset:
+                last[4].append((last[2], last[2] + n, carry))
+                last[2] += n
+            else:
+                runs.append([start, 1, n, offset, [(0, n, carry)]])
+        runs = tuple(
+            (start, (count, n), *(w[offset:offset + n] for w in weights),
+             tuple(cuts) if count == 1 else cuts[0][2])
+            for start, count, n, offset, cuts in runs)
+        self._longest = max((count * n for _, (count, n), *_ in runs), default=0)
+        # a list, so that the weak reference's callback can empty it
+        self._held = [weights, runs]
+        # only an array that owns its read-only memory cannot change under us
+        if nodes.flags.writeable or nodes.base is not None:
+            nodes = nodes.copy()
+            nodes.flags.writeable = False
+            self._nodes = lambda: nodes
+        else:
+            self._nodes = weakref.ref(nodes, lambda _, held=self._held: held.clear())
+
+    @property
+    def nodes(self) -> np.ndarray | None:
+        """The node array; None once a read-only one has been freed."""
+        return self._nodes()
+
+    @property
+    def released(self) -> bool:
+        """True once the node array has been freed and the weights dropped."""
+        return not self._held
+
+    @property
+    def weights(self) -> tuple:
+        return self._held[0] if self._held else ()
+
+    @property
+    def runs(self) -> tuple:
+        return self._held[1] if self._held else ()
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """K[w] at the nodes from the samples ``values`` of w; the caller
+        holds the node array, so the weights stay alive."""
+        out = np.empty_like(values)
+        out[0] = 0.0
+        tmp = np.empty(self._longest)
+        carried = 0.0
+        for start, shape, c0, c1, scale, cuts in self.runs:
+            stop = start + shape[0] * shape[1]
+            seg = out[start + 1:stop + 1].reshape(shape)
+            np.multiply(c0, values[start:stop].reshape(shape), out=seg)
+            seg += np.multiply(c1, values[start + 1:stop + 1].reshape(shape),
+                               out=tmp[:stop - start].reshape(shape))
+            if shape[0] == 1:
+                for begin, end, carry in cuts:
+                    block = seg[0, begin:end]
+                    block[0] += carry * carried
+                    block.cumsum(out=block)
+                    carried = block[-1]
+            else:
+                seg.cumsum(axis=1, out=seg)
+                lifts = tmp[:shape[0]]
+                for i, local in enumerate(seg[:, -1].tolist()):
+                    lifts[i] = cuts * carried
+                    carried = local + lifts[i]
+                seg += lifts[:, None]
+            seg *= scale
+        out[1:] *= self.nodes[1:]
+        return out
+
+
+class _PlanCache:
+    """Kernel plans keyed by node values and dimension, least recently used
+    out first; each plan is built once, under the lock, and released plans
+    are dropped."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self._plans: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, xs: np.ndarray, dim) -> tuple[KernelPlan, np.ndarray]:
+        """The plan of ``xs`` and ``dim`` together with the node array it
+        was checked against; holding that array keeps the plan usable."""
+        key = (xs.size, dim, float(xs[0]), float(xs[-1])) if xs.size else None
+        with self._lock:
+            for dead in [k for k, p in self._plans.items() if p.released]:
+                del self._plans[dead]
+            plan = self._plans.get(key)
+            nodes = None if plan is None else plan.nodes
+            if nodes is not None and np.array_equal(nodes, xs):
+                self._plans.move_to_end(key)
+                return plan, nodes
+            plan = KernelPlan(xs, dim)
+            self._plans[key] = plan
+            self._plans.move_to_end(key)
+            if len(self._plans) > self.size:
+                self._plans.popitem(last=False)
+            return plan, xs
+
+
+# a report probes one grid per dimension, the solver one more, the oracle N-2
+_PLANS = _PlanCache(8)
 
 
 def radial_kernel_at(values: np.ndarray, dim: int, xs: np.ndarray) -> np.ndarray:
     """K[w](t) = t^(1-dim) * integral_0^t s^(dim-1) w(s) ds at nodes ``xs``.
 
-    ``xs`` must start at 0, where K is 0 by the integrand limit.  A
-    non-finite input sample raises ValueError; a kernel that overflows on
-    finite input raises NumericsError.
+    ``xs`` must start at 0, where K is 0 by the integrand limit, and be
+    strictly increasing.  A non-finite input sample or a length mismatch
+    raises ValueError; a kernel that overflows on finite input raises
+    NumericsError.
     """
     values = np.asarray(values, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    if xs[0] != 0.0:
-        raise ValueError("kernel grid must start at 0")
+    if values.shape != xs.shape:
+        raise ValueError("values and nodes differ in length")
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite input sample")
+    plan, anchor = _PLANS.get(xs, dim)
     # an overflow is reported once, by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
-        c0, c1 = _panel_moments(xs, dim)
-        prefix = np.empty_like(values)
-        prefix[0] = 0.0
-        np.cumsum(c0 * values[:-1] + c1 * values[1:], out=prefix[1:])
-        out = np.empty_like(values)
-        out[0] = 0.0
-        out[1:] = prefix[1:] * xs[1:] ** (1 - dim)
+        out = plan.apply(values)
+    del anchor  # held through apply: the plan's weights live while its nodes do
     if not np.all(np.isfinite(out)):
         raise NumericsError("radial kernel overflowed (dimension too large for this range)")
     return out

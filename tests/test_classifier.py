@@ -34,6 +34,18 @@ class TestDecisionTable:
         assert cls.verdict == cl.BOTH_LARGE
         assert cls.matched_rule == "large_both"
 
+    @pytest.mark.parametrize("N", [80, 120])
+    def test_linear_unit_weights_both_large_in_high_dimension(self, lap, N):
+        # the unscaled kernel overflowed once N * log10(16384) passed about
+        # 308 and left this instance indeterminate
+        spec = model.build_problem(
+            N=N, alpha=1.0, beta=1.0, op1=lap, op2=lap,
+            a1=model.weight_from_expr("1"), a2=model.weight_from_expr("1"),
+            f1=model.power_nonlinearity(1.0), f2=model.power_nonlinearity(1.0))
+        cls = cl.classify(spec, cr.build_report(spec), model.check_hypotheses(spec))
+        assert cls.verdict == cl.BOTH_LARGE
+        assert cls.matched_rule == "large_both"
+
     def test_integrable_weights_both_bounded(self, lap):
         _, _, _, cls = classify_weights(lap, "(1+r)^(-4)", "(1+r)^(-4)")
         assert cls.verdict == cl.BOTH_BOUNDED

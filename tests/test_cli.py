@@ -91,9 +91,10 @@ class TestSolveCommand:
 
     def test_kernel_overflow_exits_2(self, tmp_path, capsys):
         # the radial kernel overflows in high dimension: a numeric failure,
-        # which used to be reported as a config error with exit 1
+        # which used to be reported as a config error with exit 1; the
+        # rescaled kernel still overflows once 2^N leaves the float range
         cfg = manufactured_config(tmp_path)
-        cfg["problem"]["N"] = 400
+        cfg["problem"]["N"] = 1100
         path = write_config(tmp_path, cfg)
         with np.errstate(all="ignore"):
             assert cli.main(["solve", "--config", str(path)]) == 2
@@ -108,7 +109,7 @@ class TestSolveCommand:
         # the overflow used to flood stderr with numpy RuntimeWarnings
         # before the single numeric failure
         cfg = manufactured_config(tmp_path)
-        cfg["problem"]["N"] = 400
+        cfg["problem"]["N"] = 1100
         path = write_config(tmp_path, cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -252,13 +253,13 @@ class TestValidateCommand:
     def test_numeric_failure_writes_error_json(self, tmp_path, capsys):
         # validate used to exit 2 without writing its report
         cfg = manufactured_config(tmp_path)
-        cfg["problem"]["N"] = 400
+        cfg["problem"]["N"] = 1100
         path = write_config(tmp_path, cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(["validate", "--config", str(path)]) == 2
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["instance"]["N"] == 400
+        assert report["instance"]["N"] == 1100
         assert report["error"]["kind"] == "NumericsError"
         assert "overflowed" in report["error"]["message"]
         assert "numeric failure" in capsys.readouterr().err

@@ -36,6 +36,14 @@ class TestAccumulation:
         spec = make_spec(lap)
         assert cr.accumulation(spec, 1, "bar", 3.0) == pytest.approx(1.5, rel=1e-9)
 
+    def test_desk_calls_keep_plan_cache_bounded(self, lap, monkeypatch):
+        # every desk radius is a new node array, hence a new kernel plan
+        monkeypatch.setattr(qd, "_PLANS", qd._PlanCache(8))
+        spec = make_spec(lap)
+        for t in np.linspace(1.0, 3.0, 50):
+            assert cr.accumulation(spec, 1, "bar", t) == pytest.approx(t * t / 6, rel=1e-9)
+        assert len(qd._PLANS._plans) <= 8
+
     def test_zero_weight(self, lap):
         spec = make_spec(lap, w1="0")
         assert cr.accumulation(spec, 1, "bar", 5.0) == 0.0
@@ -172,6 +180,17 @@ class TestAccumulationLimit:
         spec = make_spec(lap, w2="0")
         v = cr.accumulation_limit(spec, 2)
         assert v.finite and v.value == 0.0
+
+
+class TestProbeGrid:
+    def test_one_read_only_grid_per_geometry(self):
+        xs, idx = cr.probe_grid(qd.ProbeSchedule())
+        # tolerances do not change the grid, so they share it
+        again = cr.probe_grid(qd.ProbeSchedule(tail_tol=1e-2, blowup_threshold=1e4))
+        assert again[0] is xs and again[1] is idx
+        assert not xs.flags.writeable and not idx.flags.writeable
+        assert cr.probe_grid(qd.ProbeSchedule(segment_nodes=8))[0].size == 15 * 8 + 1
+        assert xs.size == 15 * 4096 + 1 and xs[idx[-1]] == 16384.0
 
 
 class TestYangLimitIdentity:

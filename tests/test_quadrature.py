@@ -1,8 +1,13 @@
+import gc
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radialphi import criteria
 from radialphi import quadrature as qd
 
 
@@ -99,10 +104,151 @@ class TestRadialKernel:
             qd.radial_kernel_at(vals, 3, g.nodes)
 
     def test_overflow_is_numerics_error(self):
+        # 2^N above the float range: even the rescaled kernel overflows
         g = qd.RadialGrid(2.0, 1e-3)
         with np.errstate(all="ignore"), pytest.raises(qd.NumericsError,
                                                       match="overflowed"):
-            qd.radial_kernel_at(np.ones(len(g)), 400, g.nodes)
+            qd.radial_kernel_at(np.ones(len(g)), 1100, g.nodes)
+
+
+def longdouble_kernels(weights, dim, xs):
+    """The unscaled panel-moment kernel of each weight, in extended precision."""
+    x = np.asarray(xs, dtype=np.longdouble)
+    lo, hi = x[:-1], x[1:]
+    # hi ** dim - lo ** dim, with each node's power taken once
+    pn = np.diff(x ** dim) / dim
+    pn1 = np.diff(x ** (dim + 1)) / (dim + 1)
+    c0 = (hi * pn - pn1) / (hi - lo)
+    c1 = (pn1 - lo * pn) / (hi - lo)
+    scale = x[1:] ** (1 - dim)
+    for values in weights:
+        w = np.asarray(values, dtype=np.longdouble)
+        out = np.zeros_like(x)
+        out[1:] = np.cumsum(c0 * w[:-1] + c1 * w[1:]) * scale
+        yield out
+
+
+# 16384^121 overflows double but not the x87 extended format
+needs_extended = pytest.mark.skipif(np.finfo(np.longdouble).maxexp < 16384,
+                                    reason="long double has no extended exponent range")
+
+
+@needs_extended
+class TestKernelAccuracy:
+    """The rescaled block kernel against the unscaled formula in long double."""
+
+    GRIDS = {"probe": lambda: criteria.probe_grid(qd.ProbeSchedule())[0],
+             "uniform": lambda: qd.RadialGrid(20.0, 1e-3).nodes}
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("dim, rtol", [(1, 1e-13), (2, 1e-13), (3, 1e-13),
+                                           (4, 1e-13), (10, 1e-13), (60, 1e-12),
+                                           (80, 1e-12), (120, 1e-12)])
+    def test_matches_extended_precision(self, grid, dim, rtol):
+        xs = self.GRIDS[grid]()
+        weights = [np.ones_like(xs), xs, 6.0 / (1.0 + xs ** 2), (1.0 + xs) ** -3.0]
+        for w, want in zip(weights, longdouble_kernels(weights, dim, xs)):
+            got = qd.radial_kernel_at(w, dim, xs)
+            assert got[0] == 0.0
+            assert np.all(np.abs(got[1:] - want[1:]) <= rtol * np.abs(want[1:]))
+
+
+class TestKernelPlan:
+    """Plans built once per node values and dimension, shared and bounded."""
+
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        fresh = qd._PlanCache(8)
+        monkeypatch.setattr(qd, "_PLANS", fresh)
+        return fresh
+
+    def test_threads_share_one_plan(self, cache, monkeypatch):
+        built = []
+
+        class Counting(qd.KernelPlan):
+            def __init__(self, nodes, dim):
+                built.append(dim)
+                super().__init__(nodes, dim)
+
+        monkeypatch.setattr(qd, "KernelPlan", Counting)
+        xs = criteria.probe_grid(qd.ProbeSchedule())[0]
+        w = (1.0 + xs) ** -3.0
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def work(i):
+            barrier.wait(timeout=10)
+            results[i] = qd.radial_kernel_at(w, 5, xs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert built == [5]
+        assert all(r is not None and np.array_equal(r, results[0]) for r in results)
+
+    def test_keyed_by_value_not_identity(self, cache):
+        # same size and end nodes, different interior: a stale plan would
+        # return K at the old nodes
+        xs = np.linspace(0.0, 2.0, 2001)
+        ones = np.ones_like(xs)
+        assert np.allclose(qd.radial_kernel_at(ones, 3, xs), xs / 3.0, atol=1e-13)
+        xs[:] = xs ** 2 / 2.0
+        assert np.allclose(qd.radial_kernel_at(ones, 3, xs), xs / 3.0, atol=1e-13)
+        # a read-only view changes with the array it views
+        view = xs[:]
+        view.flags.writeable = False
+        assert np.allclose(qd.radial_kernel_at(ones, 3, view), xs / 3.0, atol=1e-13)
+        xs[:] = np.sqrt(2.0 * xs)
+        assert np.allclose(qd.radial_kernel_at(ones, 3, view), xs / 3.0, atol=1e-13)
+
+    def test_plan_arrays_read_only(self, cache):
+        qd.radial_kernel_at(np.ones(101), 3, np.linspace(0.0, 1.0, 101))
+        (plan,) = cache._plans.values()
+        arrays = [plan.nodes, *plan.weights] + [a for r in plan.runs for a in r[2:5]]
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            plan.runs[0][2][0] = 1.0
+
+    def test_grid_plan_dies_with_grid(self, cache):
+        grid = qd.RadialGrid(2.0, 1e-3)
+        qd.radial_kernel_at(np.ones(len(grid)), 3, grid.nodes)
+        (plan,) = cache._plans.values()
+        assert plan.weights and not plan.released
+        del grid
+        gc.collect()
+        assert plan.released and plan.weights == ()
+        qd.radial_kernel_at(np.ones(11), 3, np.linspace(0.0, 1.0, 11))
+        assert plan not in cache._plans.values() and len(cache._plans) == 1
+
+    def test_default_probe_plan_storage(self, cache):
+        xs = criteria.probe_grid(qd.ProbeSchedule())[0]
+        qd.radial_kernel_at(np.ones_like(xs), 3, xs)
+        (plan,) = cache._plans.values()
+        # the probe grid's own array, not a copy
+        assert plan.nodes is xs
+        # 13 rows for the first segment's blocks, one for all 14 outer ones,
+        # applied as 14 blocks side by side and 13 that repeat the last row
+        assert [w.size for w in plan.weights] == [8192] * 3
+        assert [(r[0], r[1]) for r in plan.runs] == [(0, (1, 8192)), (8192, (13, 4096))]
+        assert len(plan.runs[0][5]) == 14
+        assert sum(w.nbytes for w in plan.weights) <= 0.25e6
+
+    def test_rejects_unsorted_nodes(self):
+        # used to return [0, 0.667, 0.333, ...] without complaint
+        with pytest.raises(ValueError, match="strictly increasing"):
+            qd.radial_kernel_at(np.ones(6), 3, np.array([0.0, 2.0, 1.0, 3.0, 4.0, 5.0]))
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            qd.radial_kernel_at(np.ones(5), 3, np.linspace(0.0, 1.0, 6))
 
 
 class TestImproperLimitProbe:
