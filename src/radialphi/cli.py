@@ -49,27 +49,64 @@ class _ConfigError(ValueError):
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise _ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise _ConfigError("config must be a JSON object")
+    return cfg
+
+
+def _section(cfg: dict, dotted: str) -> dict:
+    """The object at the dotted key path, empty when absent."""
+    node = cfg
+    for key in dotted.split("."):
+        node = node.get(key, {})
+        if not isinstance(node, dict):
+            raise _ConfigError(f"{dotted} must be an object")
+    return node
+
+
+def _output(cfg: dict, key: str) -> str | None:
+    """The path of the ``outputs.<key>`` artifact, None when not asked for."""
+    path = _section(cfg, "outputs").get(key)
+    if not (path is None or isinstance(path, str)):
+        # open() would take an integer for a file descriptor
+        raise _ConfigError(f"outputs.{key} must be a path, got {path!r}")
+    return path
+
+
+def _number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise _ConfigError(f"{name} must be a number, got {value!r}") from exc
+
+
+def _assemble(cfg: dict):
+    if "problem" not in cfg:
+        raise _ConfigError("missing config key: 'problem'")
+    return model.assemble(cfg["problem"])
 
 
 def _numerics(cfg: dict):
     """Numeric settings with defaults, rejecting degenerate values that
     would otherwise crash or yield a confident verdict from an empty probe
     grid.  The probe settings are defaulted and checked by ProbeSchedule."""
-    num = cfg.get("numerics", {})
-    grid = RadialGrid(float(num.get("r_max", 2.0)), float(num.get("step", 1e-3)))
-    conv_tol = float(num.get("conv_tol", iteration.DEFAULT_CONV_TOL))
-    max_iter = float(num.get("max_iter", iteration.DEFAULT_MAX_ITER))
-    probe_cfg = num.get("probe", {})
-    settings = {key: float(probe_cfg[key])
+    num = _section(cfg, "numerics")
+    conv_tol = _number(num.get("conv_tol", iteration.DEFAULT_CONV_TOL), "numerics.conv_tol")
+    max_iter = _number(num.get("max_iter", iteration.DEFAULT_MAX_ITER), "numerics.max_iter")
+    probe_cfg = _section(cfg, "numerics.probe")
+    settings = {key: _number(probe_cfg[key], f"numerics.probe.{key}")
                 for key in ("r0", "factor", "count", "segment_nodes") if key in probe_cfg}
-    settings.update((key, float(num[key]))
+    settings.update((key, _number(num[key], f"numerics.{key}"))
                     for key in ("tail_tol", "blowup_threshold") if key in num)
+    r_max = _number(num.get("r_max", 2.0), "numerics.r_max")
+    step = _number(num.get("step", 1e-3), "numerics.step")
     try:
+        grid = RadialGrid(r_max, step)
         schedule = ProbeSchedule(**settings)
     except ValueError as exc:
         raise _ConfigError(f"numerics: {exc}") from exc
@@ -110,7 +147,7 @@ def _write_json(path: str | None, payload: dict):
 def _numeric_failure(cfg: dict, exc: NumericsError, payload: dict) -> int:
     """Report a numeric failure: the error JSON, a stderr line, exit 2."""
     payload["error"] = {"kind": type(exc).__name__, "message": str(exc)}
-    _write_json(cfg.get("outputs", {}).get("report_json"), payload)
+    _write_json(_output(cfg, "report_json"), payload)
     print(f"numeric failure: {exc}", file=sys.stderr)
     return 2
 
@@ -216,15 +253,15 @@ def _finite_csv_rows(table: np.ndarray) -> bytes:
 
 
 def cmd_solve(cfg: dict) -> int:
-    spec = model.assemble(cfg["problem"])
+    spec = _assemble(cfg)
     num = _numerics(cfg)
-    outputs = cfg.get("outputs", {})
+    csv_path, report_path = _output(cfg, "solution_csv"), _output(cfg, "report_json")
     try:
         sol = iteration.solve(spec, num["grid"], num["conv_tol"], num["max_iter"])
     except NumericsError as exc:
         return _numeric_failure(cfg, exc, {"instance": _instance_echo(spec)})
-    _write_solution_csv(outputs.get("solution_csv"), sol)
-    _write_json(outputs.get("report_json"), {
+    _write_solution_csv(csv_path, sol)
+    _write_json(report_path, {
         "instance": _instance_echo(spec),
         "solution": sol.to_dict(),
     })
@@ -234,7 +271,7 @@ def cmd_solve(cfg: dict) -> int:
 
 
 def _classification_payload(cfg: dict):
-    spec = model.assemble(cfg["problem"])
+    spec = _assemble(cfg)
     num = _numerics(cfg)
     hyp = model.check_hypotheses(spec)
     report = criteria.build_report(spec, num["schedule"])
@@ -251,7 +288,7 @@ def _classification_payload(cfg: dict):
 def cmd_classify(cfg: dict) -> int:
     try:
         spec, num, report, cls, payload = _classification_payload(cfg)
-        if cfg.get("classify", {}).get("with_solve", False):
+        if _section(cfg, "classify").get("with_solve", False):
             sol = iteration.solve(spec, num["grid"], num["conv_tol"], num["max_iter"])
             consistency = classifier.cross_check(spec, cls, sol)
             payload["solution"] = sol.to_dict()
@@ -261,19 +298,19 @@ def cmd_classify(cfg: dict) -> int:
             payload["advisory"] = advisory
     except NumericsError as exc:
         return _numeric_failure(cfg, exc, {})
-    _write_json(cfg.get("outputs", {}).get("report_json"), payload)
+    _write_json(_output(cfg, "report_json"), payload)
     print(f"classify: verdict={cls.verdict} rule={cls.matched_rule}")
     return 0
 
 
 def cmd_validate(cfg: dict) -> int:
     try:
-        spec = model.assemble(cfg["problem"])
+        spec = _assemble(cfg)
     except SpecError as exc:
         # the config parsed but an instance hypothesis failed: that is the
         # finding, not a crash
         payload = {"validation": {"assembly_error": str(exc)}, "all_ok": False}
-        _write_json(cfg.get("outputs", {}).get("report_json"), payload)
+        _write_json(_output(cfg, "report_json"), payload)
         print(f"validate: all_ok=False ({exc})")
         return 0
     num = _numerics(cfg)
@@ -286,7 +323,7 @@ def cmd_validate(cfg: dict) -> int:
         all(e["ok"] for e in validation["envelopes"].values())
     payload = {"instance": _instance_echo(spec), "validation": validation,
                "all_ok": bool(ok)}
-    _write_json(cfg.get("outputs", {}).get("report_json"), payload)
+    _write_json(_output(cfg, "report_json"), payload)
     print(f"validate: all_ok={payload['all_ok']}")
     return 0
 
@@ -319,6 +356,21 @@ def _validation(spec, schedule: ProbeSchedule) -> dict:
     return validation
 
 
+def _sweep_axes(sweep: dict) -> list:
+    """The sweep axes, each with a name, a list of values and a list of
+    dotted config paths it sets."""
+    axes = sweep.get("axes", [])
+    if not isinstance(axes, list):
+        raise _ConfigError("sweep.axes must be a list")
+    for i, ax in enumerate(axes):
+        if not (isinstance(ax, dict) and isinstance(ax.get("name"), str)
+                and isinstance(ax.get("values"), list) and isinstance(ax.get("paths"), list)
+                and all(isinstance(path, str) for path in ax["paths"])):
+            raise _ConfigError(f"sweep.axes[{i}] needs a name, a list of values "
+                               "and a list of dotted paths")
+    return axes
+
+
 def _set_path(cfg: dict, dotted: str, value):
     keys = dotted.split(".")
     node = cfg
@@ -336,9 +388,11 @@ def _fmt_cell(value) -> str:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    sweep = cfg.get("sweep", {})
-    axes = sweep.get("axes", [])
-    out_path = sweep.get("csv") or cfg.get("outputs", {}).get("sweep_csv")
+    sweep = _section(cfg, "sweep")
+    axes = _sweep_axes(sweep)
+    out_path = sweep.get("csv") or _output(cfg, "sweep_csv")
+    if not (out_path is None or isinstance(out_path, str)):
+        raise _ConfigError(f"sweep.csv must be a path, got {out_path!r}")
     names = [ax["name"] for ax in axes]
     # every combination, the last axis fastest; no axes means no points,
     # not the one empty combination of an empty product
@@ -358,7 +412,10 @@ def cmd_sweep(cfg: dict) -> int:
             return point, "numeric_failure", type(exc).__name__
 
     workers = os.environ.get("RPS_THREADS")
-    workers = int(workers) if workers else (os.cpu_count() or 1)
+    try:
+        workers = int(workers) if workers else (os.cpu_count() or 1)
+    except ValueError as exc:
+        raise _ConfigError(f"RPS_THREADS must be an integer, got {workers!r}") from exc
     workers = max(1, min(workers, max(1, len(points))))
     if workers > 1 and len(points) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -392,8 +449,7 @@ def run_config(command: str, cfg: dict) -> int:
     """Programmatic entry point used by the CLI and by tests."""
     try:
         return _COMMANDS[command](cfg)
-    except (_ConfigError, SpecError, ExprError, OperatorError,
-            KeyError, TypeError, ValueError) as exc:
+    except (_ConfigError, SpecError, ExprError, OperatorError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except NumericsError as exc:

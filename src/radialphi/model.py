@@ -28,7 +28,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import exprlang
-from .operators import (EnvelopeSet, PhiOperator, check_envelope,
+from .operators import (EnvelopeSet, OperatorError, PhiOperator, check_envelope,
                         derive_envelopes, make_operator)
 
 __all__ = [
@@ -494,8 +494,13 @@ def assemble(problem: Mapping) -> ProblemSpec:
             M1=problem.get("M1"), M2=problem.get("M2"),
             m1=problem.get("m1"), m2=problem.get("m2"),
         )
+    except (SpecError, OperatorError, exprlang.ExprError):
+        raise
     except KeyError as exc:
         raise SpecError(f"missing config key: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        # a value of the wrong type or form, such as N = "three"
+        raise SpecError(f"bad config value: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,13 @@ symmetrically for s1 < 1.  The derived exponents are widened by a small
 safety margin and the sandwich is re-verified on a sample grid before the
 envelope is accepted.
 
-Families without a closed-form inverse are inverted from a per-operator
-table of (ln t, ln h(t)) on a fixed log grid of t, built on first use and
-kept read-only on the operator.  Each value is bracketed by one table cell
-and solved there by secant steps in log-log space, starting from the
-linear interpolant.  Values outside the table, and the rare value whose
-secant steps do not settle, go to a bracketed bisection, which also owns
-the out-of-range failure.
+Families without a closed-form inverse are inverted from two read-only
+tables built on first use: the flux table (ln t, ln h(t)) on a log grid of
+t, and from it a cubic Hermite table of ln t against ln s on uniform cells
+in ln s.  Each value starts from the Hermite interpolant, takes one Newton
+step in log space and must pass a residual check on the exact flux.
+Values outside the table, or failing the check, go to a bracketed
+bisection, which also owns the out-of-range failure.
 """
 
 from __future__ import annotations
@@ -69,14 +69,18 @@ _BRACKET_CAP = 1e300
 _EXPONENT_MARGIN = 1e-3
 # relative tolerance of every flux inverse
 _REL_TOL = 1e-12
-# flux table grid: t in [1e-12, 1e12] at 32 nodes per decade
-_TABLE_GRID = np.logspace(-12.0, 12.0, 24 * 32 + 1)
-# the table inverse works through its input in blocks of this many values,
-# which keeps its temporaries small next to the arrays it inverts
+# flux table grid: t in [1e-30, 1e12] at 32 nodes per decade, low enough
+# that small flux values rarely need bisection
+_TABLE_GRID = np.logspace(-30.0, 12.0, 42 * 32 + 1)
+# inverse table: 64 cells per decade of s, halved at most _REFINEMENTS times;
+# up to _POLISH_STEPS Newton steps set a node (else bisection), and its slope
+# is a central difference with step _SLOPE_EPS in ln t.  It is applied in
+# blocks of _BLOCK values, which keeps its temporaries small
+_INVERSE_STEP = np.log(10.0) / 64
+_REFINEMENTS = 3
+_POLISH_STEPS = 8
+_SLOPE_EPS = 1e-6
 _BLOCK = 8192
-# secant steps a value may take in its table cell before it is handed to
-# bisection; values inside the table settle within four
-_SECANT_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -95,6 +99,15 @@ class PhiOperator:
         """Read-only (ln t, ln h(t)) on the longest finite, strictly
         increasing stretch of the table grid; built on first use."""
         return _flux_table(self)
+
+    @cached_property
+    def inverse_table(self) -> tuple | None:
+        """Read-only (y0, y1, 1/dy, c0, c1, c2, c3): cubic Hermite pieces of
+        ln t against y = ln s on uniform cells of width dy covering the flux
+        table's [y0, y1].  In cell k, with u = (y - y0)/dy - k in [0, 1],
+        ln t = c0[k] + u*(c1[k] + u*(c2[k] + u*c3[k])).  None when the flux
+        table has no cell."""
+        return _inverse_table(self)
 
 
 @dataclass(frozen=True)
@@ -126,45 +139,6 @@ class EnvelopeSet:
 # ---------------------------------------------------------------------------
 # Catalog
 
-def _phi_laplacian():
-    return lambda t: np.ones_like(np.asarray(t, dtype=float))
-
-
-def _phi_p_laplacian(p):
-    return lambda t: np.asarray(t, dtype=float) ** (p - 2.0)
-
-
-def _phi_plasma(p, q):
-    def phi(t):
-        t = np.asarray(t, dtype=float)
-        return t ** (p - 2.0) + t ** (q - 2.0)
-    return phi
-
-
-def _phi_elasticity(p):
-    def phi(t):
-        t = np.asarray(t, dtype=float)
-        return 2.0 * p * (1.0 + t * t) ** (p - 1.0)
-    return phi
-
-
-def _phi_plasticity(p, q):
-    def phi(t):
-        t = np.asarray(t, dtype=float)
-        lg = np.log1p(t)
-        return lg ** (q - 1.0) / (t + 1.0) * (
-            (p * t ** (p - 1.0) + q * t ** (q - 2.0)) * lg + q * t ** (p - 1.0)
-        )
-    return phi
-
-
-def _phi_newtonian(p, q):
-    def phi(t):
-        t = np.asarray(t, dtype=float)
-        return t ** (-p) * np.arcsinh(t) ** q
-    return phi
-
-
 FAMILIES = ("laplacian", "p_laplacian", "plasma", "elasticity",
             "plasticity", "newtonian", "custom")
 
@@ -180,27 +154,31 @@ def make_operator(family: str, **params) -> PhiOperator:
     """
     inverse = None
     if family == "laplacian":
-        phi = _phi_laplacian()
-        inverse = lambda s: np.asarray(s, dtype=float)
+        phi = lambda t: np.ones_like(np.asarray(t, dtype=float))
+        inverse = lambda s: np.array(s, dtype=float)
         label = "laplacian"
     elif family == "p_laplacian":
         p = float(params["p"])
         if not p > 1:
             raise OperatorError("p_laplacian requires p > 1")
-        phi = _phi_p_laplacian(p)
+        phi = lambda t: np.asarray(t, dtype=float) ** (p - 2.0)
         inverse = lambda s, _e=1.0 / (p - 1.0): np.asarray(s, dtype=float) ** _e
         label = f"p_laplacian(p={p:g})"
     elif family == "plasma":
         p, q = float(params["p"]), float(params["q"])
         if not (1 < p < q):
             raise OperatorError("plasma requires 1 < p < q")
-        phi = _phi_plasma(p, q)
+        def phi(t):
+            t = np.asarray(t, dtype=float)
+            return t ** (p - 2.0) + t ** (q - 2.0)
         label = f"plasma(p={p:g}, q={q:g})"
     elif family == "elasticity":
         p = float(params["p"])
         if not p > 0.5:
             raise OperatorError("elasticity requires p > 1/2")
-        phi = _phi_elasticity(p)
+        def phi(t):
+            t = np.asarray(t, dtype=float)
+            return 2.0 * p * (1.0 + t * t) ** (p - 1.0)
         if p == 1.0:
             inverse = lambda s: np.asarray(s, dtype=float) / 2.0
         label = f"elasticity(p={p:g})"
@@ -208,13 +186,20 @@ def make_operator(family: str, **params) -> PhiOperator:
         p, q = float(params["p"]), float(params["q"])
         if not (p > 1 and q > 0):
             raise OperatorError("plasticity requires p > 1 and q > 0")
-        phi = _phi_plasticity(p, q)
+        def phi(t):
+            t = np.asarray(t, dtype=float)
+            lg = np.log1p(t)
+            return lg ** (q - 1.0) / (t + 1.0) * (
+                (p * t ** (p - 1.0) + q * t ** (q - 2.0)) * lg + q * t ** (p - 1.0)
+            )
         label = f"plasticity(p={p:g}, q={q:g})"
     elif family == "newtonian":
         p, q = float(params["p"]), float(params["q"])
         if not (0 <= p <= 1 and q > 0):
             raise OperatorError("newtonian requires 0 <= p <= 1 and q > 0")
-        phi = _phi_newtonian(p, q)
+        def phi(t):
+            t = np.asarray(t, dtype=float)
+            return t ** (-p) * np.arcsinh(t) ** q
         label = f"newtonian(p={p:g}, q={q:g})"
     elif family == "custom":
         expr = params["expr"]
@@ -282,36 +267,32 @@ def h_eval(op: PhiOperator, t):
 
 
 def h_inverse(op: PhiOperator, s):
-    """Unique t >= 0 with h(t) = s, to relative tolerance 1e-12.
+    """Unique t >= 0 with h(t) = s, to relative tolerance 1e-12, as a fresh
+    array (a float for a scalar) that never shares memory with ``s``.
 
-    Uses the analytic inverse when the family has one.  Otherwise each value
-    inside the operator's flux table is solved in its table cell by secant
-    steps on ln h against ln t, clamped to the cell, until a step in ln t is
-    at most a quarter of that.  Values outside the table, and values whose
-    steps have not settled after a fixed count, fall back to a bracketed
-    bisection in log space: the upper bracket doubles from 1 until h catches
-    s (capped at 1e300, beyond which the operator is reported unsuitable),
-    the lower one halves symmetrically.
+    Uses the analytic inverse when the family has one.  Otherwise a value in
+    the inverse table takes one Newton step in log space from the Hermite
+    start, kept only if |ln h(t) - ln s| * (d ln t / d ln s) <= 1e-12/4 on
+    the exact flux.  Other values go to a bisection in log space: the upper
+    bracket doubles from 1 until h catches s (capped at 1e300, beyond which
+    the operator is reported unsuitable), the lower one halves.
     """
-    arr = np.asarray(s, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float)
+    arr = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(arr < 0):
         raise ValueError("flux inverse argument must be nonnegative")
     if op.analytic_h_inverse is not None:
         out = np.asarray(op.analytic_h_inverse(arr), dtype=float)
-        return float(out[0]) if scalar else out
-
-    out = np.zeros_like(arr)
-    pos = arr > 0
-    if np.any(pos):
-        vals = arr[pos]
-        t = _table_inverse(op, vals)
+    else:
+        pos = arr > 0
+        vals = arr if np.all(pos) else arr[pos]
+        out = t = _table_inverse(op, vals)
         miss = np.isnan(t)
         if np.any(miss):
             t[miss] = _bisect_inverse(op, vals[miss])
-        out[pos] = t
-    return float(out[0]) if scalar else out
+        if vals is not arr:
+            out = np.zeros_like(arr)
+            out[pos] = t
+    return float(out[0]) if np.ndim(s) == 0 else out
 
 
 def _h_raw(op: PhiOperator, t: np.ndarray) -> np.ndarray:
@@ -332,6 +313,11 @@ def _h_tolerant(op: PhiOperator, t: np.ndarray) -> np.ndarray:
         return np.concatenate((_h_tolerant(op, t[:mid]), _h_tolerant(op, t[mid:])))
 
 
+def _log_flux(op: PhiOperator, x: np.ndarray) -> np.ndarray:
+    """ln h(e^x), NaN where the profile refuses to evaluate."""
+    return np.log(_h_tolerant(op, np.exp(x)))
+
+
 def _flux_table(op: PhiOperator) -> tuple[np.ndarray, np.ndarray]:
     log_t = np.log(_TABLE_GRID)
     with np.errstate(all="ignore"):
@@ -345,58 +331,72 @@ def _flux_table(op: PhiOperator) -> tuple[np.ndarray, np.ndarray]:
     else:
         k = int(np.argmax(stops - starts))
         keep = slice(starts[k], stops[k] + 1)
-    table = (log_t[keep].copy(), log_h[keep].copy())
-    for arr in table:
+    return _frozen(log_t[keep].copy(), log_h[keep].copy())
+
+
+def _frozen(*arrays):
+    for arr in arrays:
         arr.setflags(write=False)
+    return arrays
+
+
+def _inverse_table(op: PhiOperator) -> tuple | None:
+    """Nodes by Newton steps on the exact flux from the flux table's
+    interpolant, slopes by a central difference of ln h; the cells halve
+    while the table fails its residual check at some cell's quarter points."""
+    log_t, log_h = op.flux_table
+    if log_t.size < 2:
+        return None
+    slope = lambda x: 2.0 * _SLOPE_EPS / (
+        _log_flux(op, x + _SLOPE_EPS) - _log_flux(op, x - _SLOPE_EPS))
+    for level in range(_REFINEMENTS + 1):
+        cells = int(np.ceil((log_h[-1] - log_h[0]) / _INVERSE_STEP)) << level
+        y = np.linspace(log_h[0], log_h[-1], cells + 1)
+        x = np.interp(y, log_h, log_t)
+        with np.errstate(all="ignore"):
+            for _ in range(_POLISH_STEPS):
+                dx = (_log_flux(op, x) - y) * slope(x)
+                x = x - dx
+                if np.all(np.abs(dx) <= _REL_TOL / 4.0):
+                    break
+            loose = ~(np.abs(dx) <= _REL_TOL / 4.0)
+            if np.any(loose):
+                x[loose] = np.log(_bisect_inverse(op, np.exp(y[loose])))
+            m = slope(x) * (y[-1] - y[0]) / cells
+        d = np.diff(x)
+        table = (y[0], y[-1], cells / (y[-1] - y[0])) + _frozen(
+            x[:-1], m[:-1], 3.0 * d - 2.0 * m[:-1] - m[1:], m[:-1] + m[1:] - 2.0 * d)
+        quarters = y[:-1, None] + (y[1] - y[0]) * np.array([0.25, 0.5, 0.75])
+        if not np.any(np.isnan(_table_inverse(op, np.exp(quarters.ravel()), table))):
+            break
     return table
 
 
-def _table_inverse(op: PhiOperator, s: np.ndarray) -> np.ndarray:
-    """Preimages of the positive values ``s`` from the flux table; NaN
-    where the table does not bracket a value or its steps did not settle."""
-    log_t, log_h = op.flux_table
+def _table_inverse(op: PhiOperator, s: np.ndarray, table=None) -> np.ndarray:
+    """Preimages of the positive values ``s`` from ``table`` (default: the
+    operator's inverse table) by blocks: Hermite start, one Newton step with
+    the interpolant's slope, residual check.  NaN where the table does not
+    cover a value or the check fails."""
+    table = table or op.inverse_table
     out = np.full_like(s, np.nan)
-    if log_t.size < 2:
+    if table is None:
         return out
+    y0, y1, inv_dy, c0, c1, c2, c3 = table
     with np.errstate(all="ignore"):
         for start in range(0, s.size, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            out[block] = _secant_block(op, np.log(s[block]), log_t, log_h, _REL_TOL / 4.0)
+            y = np.log(s[start:start + _BLOCK])
+            yc = np.clip(y, y0, y1)
+            u = (yc - y0) * inv_dy
+            k = np.minimum(u.astype(np.intp), c0.size - 1)
+            u -= k
+            a1, a2, a3 = c1[k], c2[k], c3[k]
+            x = c0[k] + u * (a1 + u * (a2 + u * a3))
+            slope = (a1 + u * (2.0 * a2 + 3.0 * u * a3)) * inv_dy
+            x -= (_log_flux(op, x) - yc) * slope
+            t = np.exp(x)
+            ok = np.abs(np.log(_h_tolerant(op, t)) - yc) * slope <= _REL_TOL / 4.0
+            out[start:start + _BLOCK] = np.where(ok & (yc == y), t, np.nan)
     return out
-
-
-def _secant_block(op, y, log_t, log_h, step_tol):
-    """ln t with ln h(t) = y for one block of targets ``y``; NaN where no
-    table cell brackets a target or its steps did not settle."""
-    res = np.full_like(y, np.nan)
-    cell = np.searchsorted(log_h, y, side="right") - 1
-    idx = np.flatnonzero((cell >= 0) & (cell < log_h.size - 1))
-    if idx.size == 0:
-        return res
-    y, cell = y[idx], cell[idx]
-    a, b = log_t[cell], log_t[cell + 1]
-    fa, fb = log_h[cell] - y, log_h[cell + 1] - y
-    # the linear interpolant is the secant through the cell ends; the next
-    # step pairs it with the end across the root
-    x1 = a - fa * (b - a) / (fb - fa)
-    f1 = np.log(_h_raw(op, np.exp(x1))) - y
-    right = f1 > 0
-    x0 = np.where(right, a, b)
-    f0 = np.where(right, fa, fb)
-    for _ in range(_SECANT_STEPS):
-        den = f1 - f0
-        # a flat pair away from the root cannot step: NaN sends it to bisection
-        step = np.where(den != 0, f1 * (x1 - x0) / den, np.where(f1 == 0, 0.0, np.nan))
-        x2 = np.clip(x1 - step, a, b)
-        done = np.abs(step) <= step_tol
-        res[idx[done]] = np.exp(x2[done])
-        live = ~done & np.isfinite(x2)
-        if not np.any(live):
-            break
-        idx, y, a, b = idx[live], y[live], a[live], b[live]
-        x0, f0, x1 = x1[live], f1[live], x2[live]
-        f1 = np.log(_h_raw(op, np.exp(x1))) - y
-    return res
 
 
 def _bisect_inverse(op: PhiOperator, s: np.ndarray) -> np.ndarray:

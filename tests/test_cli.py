@@ -209,6 +209,75 @@ class TestNumericsValidation:
         assert self.run_classify(tmp_path, {"probe": probe}) == (0, True)
 
 
+# one sweep point, so that a sweep assembles the problem
+ALPHA_SWEEP = {"axes": [{"name": "alpha", "paths": ["problem.alpha"], "values": [1.0]}]}
+
+
+class TestConfigErrors:
+    """Config mistakes exit 1 as config errors; programming errors do not."""
+
+    @pytest.mark.parametrize("command", ["solve", "classify", "validate", "sweep"])
+    def test_missing_problem_exits_1(self, tmp_path, capsys, command):
+        cfg = manufactured_config(tmp_path, sweep=ALPHA_SWEEP)
+        del cfg["problem"]
+        assert cli.run_config(command, cfg) == 1
+        # a sweep point creates the problem it sets a value in
+        assert "config error: missing config key: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("classify", "numerics", [1.0]),
+        ("classify", "outputs", "report.json"),
+        ("classify", "classify", True),
+        # an integer path used to be taken as a file descriptor: the report
+        # went to stderr, which was then closed
+        ("classify", "outputs", {"report_json": 2}),
+        ("solve", "outputs", {"solution_csv": 2}),
+        ("sweep", "sweep", {"axes": [], "csv": 2}),
+        ("sweep", "sweep", 3),
+        ("sweep", "sweep", {"axes": 3}),
+        ("sweep", "sweep", {"axes": [{"name": "sigma"}]}),
+        ("sweep", "sweep", {"axes": [{"name": "s", "values": [1.0], "paths": [7]}]}),
+    ])
+    def test_mistyped_sections_exit_1(self, tmp_path, capsys, command, key, value):
+        # these used to escape as AttributeError tracebacks or print bare
+        # KeyError text
+        cfg = manufactured_config(tmp_path, **{key: value})
+        assert cli.run_config(command, cfg) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("numerics,name", [
+        ({"probe": 3}, "numerics.probe"),
+        ({"probe": {"count": "many"}}, "numerics.probe.count"),
+        ({"probe": {"r0": None}}, "numerics.probe.r0"),
+        ({"tail_tol": {}}, "numerics.tail_tol"),
+        ({"r_max": "far"}, "numerics.r_max"),
+        ({"max_iter": [3]}, "numerics.max_iter"),
+    ])
+    def test_mistyped_numerics_name_the_key(self, tmp_path, capsys, numerics, name):
+        cfg = manufactured_config(tmp_path)
+        cfg["numerics"].update(numerics)
+        assert cli.run_config("classify", cfg) == 1
+        assert name in capsys.readouterr().err
+
+    def test_mistyped_problem_value_exits_1(self, tmp_path, capsys):
+        cfg = manufactured_config(tmp_path)
+        cfg["problem"]["N"] = "three"
+        assert cli.run_config("solve", cfg) == 1
+        assert "config error: bad config value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["classify", "sweep"])
+    def test_programming_error_is_not_a_config_error(self, tmp_path, capsys,
+                                                     monkeypatch, command):
+        def broken(*args, **kwargs):
+            raise TypeError("planted")
+
+        monkeypatch.setattr(cli.criteria, "build_report", broken)
+        cfg = manufactured_config(tmp_path, sweep=ALPHA_SWEEP)
+        with pytest.raises(TypeError, match="planted"):
+            cli.run_config(command, cfg)
+        assert "config error" not in capsys.readouterr().err
+
+
 class TestValidateCommand:
     def test_catalog_config_all_pass(self, tmp_path):
         cfg = manufactured_config(tmp_path)

@@ -5,11 +5,15 @@ that hold without knowing either verdict.
   start value) mirrors the verdict and the matched rule.
 * Resolution: doubling the probe's ``segment_nodes`` leaves a decided
   verdict as it is.
+* Refinement: probing at factor sqrt(2) with 29 radii, a superset of the
+  default 15 radii at factor 2 with the same last radius, never turns a
+  decided verdict into one that contradicts it.
 
-Both run over a small catalog of closed-form operators, weights that decay
+All three run over a small catalog of closed-form operators, weights that decay
 at different rates, and power nonlinearities.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +39,16 @@ MIRRORED = {
     "mixed_u_large": "mixed_u_bounded",
     "mixed_u_bounded_sharp": "mixed_u_large_sharp",
     "mixed_u_large_sharp": "mixed_u_bounded_sharp",
+}
+
+# what each verdict says about u and v; None where it says nothing
+COMPONENTS = {
+    cl.BOTH_BOUNDED: ("bounded", "bounded"),
+    cl.BOTH_LARGE: ("large", "large"),
+    cl.U_BOUNDED_V_LARGE: ("bounded", "large"),
+    cl.U_LARGE_V_BOUNDED: ("large", "bounded"),
+    cl.EXISTS_UNCLASSIFIED: (None, None),
+    cl.INDETERMINATE: (None, None),
 }
 
 sides = st.tuples(st.sampled_from(sorted(OPERATORS)), st.sampled_from(WEIGHTS),
@@ -69,3 +83,16 @@ def test_finer_probe_grid_keeps_decided_verdict(N, side1, side2):
         finer = qd.ProbeSchedule(tail_tol=SCHEDULE.tail_tol,
                                  segment_nodes=2 * SCHEDULE.segment_nodes)
         assert classify(N, side1, side2, finer).verdict == cls.verdict
+
+
+@settings(max_examples=8, deadline=None)
+@given(dims, sides, sides)
+def test_refined_schedule_never_contradicts_decided_verdict(N, side1, side2):
+    cls = classify(N, side1, side2, SCHEDULE)
+    if cls.verdict != cl.INDETERMINATE:
+        refined = qd.ProbeSchedule(tail_tol=SCHEDULE.tail_tol, factor=2.0 ** 0.5,
+                                   count=2 * SCHEDULE.count - 1)
+        assert refined.radii()[-1] == pytest.approx(SCHEDULE.radii()[-1])
+        got = classify(N, side1, side2, refined).verdict
+        for was, now in zip(COMPONENTS[cls.verdict], COMPONENTS[got]):
+            assert None in (was, now) or was == now, (cls.verdict, got)

@@ -1,4 +1,6 @@
 import sys
+import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -269,3 +271,103 @@ class TestTableInverse:
         for out in outs:
             assert np.array_equal(out, outs[0])
         assert np.max(np.abs(outs[0] - want) / want) <= 1e-12
+
+
+class TestHermiteInverse:
+    """The inverse table: Hermite start, one Newton step, residual check."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, len(TABULATED) - 1), st.floats(0.0, 1.0))
+    def test_extended_range_agrees_with_bisection(self, tabulated, k, frac):
+        # from the flux at the table bottom, t = 1e-30, up to 1e8
+        op = tabulated[k]
+        lo = op.flux_table[1][0]
+        s = float(np.exp(lo + frac * (np.log(1e8) - lo)))
+        want = float(bisected(op, [s])[0])
+        assert abs(ops.h_inverse(op, s) - want) <= 1e-12 * want
+
+    def test_table_reaches_down_to_1e_30(self, tabulated):
+        for op in tabulated:
+            assert op.flux_table[0][0] == pytest.approx(np.log(1e-30)), op.label
+
+    def test_values_on_nodes_and_in_last_cell(self, tabulated):
+        for op in tabulated:
+            y0, y1, inv_dy, c0, *_ = op.inverse_table
+            nodes = np.append(y0 + np.arange(c0.size) / inv_dy, y1)
+            last = np.linspace(y1 - 1.0 / inv_dy, y1, 101)[1:-1]
+            for ys in (nodes, last):
+                ss = np.exp(ys)
+                want = bisected(op, ss)
+                assert np.max(np.abs(ops.h_inverse(op, ss) - want) / want) <= 1e-12, op.label
+                # the end nodes may round outside the table under exp/log
+                inner = ops._table_inverse(op, ss[1:-1])
+                assert not np.any(np.isnan(inner)), op.label
+                assert np.max(np.abs(inner - want[1:-1]) / want[1:-1]) <= 1e-12, op.label
+
+    def test_smooth_fluxes_keep_the_base_step(self, tabulated):
+        # one Newton step from the Hermite start passes the residual check
+        # everywhere at 64 cells per decade; only the sharp 1 + t^30 refines
+        for op in tabulated:
+            y0, y1, _, c0, *_ = op.inverse_table
+            cells, base = c0.size, int(np.ceil((y1 - y0) / ops._INVERSE_STEP))
+            if op.label == "custom(1 + t^30)":
+                assert cells > base
+            else:
+                assert cells == base, op.label
+
+    def test_kinked_flux_is_rescued_by_the_residual_check(self):
+        # the flux slope jumps from 1 to 1001 at t = 1, inside one cell: the
+        # Hermite start and one Newton step miss there, and only the
+        # residual check keeps those values away from the output
+        op = ops.PhiOperator(family="custom", params=(), label="kinked",
+                             phi=lambda t: 1.0 + 1e3 * np.maximum(np.asarray(t) - 1.0, 0.0))
+        ss = np.linspace(0.9, 1.5, 2001)
+        want = bisected(op, ss)
+        assert np.max(np.abs(ops.h_inverse(op, ss) - want) / want) <= 1e-12
+        assert np.any(np.isnan(ops._table_inverse(op, ss)))
+
+    def test_extended_range_warns_nothing(self):
+        ss = np.logspace(-40.0, 20.0, 3001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for family, params in TABULATED:
+                op = ops.make_operator(family, **params)
+                got = ops.h_inverse(op, ss)
+                assert np.all(np.isfinite(got) & (got > 0)), op.label
+
+    @pytest.mark.parametrize("family,params", [
+        ("plasma", {"p": 2.0, "q": 3.0}),
+        ("plasticity", {"p": 2.0, "q": 1.0}),
+        ("custom", {"expr": "sqrt(1 + t^2)"}),
+    ])
+    def test_peak_memory_stays_blocked(self, family, params):
+        # temporaries are bounded by the block size, not by the input: the
+        # peak stays near three times the input (output, mask, input-sized
+        # logs); an unblocked apply reaches 16-18 times
+        op = ops.make_operator(family, **params)
+        ss = np.logspace(-10.0, 7.0, 61441)
+        ops.h_inverse(op, ss)
+        tracemalloc.start()
+        try:
+            ops.h_inverse(op, ss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * ss.nbytes
+
+
+class TestInverseInput:
+    @pytest.mark.parametrize("family,params", CATALOG + [("custom", {"expr": "1 + t"})])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_output_is_fresh_and_input_untouched(self, family, params, zeros):
+        op = ops.make_operator(family, **params)
+        ss = np.logspace(-3.0, 3.0, 50)
+        if zeros:
+            ss[::7] = 0.0
+        ss.setflags(write=False)
+        before = ss.copy()
+        out = ops.h_inverse(op, ss)
+        assert not np.shares_memory(out, ss)
+        assert np.array_equal(ss, before)
+        out[:] = -1.0
+        assert np.array_equal(ss, before)
