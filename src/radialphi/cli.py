@@ -69,13 +69,17 @@ def _section(cfg: dict, dotted: str) -> dict:
     return node
 
 
+def _path(value, name: str) -> str | None:
+    """The file path a config value names, None when it is absent."""
+    if not (value is None or isinstance(value, str)):
+        # open() would take an integer for a file descriptor
+        raise _ConfigError(f"{name} must be a path, got {value!r}")
+    return value
+
+
 def _output(cfg: dict, key: str) -> str | None:
     """The path of the ``outputs.<key>`` artifact, None when not asked for."""
-    path = _section(cfg, "outputs").get(key)
-    if not (path is None or isinstance(path, str)):
-        # open() would take an integer for a file descriptor
-        raise _ConfigError(f"outputs.{key} must be a path, got {path!r}")
-    return path
+    return _path(_section(cfg, "outputs").get(key), f"outputs.{key}")
 
 
 def _number(value, name: str) -> float:
@@ -390,9 +394,7 @@ def _fmt_cell(value) -> str:
 def cmd_sweep(cfg: dict) -> int:
     sweep = _section(cfg, "sweep")
     axes = _sweep_axes(sweep)
-    out_path = sweep.get("csv") or _output(cfg, "sweep_csv")
-    if not (out_path is None or isinstance(out_path, str)):
-        raise _ConfigError(f"sweep.csv must be a path, got {out_path!r}")
+    out_path = _path(sweep.get("csv"), "sweep.csv") or _output(cfg, "sweep_csv")
     names = [ax["name"] for ax in axes]
     # every combination, the last axis fastest; no axes means no points,
     # not the one empty combination of an empty product

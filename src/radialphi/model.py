@@ -28,7 +28,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import exprlang
-from .operators import (EnvelopeSet, OperatorError, PhiOperator, check_envelope,
+from .operators import (EnvelopeSet, PhiOperator, check_envelope,
                         derive_envelopes, make_operator)
 
 __all__ = [
@@ -418,55 +418,119 @@ def _finalize_side(nl: Nonlinearity, name: str, start_own: float,
 # ---------------------------------------------------------------------------
 # Config-driven assembly
 
-def _weight_from_config(cfg, label: str) -> Weight:
+_REQUIRED = object()
+
+
+def _get(cfg, key: str, where: str, default=_REQUIRED):
+    """``cfg[key]`` of the config object at ``where``: a SpecError when cfg
+    is not an object or a required key is missing."""
+    if not isinstance(cfg, Mapping):
+        raise SpecError(f"{where} must be an object, got {cfg!r}")
+    if key in cfg:
+        return cfg[key]
+    if default is _REQUIRED:
+        raise SpecError(f"missing config key: {where}.{key}")
+    return default
+
+
+def _num(value, where: str):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise SpecError(f"{where} must be a number, got {value!r}") from None
+
+
+def _whole(value, where: str) -> int:
+    """A config integer; 3.0 reads as 3, while 3.7 is refused (int() would
+    truncate it)."""
+    number = _num(value, where)
+    if not number.is_integer():
+        raise SpecError(f"{where} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _num_or_none(value, where: str):
+    return None if value is None else _num(value, where)
+
+
+def _nums(cfg, key: str, where: str) -> list:
+    values = _get(cfg, key, where)
+    if not isinstance(values, list):
+        raise SpecError(f"{where}.{key} must be a list, got {values!r}")
+    return [_num(v, f"{where}.{key}[{i}]") for i, v in enumerate(values)]
+
+
+def _params(cfg, where: str) -> dict | None:
+    """The optional ``params`` object of an expression: names to numbers."""
+    params = _get(cfg, "params", where, None)
+    if params is None:
+        return None
+    if not isinstance(params, Mapping):
+        raise SpecError(f"{where}.params must be an object, got {params!r}")
+    return {k: _num(v, f"{where}.params.{k}") for k, v in params.items()}
+
+
+def _text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise SpecError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def _weight_from_config(cfg, where: str, label: str) -> Weight:
     if isinstance(cfg, str):
         return weight_from_expr(cfg, label=label + ": " + cfg.strip())
-    return weight_from_expr(cfg["expr"], cfg.get("params"),
-                            label=label + ": " + cfg["expr"].strip())
+    expr = _text(_get(cfg, "expr", where), where + ".expr")
+    return weight_from_expr(expr, _params(cfg, where), label=label + ": " + expr.strip())
 
 
-def _nonlinearity_from_config(cfg) -> Nonlinearity:
+def _nonlinearity_from_config(cfg, where: str) -> Nonlinearity:
     if isinstance(cfg, str):
         cfg = {"family": "custom", "expr": cfg}
-    family = cfg.get("family", "custom")
+    family = _get(cfg, "family", where, "custom")
     if family == "power":
-        return power_nonlinearity(float(cfg["gamma"]))
+        return power_nonlinearity(_num(_get(cfg, "gamma", where), where + ".gamma"))
     if family == "power_combination":
-        return power_combination_nonlinearity(cfg["coeffs"], cfg["exponents"])
+        return power_combination_nonlinearity(_nums(cfg, "coeffs", where),
+                                              _nums(cfg, "exponents", where))
     if family == "exp_minus_one":
         return exp_minus_one_nonlinearity()
     if family == "log1p":
         return log1p_nonlinearity()
     if family == "custom":
-        env = cfg.get("envelopes", {})
+        env_where = where + ".envelopes"
+        env = _get(cfg, "envelopes", where, {})
+        opt = lambda key: _get(env, key, env_where, None)
         return custom_nonlinearity(
-            cfg["expr"], cfg.get("params"),
-            c_bar=env.get("c_bar"), g=env.get("g"), xi_bar=env.get("xi_bar"),
-            c_under=env.get("c_under"), xi_under=env.get("xi_under"))
+            _text(_get(cfg, "expr", where), where + ".expr"), _params(cfg, where),
+            c_bar=_num_or_none(opt("c_bar"), env_where + ".c_bar"),
+            g=opt("g"), xi_bar=opt("xi_bar"),
+            c_under=_num_or_none(opt("c_under"), env_where + ".c_under"),
+            xi_under=opt("xi_under"))
     raise SpecError(f"unknown nonlinearity family {family!r}")
 
 
-def _operator_from_config(cfg) -> PhiOperator:
+def _operator_from_config(cfg, where: str) -> PhiOperator:
     if isinstance(cfg, str):
         cfg = {"family": cfg}
-    params = {k: v for k, v in cfg.items() if k != "family"}
-    return make_operator(cfg["family"], **params)
+    family = _get(cfg, "family", where)
+    return make_operator(family, **{k: v for k, v in cfg.items() if k != "family"})
 
 
-def _envelope_from_config(cfg, op: PhiOperator) -> EnvelopeSet | None:
+def _envelope_from_config(cfg, op: PhiOperator, where: str) -> EnvelopeSet | None:
     if cfg is None:
         return None
     from .operators import h_inverse as _hinv
+    params = _params(cfg, where)
 
     def fn_of(key):
-        src = cfg[key]
+        src = _get(cfg, key, where)
         if src == "h_inverse":
             return lambda s: _hinv(op, s)
-        return exprlang.parse(src, cfg.get("params"))
+        return exprlang.parse(src, params)
 
     return EnvelopeSet(
-        k_under=float(cfg.get("k_under", 1.0)),
-        k_bar=float(cfg.get("k_bar", 1.0)),
+        k_under=_num(_get(cfg, "k_under", where, 1.0), where + ".k_under"),
+        k_bar=_num(_get(cfg, "k_bar", where, 1.0), where + ".k_bar"),
         theta_under=fn_of("theta_under"),
         theta_bar=fn_of("theta_bar"),
         psi_under=fn_of("psi_under"),
@@ -476,31 +540,27 @@ def _envelope_from_config(cfg, op: PhiOperator) -> EnvelopeSet | None:
 
 
 def assemble(problem: Mapping) -> ProblemSpec:
-    """Build a ProblemSpec from the parsed ``problem`` section of a config."""
-    try:
-        op1 = _operator_from_config(problem["operator1"])
-        op2 = _operator_from_config(problem["operator2"])
-        return build_problem(
-            N=int(problem["N"]),
-            alpha=float(problem["alpha"]),
-            beta=float(problem["beta"]),
-            op1=op1, op2=op2,
-            a1=_weight_from_config(problem["weight1"], "a1"),
-            a2=_weight_from_config(problem["weight2"], "a2"),
-            f1=_nonlinearity_from_config(problem["f1"]),
-            f2=_nonlinearity_from_config(problem["f2"]),
-            env1=_envelope_from_config(problem.get("envelope1"), op1),
-            env2=_envelope_from_config(problem.get("envelope2"), op2),
-            M1=problem.get("M1"), M2=problem.get("M2"),
-            m1=problem.get("m1"), m2=problem.get("m2"),
-        )
-    except (SpecError, OperatorError, exprlang.ExprError):
-        raise
-    except KeyError as exc:
-        raise SpecError(f"missing config key: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        # a value of the wrong type or form, such as N = "three"
-        raise SpecError(f"bad config value: {exc}") from exc
+    """Build a ProblemSpec from the parsed ``problem`` section of a config.
+    A missing key, or a value of the wrong type, is a SpecError naming it."""
+    def get(key, default=_REQUIRED):
+        return _get(problem, key, "problem", default)
+
+    op1 = _operator_from_config(get("operator1"), "problem.operator1")
+    op2 = _operator_from_config(get("operator2"), "problem.operator2")
+    return build_problem(
+        N=_whole(get("N"), "problem.N"),
+        alpha=_num(get("alpha"), "problem.alpha"),
+        beta=_num(get("beta"), "problem.beta"),
+        op1=op1, op2=op2,
+        a1=_weight_from_config(get("weight1"), "problem.weight1", "a1"),
+        a2=_weight_from_config(get("weight2"), "problem.weight2", "a2"),
+        f1=_nonlinearity_from_config(get("f1"), "problem.f1"),
+        f2=_nonlinearity_from_config(get("f2"), "problem.f2"),
+        env1=_envelope_from_config(get("envelope1", None), op1, "problem.envelope1"),
+        env2=_envelope_from_config(get("envelope2", None), op2, "problem.envelope2"),
+        **{key: _num_or_none(get(key, None), "problem." + key)
+           for key in ("M1", "M2", "m1", "m2")},
+    )
 
 
 # ---------------------------------------------------------------------------

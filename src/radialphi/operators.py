@@ -23,9 +23,11 @@ Families without a closed-form inverse are inverted from two read-only
 tables built on first use: the flux table (ln t, ln h(t)) on a log grid of
 t, and from it a cubic Hermite table of ln t against ln s on uniform cells
 in ln s.  Each value starts from the Hermite interpolant, takes one Newton
-step in log space and must pass a residual check on the exact flux.
-Values outside the table, or failing the check, go to a bracketed
-bisection, which also owns the out-of-range failure.
+step in log space and must pass a residual check on the exact flux, which
+bounds the slope of the inverse in the value's cell from above; a value
+that fails takes one more Newton step with the exact slope.  Values outside
+the table, or failing twice, go to a bracketed bisection, which also owns
+the out-of-range failure.
 """
 
 from __future__ import annotations
@@ -72,12 +74,11 @@ _REL_TOL = 1e-12
 # flux table grid: t in [1e-30, 1e12] at 32 nodes per decade, low enough
 # that small flux values rarely need bisection
 _TABLE_GRID = np.logspace(-30.0, 12.0, 42 * 32 + 1)
-# inverse table: 64 cells per decade of s, halved at most _REFINEMENTS times;
-# up to _POLISH_STEPS Newton steps set a node (else bisection), and its slope
-# is a central difference with step _SLOPE_EPS in ln t.  It is applied in
-# blocks of _BLOCK values, which keeps its temporaries small
+# inverse table: 64 cells per decade of s; up to _POLISH_STEPS Newton steps
+# set a node (else bisection), and its slope is a central difference with
+# step _SLOPE_EPS in ln t.  It is applied in blocks of _BLOCK values, which
+# keeps its temporaries small
 _INVERSE_STEP = np.log(10.0) / 64
-_REFINEMENTS = 3
 _POLISH_STEPS = 8
 _SLOPE_EPS = 1e-6
 _BLOCK = 8192
@@ -102,10 +103,11 @@ class PhiOperator:
 
     @cached_property
     def inverse_table(self) -> tuple | None:
-        """Read-only (y0, y1, 1/dy, c0, c1, c2, c3): cubic Hermite pieces of
-        ln t against y = ln s on uniform cells of width dy covering the flux
-        table's [y0, y1].  In cell k, with u = (y - y0)/dy - k in [0, 1],
-        ln t = c0[k] + u*(c1[k] + u*(c2[k] + u*c3[k])).  None when the flux
+        """Read-only (y0, y1, 1/dy, c0, c1, c2, c3, top): cubic Hermite pieces
+        of ln t against y = ln s on uniform cells of width dy covering the
+        flux table's [y0, y1].  In cell k, with u = (y - y0)/dy - k in
+        [0, 1], ln t = c0[k] + u*(c1[k] + u*(c2[k] + u*c3[k])), and top[k]
+        bounds the slope d ln t / d ln s in the cell.  None when the flux
         table has no cell."""
         return _inverse_table(self)
 
@@ -139,6 +141,45 @@ class EnvelopeSet:
 # ---------------------------------------------------------------------------
 # Catalog
 
+def _phi_laplacian():
+    return lambda t: np.ones_like(np.asarray(t, dtype=float))
+
+
+def _phi_p_laplacian(p):
+    return lambda t: np.asarray(t, dtype=float) ** (p - 2.0)
+
+
+def _phi_plasma(p, q):
+    def phi(t):
+        t = np.asarray(t, dtype=float)
+        return t ** (p - 2.0) + t ** (q - 2.0)
+    return phi
+
+
+def _phi_elasticity(p):
+    def phi(t):
+        t = np.asarray(t, dtype=float)
+        return 2.0 * p * (1.0 + t * t) ** (p - 1.0)
+    return phi
+
+
+def _phi_plasticity(p, q):
+    def phi(t):
+        t = np.asarray(t, dtype=float)
+        lg = np.log1p(t)
+        return lg ** (q - 1.0) / (t + 1.0) * (
+            (p * t ** (p - 1.0) + q * t ** (q - 2.0)) * lg + q * t ** (p - 1.0)
+        )
+    return phi
+
+
+def _phi_newtonian(p, q):
+    def phi(t):
+        t = np.asarray(t, dtype=float)
+        return t ** (-p) * np.arcsinh(t) ** q
+    return phi
+
+
 FAMILIES = ("laplacian", "p_laplacian", "plasma", "elasticity",
             "plasticity", "newtonian", "custom")
 
@@ -150,58 +191,60 @@ def make_operator(family: str, **params) -> PhiOperator:
     elasticity p > 1/2; plasticity p > 1, q > 0; newtonian 0 <= p <= 1,
     q > 0; custom takes ``expr`` (an exprlang Expr or source string for the
     profile phi).  The laplacian is phi == 1, so the flux map is the
-    identity.
+    identity.  A missing or non-numeric parameter is an OperatorError.
     """
+    try:
+        num = {k: float(v) for k, v in params.items() if k != "expr"}
+    except (TypeError, ValueError) as exc:
+        raise OperatorError(f"{family}: parameters must be numbers ({exc})") from None
+
+    def need(*names):
+        missing = [name for name in names if name not in num]
+        if missing:
+            raise OperatorError(f"{family} requires parameter {missing[0]!r}")
+        return [num[name] for name in names]
+
     inverse = None
     if family == "laplacian":
-        phi = lambda t: np.ones_like(np.asarray(t, dtype=float))
+        phi = _phi_laplacian()
         inverse = lambda s: np.array(s, dtype=float)
         label = "laplacian"
     elif family == "p_laplacian":
-        p = float(params["p"])
+        p, = need("p")
         if not p > 1:
             raise OperatorError("p_laplacian requires p > 1")
-        phi = lambda t: np.asarray(t, dtype=float) ** (p - 2.0)
+        phi = _phi_p_laplacian(p)
         inverse = lambda s, _e=1.0 / (p - 1.0): np.asarray(s, dtype=float) ** _e
         label = f"p_laplacian(p={p:g})"
     elif family == "plasma":
-        p, q = float(params["p"]), float(params["q"])
+        p, q = need("p", "q")
         if not (1 < p < q):
             raise OperatorError("plasma requires 1 < p < q")
-        def phi(t):
-            t = np.asarray(t, dtype=float)
-            return t ** (p - 2.0) + t ** (q - 2.0)
+        phi = _phi_plasma(p, q)
         label = f"plasma(p={p:g}, q={q:g})"
     elif family == "elasticity":
-        p = float(params["p"])
+        p, = need("p")
         if not p > 0.5:
             raise OperatorError("elasticity requires p > 1/2")
-        def phi(t):
-            t = np.asarray(t, dtype=float)
-            return 2.0 * p * (1.0 + t * t) ** (p - 1.0)
+        phi = _phi_elasticity(p)
         if p == 1.0:
             inverse = lambda s: np.asarray(s, dtype=float) / 2.0
         label = f"elasticity(p={p:g})"
     elif family == "plasticity":
-        p, q = float(params["p"]), float(params["q"])
+        p, q = need("p", "q")
         if not (p > 1 and q > 0):
             raise OperatorError("plasticity requires p > 1 and q > 0")
-        def phi(t):
-            t = np.asarray(t, dtype=float)
-            lg = np.log1p(t)
-            return lg ** (q - 1.0) / (t + 1.0) * (
-                (p * t ** (p - 1.0) + q * t ** (q - 2.0)) * lg + q * t ** (p - 1.0)
-            )
+        phi = _phi_plasticity(p, q)
         label = f"plasticity(p={p:g}, q={q:g})"
     elif family == "newtonian":
-        p, q = float(params["p"]), float(params["q"])
+        p, q = need("p", "q")
         if not (0 <= p <= 1 and q > 0):
             raise OperatorError("newtonian requires 0 <= p <= 1 and q > 0")
-        def phi(t):
-            t = np.asarray(t, dtype=float)
-            return t ** (-p) * np.arcsinh(t) ** q
+        phi = _phi_newtonian(p, q)
         label = f"newtonian(p={p:g}, q={q:g})"
     elif family == "custom":
+        if "expr" not in params:
+            raise OperatorError("custom requires parameter 'expr'")
         expr = params["expr"]
         if not isinstance(expr, Expr):
             from .exprlang import parse
@@ -213,7 +256,7 @@ def make_operator(family: str, **params) -> PhiOperator:
 
     op = PhiOperator(
         family=family,
-        params=tuple(sorted((k, float(v)) for k, v in params.items() if k != "expr")),
+        params=tuple(sorted(num.items())),
         label=label,
         phi=phi,
         analytic_h_inverse=inverse,
@@ -272,8 +315,10 @@ def h_inverse(op: PhiOperator, s):
 
     Uses the analytic inverse when the family has one.  Otherwise a value in
     the inverse table takes one Newton step in log space from the Hermite
-    start, kept only if |ln h(t) - ln s| * (d ln t / d ln s) <= 1e-12/4 on
-    the exact flux.  Other values go to a bisection in log space: the upper
+    start, kept only if |ln(h(t)/s)| * (a bound on d ln t / d ln s in its
+    cell) <= 1e-12/4 on the exact flux; a value that fails takes one more
+    step with the exact slope and is checked again.  Other values go to a
+    bisection in log space: the upper
     bracket doubles from 1 until h catches s (capped at 1e300, beyond which
     the operator is reported unsuitable), the lower one halves.
     """
@@ -318,6 +363,12 @@ def _log_flux(op: PhiOperator, x: np.ndarray) -> np.ndarray:
     return np.log(_h_tolerant(op, np.exp(x)))
 
 
+def _log_ratio(op: PhiOperator, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """ln(h(e^x) / s), the residual of ln t = x, exact to the precision of
+    h rather than of ln s (which loses digits far from s = 1)."""
+    return np.log(_h_tolerant(op, np.exp(x)) / s)
+
+
 def _flux_table(op: PhiOperator) -> tuple[np.ndarray, np.ndarray]:
     log_t = np.log(_TABLE_GRID)
     with np.errstate(all="ignore"):
@@ -340,51 +391,65 @@ def _frozen(*arrays):
     return arrays
 
 
+def _log_slope(op: PhiOperator, x: np.ndarray) -> np.ndarray:
+    """d ln t / d ln h at ln t = x, by a central difference."""
+    return 2.0 * _SLOPE_EPS / (
+        _log_flux(op, x + _SLOPE_EPS) - _log_flux(op, x - _SLOPE_EPS))
+
+
 def _inverse_table(op: PhiOperator) -> tuple | None:
     """Nodes by Newton steps on the exact flux from the flux table's
-    interpolant, slopes by a central difference of ln h; the cells halve
-    while the table fails its residual check at some cell's quarter points."""
+    interpolant, slopes by a central difference of ln h.  A cell's slope
+    bound is the largest of the exact slopes at its nodes and the flux
+    table's secant slopes over the stretch of ln s it covers, so a kink or
+    a flat stretch of the flux inside a cell raises it, unless that is
+    finer than the flux table's grid."""
     log_t, log_h = op.flux_table
     if log_t.size < 2:
         return None
-    slope = lambda x: 2.0 * _SLOPE_EPS / (
-        _log_flux(op, x + _SLOPE_EPS) - _log_flux(op, x - _SLOPE_EPS))
-    for level in range(_REFINEMENTS + 1):
-        cells = int(np.ceil((log_h[-1] - log_h[0]) / _INVERSE_STEP)) << level
-        y = np.linspace(log_h[0], log_h[-1], cells + 1)
-        x = np.interp(y, log_h, log_t)
-        with np.errstate(all="ignore"):
-            for _ in range(_POLISH_STEPS):
-                dx = (_log_flux(op, x) - y) * slope(x)
-                x = x - dx
-                if np.all(np.abs(dx) <= _REL_TOL / 4.0):
-                    break
-            loose = ~(np.abs(dx) <= _REL_TOL / 4.0)
-            if np.any(loose):
-                x[loose] = np.log(_bisect_inverse(op, np.exp(y[loose])))
-            m = slope(x) * (y[-1] - y[0]) / cells
-        d = np.diff(x)
-        table = (y[0], y[-1], cells / (y[-1] - y[0])) + _frozen(
-            x[:-1], m[:-1], 3.0 * d - 2.0 * m[:-1] - m[1:], m[:-1] + m[1:] - 2.0 * d)
-        quarters = y[:-1, None] + (y[1] - y[0]) * np.array([0.25, 0.5, 0.75])
-        if not np.any(np.isnan(_table_inverse(op, np.exp(quarters.ravel()), table))):
-            break
-    return table
+    cells = int(np.ceil((log_h[-1] - log_h[0]) / _INVERSE_STEP))
+    y = np.linspace(log_h[0], log_h[-1], cells + 1)
+    x = np.interp(y, log_h, log_t)
+    with np.errstate(all="ignore"):
+        for _ in range(_POLISH_STEPS):
+            dx = (_log_flux(op, x) - y) * _log_slope(op, x)
+            x = x - dx
+            if np.all(np.abs(dx) <= _REL_TOL / 4.0):
+                break
+        loose = ~(np.abs(dx) <= _REL_TOL / 4.0)
+        if np.any(loose):
+            x[loose] = np.log(_bisect_inverse(op, np.exp(y[loose])))
+        m = _log_slope(op, x) * (y[-1] - y[0]) / cells
+    d, inv_dy = np.diff(x), cells / (y[-1] - y[0])
+    # the flux table's cells that overlap cell k run from near[k] to near[k + 1]
+    secant = np.diff(log_t) / np.diff(log_h)
+    near = np.clip(np.searchsorted(log_h, y, "right") - 1, 0, secant.size - 1)
+    top = np.maximum(np.maximum(m[:-1], m[1:]) * inv_dy, np.maximum(
+        np.maximum.reduceat(secant, near[:-1]), secant[near[1:]]))
+    return (y[0], y[-1], inv_dy) + _frozen(
+        x[:-1], m[:-1], 3.0 * d - 2.0 * m[:-1] - m[1:], m[:-1] + m[1:] - 2.0 * d, top)
 
 
-def _table_inverse(op: PhiOperator, s: np.ndarray, table=None) -> np.ndarray:
-    """Preimages of the positive values ``s`` from ``table`` (default: the
-    operator's inverse table) by blocks: Hermite start, one Newton step with
-    the interpolant's slope, residual check.  NaN where the table does not
-    cover a value or the check fails."""
-    table = table or op.inverse_table
+def _table_inverse(op: PhiOperator, s: np.ndarray) -> np.ndarray:
+    """Preimages of the positive values ``s`` from the operator's inverse
+    table by blocks: Hermite start, one Newton step with the interpolant's
+    slope, residual check.  A value that fails the check takes one more
+    Newton step with the slope of the exact flux and is checked again.  NaN
+    where the table does not cover a value or the checks fail.
+
+    The check bounds the error in ln t by |ln(h(t)/s)| times the largest of
+    the slopes d ln t / d ln s at hand: the interpolant's, the cell's bound
+    and, for the second step, the exact one at the value.  Near a kink the
+    interpolant's slope alone can be far too small, or negative."""
+    table = op.inverse_table
     out = np.full_like(s, np.nan)
     if table is None:
         return out
-    y0, y1, inv_dy, c0, c1, c2, c3 = table
+    y0, y1, inv_dy, c0, c1, c2, c3, top = table
     with np.errstate(all="ignore"):
         for start in range(0, s.size, _BLOCK):
-            y = np.log(s[start:start + _BLOCK])
+            sb = s[start:start + _BLOCK]
+            y = np.log(sb)
             yc = np.clip(y, y0, y1)
             u = (yc - y0) * inv_dy
             k = np.minimum(u.astype(np.intp), c0.size - 1)
@@ -392,10 +457,17 @@ def _table_inverse(op: PhiOperator, s: np.ndarray, table=None) -> np.ndarray:
             a1, a2, a3 = c1[k], c2[k], c3[k]
             x = c0[k] + u * (a1 + u * (a2 + u * a3))
             slope = (a1 + u * (2.0 * a2 + 3.0 * u * a3)) * inv_dy
-            x -= (_log_flux(op, x) - yc) * slope
-            t = np.exp(x)
-            ok = np.abs(np.log(_h_tolerant(op, t)) - yc) * slope <= _REL_TOL / 4.0
-            out[start:start + _BLOCK] = np.where(ok & (yc == y), t, np.nan)
+            bound = np.maximum(slope, top[k])
+            x -= _log_ratio(op, x, sb) * slope
+            res = _log_ratio(op, x, sb)
+            ok = (slope > 0) & (np.abs(res) * bound <= _REL_TOL / 4.0)
+            redo = np.flatnonzero(~ok & (yc == y))
+            if redo.size:
+                m = _log_slope(op, x[redo])
+                x[redo] -= res[redo] * m
+                ok[redo] = (m > 0) & (np.abs(_log_ratio(op, x[redo], sb[redo]))
+                                      * np.maximum(m, bound[redo]) <= _REL_TOL / 4.0)
+            out[start:start + _BLOCK] = np.where(ok & (yc == y), np.exp(x), np.nan)
     return out
 
 

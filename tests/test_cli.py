@@ -259,19 +259,47 @@ class TestConfigErrors:
         assert cli.run_config("classify", cfg) == 1
         assert name in capsys.readouterr().err
 
-    def test_mistyped_problem_value_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key,value,name", [
+        ("N", "three", "problem.N"),
+        # int() would have run it as N = 3
+        ("N", 3.7, "problem.N must be an integer"),
+        ("N", float("inf"), "problem.N"),
+        ("alpha", None, "problem.alpha"),
+        ("M1", "big", "problem.M1"),
+        ("operator1", {"family": "plasma", "p": 2.0}, "'q'"),
+        ("operator1", {"family": "plasma", "p": "two", "q": 3.0}, "plasma"),
+        ("operator2", 7, "problem.operator2"),
+        ("weight1", {"expr": 6}, "problem.weight1.expr"),
+        ("weight2", {"expr": "(1+r)^(-s)", "params": {"s": "x"}}, "problem.weight2.params.s"),
+        ("weight2", {"expr": "(1+r)^(-s)", "params": [2]}, "problem.weight2.params"),
+        ("f1", {"family": "power"}, "missing config key: problem.f1.gamma"),
+        ("f1", {"family": "power_combination", "coeffs": 1, "exponents": [1]},
+         "problem.f1.coeffs"),
+        ("f2", {"expr": "t", "envelopes": {"c_bar": "one", "g": "t", "xi_bar": "t"}},
+         "problem.f2.envelopes.c_bar"),
+        ("f2", 2.0, "problem.f2"),
+        ("envelope1", {"theta_under": "t"}, "missing config key: problem.envelope1.theta_bar"),
+    ])
+    def test_mistyped_problem_value_names_the_key(self, tmp_path, capsys, key, value, name):
         cfg = manufactured_config(tmp_path)
-        cfg["problem"]["N"] = "three"
+        cfg["problem"][key] = value
         assert cli.run_config("solve", cfg) == 1
-        assert "config error: bad config value" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and name in err
 
     @pytest.mark.parametrize("command", ["classify", "sweep"])
-    def test_programming_error_is_not_a_config_error(self, tmp_path, capsys,
-                                                     monkeypatch, command):
+    @pytest.mark.parametrize("module,name", [
+        ("criteria", "build_report"),
+        # inside problem assembly, after the config values are read
+        ("model", "derive_envelopes"),
+        ("model", "build_problem"),
+    ])
+    def test_programming_error_is_not_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                     command, module, name):
         def broken(*args, **kwargs):
             raise TypeError("planted")
 
-        monkeypatch.setattr(cli.criteria, "build_report", broken)
+        monkeypatch.setattr(getattr(cli, module), name, broken)
         cfg = manufactured_config(tmp_path, sweep=ALPHA_SWEEP)
         with pytest.raises(TypeError, match="planted"):
             cli.run_config(command, cfg)

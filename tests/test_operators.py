@@ -304,27 +304,102 @@ class TestHermiteInverse:
                 assert not np.any(np.isnan(inner)), op.label
                 assert np.max(np.abs(inner - want[1:-1]) / want[1:-1]) <= 1e-12, op.label
 
-    def test_smooth_fluxes_keep_the_base_step(self, tabulated):
+    def test_smooth_fluxes_pass_the_first_check(self, tabulated, monkeypatch):
         # one Newton step from the Hermite start passes the residual check
-        # everywhere at 64 cells per decade; only the sharp 1 + t^30 refines
+        # everywhere at 64 cells per decade; only the sharp 1 + t^30 needs
+        # the second step, which takes the exact slope
         for op in tabulated:
-            y0, y1, _, c0, *_ = op.inverse_table
-            cells, base = c0.size, int(np.ceil((y1 - y0) / ops._INVERSE_STEP))
-            if op.label == "custom(1 + t^30)":
-                assert cells > base
-            else:
-                assert cells == base, op.label
+            op.inverse_table
+        retried = set()
+        log_slope = ops._log_slope
+
+        def spy(op, x):
+            retried.add(op.label)
+            return log_slope(op, x)
+
+        monkeypatch.setattr(ops, "_log_slope", spy)
+        for op in tabulated:
+            _, log_h = op.flux_table
+            ss = np.exp(np.linspace(log_h[0], log_h[-1], 20001)[1:-1])
+            assert not np.any(np.isnan(ops._table_inverse(op, ss))), op.label
+        assert retried == {"custom(1 + t^30)"}
+
+    @staticmethod
+    def kinked(t_k, jump=1e3, flat=False):
+        # phi = 1 below t_k, so ln h = ln t there, and the flux slope jumps
+        # from 1 to about 1 + jump * t_k at t_k; or, flat, h = (1 + jump) t
+        # below t_k and h = t + jump * t_k above it
+        if flat:
+            phi = lambda t: 1.0 + jump * np.minimum(np.asarray(t), t_k) / np.asarray(t)
+        else:
+            phi = lambda t: 1.0 + jump * np.maximum(np.asarray(t) - t_k, 0.0)
+        return ops.PhiOperator(family="custom", params=(), label=f"kinked at {t_k!r}", phi=phi)
 
     def test_kinked_flux_is_rescued_by_the_residual_check(self):
-        # the flux slope jumps from 1 to 1001 at t = 1, inside one cell: the
-        # Hermite start and one Newton step miss there, and only the
-        # residual check keeps those values away from the output
-        op = ops.PhiOperator(family="custom", params=(), label="kinked",
-                             phi=lambda t: 1.0 + 1e3 * np.maximum(np.asarray(t) - 1.0, 0.0))
+        # the kink at t = 1 sits on a node of the inverse table
+        op = self.kinked(1.0)
         ss = np.linspace(0.9, 1.5, 2001)
         want = bisected(op, ss)
         assert np.max(np.abs(ops.h_inverse(op, ss) - want) / want) <= 1e-12
         assert np.any(np.isnan(ops._table_inverse(op, ss)))
+
+    @pytest.mark.parametrize("t_0", [1.3, 1e-25])
+    @pytest.mark.parametrize("flat", [False, True])
+    @pytest.mark.parametrize("frac", [0.02, 0.05, 0.1, 0.3, 0.6, 0.95])
+    def test_kink_inside_a_cell(self, frac, flat, t_0):
+        # a kink early in a cell turns the interpolant's slope negative near
+        # the cell's middle, so the Newton step runs away from the root; a
+        # flat stretch makes d ln t / d ln s about 1000 right after the kink.
+        # Only a residual check that neither understates that slope nor
+        # loses digits to ln s (|ln s| is about 57 for t_0 = 1e-25) keeps
+        # wrong values from the output.  Below the kink h = c t: place
+        # h(t_k) near h(t_0), at ``frac`` of its cell
+        jump = 1e3 if flat else 1e3 / t_0
+        c = 1.0 + jump if flat else 1.0
+        y0, _, inv_dy, *_ = self.kinked(t_0, jump, flat).inverse_table
+        j = int((np.log(t_0 * c) - y0) * inv_dy)
+        t_k = float(np.exp(y0 + (j + frac) / inv_dy) / c)
+        op = self.kinked(t_k, jump, flat)
+        # the kink moves the table's top, and so its cells, very little
+        y0, _, inv_dy, *_ = op.inverse_table
+        assert (np.log(ops.h_eval(op, t_k)) - y0) * inv_dy - j == pytest.approx(frac, abs=1e-6)
+        ss = np.exp(y0 + np.linspace(j - 1.0, j + 2.0, 3001) / inv_dy)
+        want = bisected(op, ss)
+        assert np.max(np.abs(ops.h_inverse(op, ss) - want) / want) <= 1e-12
+
+    def test_understated_slope_is_not_trusted(self):
+        # found by a random search over kinked fluxes: near the right end of
+        # the kink's cell the interpolant's slope is about 2e-8 while the
+        # exact one is 4.4e-5, so the Newton step barely moves, and its
+        # residual times that slope passes a value 1.5e-10 off
+        t_k, jump = 2.573728131102231e-28, 23367.365295656185 / 2.573728131102231e-28
+        op = self.kinked(t_k, jump)
+        s = 2.6397967020457454e-28
+        y0, _, inv_dy, c0, c1, c2, c3, top = op.inverse_table
+        u = (np.log(s) - y0) * inv_dy
+        k = int(u)
+        u -= k
+        slope = (c1[k] + u * (2.0 * c2[k] + 3.0 * u * c3[k])) * inv_dy
+        assert 0.0 < slope < 1e-6
+        want = float(bisected(op, [s])[0])
+        assert abs(ops.h_inverse(op, s) - want) <= 1e-12 * want
+
+    def test_slope_bound_covers_each_cell(self, tabulated):
+        # the exact d ln t / d ln s inside a cell stays below the cell's
+        # bound, also right after a kink into a flat stretch, where it is
+        # about 35 times the larger node slope
+        y0, _, inv_dy, *_ = self.kinked(1.3, flat=True).inverse_table
+        j = int((np.log(1.3 * 1001.0) - y0) * inv_dy)
+        flat = self.kinked(float(np.exp(y0 + (j + 0.05) / inv_dy) / 1001.0), flat=True)
+        for op in tabulated + [flat]:
+            y0, y1, inv_dy, c0, *_, top = op.inverse_table
+            cells = np.arange(0, c0.size, 97) if op is not flat else np.arange(j - 1, j + 3)
+            ys = y0 + (cells[:, None] + np.linspace(0.0, 1.0, 17)[1:-1]) / inv_dy
+            x = np.log(bisected(op, np.exp(ys.ravel())))
+            eps = 1e-7
+            slope = 2.0 * eps / (np.log(ops.h_eval(op, np.exp(x + eps)))
+                                 - np.log(ops.h_eval(op, np.exp(x - eps))))
+            assert np.all(slope.reshape(ys.shape).max(axis=1) <= 1.05 * top[cells]), op.label
 
     def test_extended_range_warns_nothing(self):
         ss = np.logspace(-40.0, 20.0, 3001)
