@@ -20,6 +20,12 @@ Evaluation is prefix-sum based on one shared node array (uniform for desk
 use, piecewise-uniform geometric for improper-limit probes, so the origin
 stays finely resolved while probes reach radii in the tens of thousands).
 Every probe consumer takes one ``ProbeSchedule`` with all probe settings.
+An evaluator integrates each prefix inside its output array from the
+grid's half panel widths: those of a probe grid are memoized with it, any
+other grid computes them once per evaluator.  The arrays an evaluator keeps
+(weights, kernels, accumulations, coupling prefixes) are read-only, because
+one may serve several consumers: both sides share one kernel when their
+weights are equal.
 
 Index conventions: the outer envelope of a coupling integral belongs to the
 equation being bounded (psi_bar_1 for P_12, psi_bar_2 for P_21), matching
@@ -35,6 +41,8 @@ by the report's JSON names (``accumulation_1`` ... ``growth_budget_21_relaxed``)
 from __future__ import annotations
 
 import functools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +50,7 @@ import numpy as np
 from .model import PAIRS, Nonlinearity, ProblemSpec
 from .operators import h_inverse
 from .quadrature import (LimitVerdict, NumericsError, ProbeSchedule,
-                         prefix_trapezoid, radial_kernel_at)
+                         half_widths, prefix_trapezoid, radial_kernel_at)
 
 __all__ = [
     "CriteriaError",
@@ -89,31 +97,58 @@ def _finite_positive(arr: np.ndarray, what: str) -> np.ndarray:
 class CriteriaEvaluator:
     """Memoized prefix arrays for all criteria functionals on one node set.
 
-    ``xs`` must be increasing and start at 0.
+    ``xs`` must be increasing and start at 0; ``half`` may hold its
+    half-widths ``0.5 * np.diff(xs)``.  Every array it returns is read-only.
     """
 
-    def __init__(self, spec: ProblemSpec, xs: np.ndarray):
+    def __init__(self, spec: ProblemSpec, xs: np.ndarray,
+                 half: np.ndarray | None = None):
         self.spec = spec
         self.xs = np.asarray(xs, dtype=float)
         if self.xs[0] != 0.0:
             raise ValueError("criteria grid must start at 0")
+        self._half = half
         self._cache: dict = {}
 
     def _get(self, key, builder):
         if key not in self._cache:
-            self._cache[key] = builder()
+            arr = builder()
+            if arr is not None and arr.flags.writeable:
+                # a view, so an array the builder shares stays writable
+                arr = arr.view()
+                arr.flags.writeable = False
+            self._cache[key] = arr
         return self._cache[key]
+
+    def _prefix(self, values: np.ndarray) -> np.ndarray:
+        if self._half is None:
+            self._half = half_widths(self.xs)
+        return prefix_trapezoid(values, self.xs, self._half)
 
     # -- primitive layers ---------------------------------------------------
 
     def weight(self, side: int) -> np.ndarray:
+        """a_i at the nodes; a side whose weight function equals the other
+        side's takes the other side's array once that one is sampled."""
         w = self.spec.sides[side - 1].weight
-        return self._get(("w", side), lambda: w.sample(self.xs))
+
+        def build():
+            other = self.spec.sides[2 - side].weight
+            if other.fn == w.fn and ("w", 3 - side) in self._cache:
+                return self._cache[("w", 3 - side)]
+            return w.sample(self.xs)
+        return self._get(("w", side), build)
 
     def kernel(self, side: int) -> np.ndarray:
-        return self._get(
-            ("K", side),
-            lambda: radial_kernel_at(self.weight(side), self.spec.N, self.xs))
+        """K[a_i] at the nodes; side 2 returns side 1's array when side 1's
+        weight is already sampled and equal to side 2's on the nodes."""
+        def build():
+            w = self.weight(side)
+            held = self._cache.get(("w", 1))
+            if side == 2 and held is not None and np.array_equal(held, w):
+                return self.kernel(1)
+            return radial_kernel_at(w, self.spec.N, self.xs)
+        return self._get(("K", side), build)
 
     def accumulation_values(self, side: int, bound: str) -> np.ndarray:
         """A_i: prefix integral of k * psi(kernel of weight i)."""
@@ -124,7 +159,7 @@ class CriteriaEvaluator:
         def build():
             vals = k * np.asarray(psi(self.kernel(side)), dtype=float)
             _finite_positive(vals, f"accumulation integrand (weight {side})")
-            return prefix_trapezoid(vals, self.xs)
+            return self._prefix(vals)
         # keyed on the envelope factors, not the bound: a derived envelope
         # has psi_under is psi_bar and k_under == k_bar, so both bounds
         # share one inverse and one array
@@ -146,7 +181,7 @@ class CriteriaEvaluator:
             kern = radial_kernel_at(inner, self.spec.N, self.xs)
             outer = np.asarray(own.env.psi_bar(nl.c_bar * kern), dtype=float)
             _finite_positive(outer, f"upper coupling integrand ({pair})")
-            return prefix_trapezoid(outer, self.xs)
+            return self._prefix(outer)
         return self._get(("Pbar", pair), build)
 
     def upper_coupling_relaxed_values(self, pair: str) -> np.ndarray:
@@ -159,7 +194,7 @@ class CriteriaEvaluator:
             c = float(nl.c_bar) if nl.has_upper_split else 1.0
             outer = np.asarray(own.env.psi_bar(c * self.kernel(own.index)), dtype=float)
             _finite_positive(outer, f"relaxed upper coupling integrand ({pair})")
-            return prefix_trapezoid(outer, self.xs)
+            return self._prefix(outer)
         return self._get(("Pbar_relaxed", pair), build)
 
     def lower_coupling_values(self, pair: str) -> np.ndarray | None:
@@ -177,7 +212,7 @@ class CriteriaEvaluator:
             kern = radial_kernel_at(inner, self.spec.N, self.xs)
             outer = h_inverse(own.op, c_under * kern)
             _finite_positive(outer, f"lower coupling integrand ({pair})")
-            return prefix_trapezoid(outer, self.xs)
+            return self._prefix(outer)
         return self._get(("Punder", pair), build)
 
 
@@ -186,6 +221,29 @@ class CriteriaEvaluator:
 
 _BUDGET_NODES_PER_DECADE = 1024
 _BUDGET_VALUE_CAP = 1e18
+
+
+def _budget_inputs(spec: ProblemSpec, pair: str, relaxed: bool,
+                   acc_limit: float | None) -> tuple:
+    """Every input of a growth budget: (pair, anchor, scaling m_eff, outer
+    growth, other f, other theta_bar, own theta_bar).  Budgets with equal
+    inputs are equal; functions compare by identity, expressions by value."""
+    own, other = spec.pair(pair)
+    if relaxed:
+        if acc_limit is None or acc_limit <= 0:
+            raise ValueError("relaxed growth budget needs a positive accumulation limit")
+        coupled = float(np.asarray(other.env.theta_bar(
+            np.asarray(other.nl.f(own.start), dtype=float))))
+        m_eff = max(1.0, other.start / coupled) * (1.0 + float(acc_limit))
+        outer = own.nl.f
+    else:
+        if not own.nl.has_upper_split:
+            raise CriteriaError(
+                f"growth budget {pair}: no upper envelope data and no relaxation")
+        m_eff = float(own.nl.M_big)
+        outer = own.nl.g
+    return (pair, float(own.start), m_eff, outer, other.nl.f,
+            other.env.theta_bar, own.env.theta_bar)
 
 
 class GrowthBudget:
@@ -199,29 +257,15 @@ class GrowthBudget:
 
     def __init__(self, spec: ProblemSpec, pair: str, relaxed: bool = False,
                  acc_limit: float | None = None):
-        own, other = spec.pair(pair)
+        (pair, self.anchor, m_eff, outer, f_other, theta_other,
+         theta_own) = _budget_inputs(spec, pair, relaxed, acc_limit)
         self.pair = pair
-        self.anchor = float(own.start)
-
-        if relaxed:
-            if acc_limit is None or acc_limit <= 0:
-                raise ValueError("relaxed growth budget needs a positive accumulation limit")
-            coupled = float(np.asarray(other.env.theta_bar(
-                np.asarray(other.nl.f(own.start), dtype=float))))
-            m_eff = max(1.0, other.start / coupled) * (1.0 + float(acc_limit))
-            outer = own.nl.f
-        else:
-            if not own.nl.has_upper_split:
-                raise CriteriaError(
-                    f"growth budget {pair}: no upper envelope data and no relaxation")
-            m_eff = float(own.nl.M_big)
-            outer = own.nl.g
 
         def integrand(ts: np.ndarray) -> np.ndarray:
             with np.errstate(over="ignore"):
-                inner = m_eff * np.asarray(other.env.theta_bar(
-                    np.asarray(other.nl.f(ts), dtype=float)), dtype=float)
-                den = np.asarray(own.env.theta_bar(
+                inner = m_eff * np.asarray(theta_other(
+                    np.asarray(f_other(ts), dtype=float)), dtype=float)
+                den = np.asarray(theta_own(
                     np.asarray(outer(inner), dtype=float)), dtype=float)
             bad = ~(np.isfinite(den) | np.isposinf(den)) | (den <= 0)
             if np.any(bad):
@@ -274,11 +318,47 @@ class GrowthBudget:
         return float(out[0]) if scalar else out
 
 
+class _BudgetProbes:
+    """Growth-budget values at probe radii, keyed by the budget's inputs and
+    the radii, least recently used out first; each built once, under the
+    lock, and read-only.  A weight sweep leaves every input of the plain
+    budgets as it is: config assembly hands each point the same operator
+    envelopes and nonlinearities, so the points share these values."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self._values: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, spec: ProblemSpec, pair: str, radii: list, relaxed: bool = False,
+            acc_limit: float | None = None) -> np.ndarray:
+        key = (_budget_inputs(spec, pair, relaxed, acc_limit), tuple(radii))
+        with self._lock:
+            values = self._values.get(key)
+            if values is None:
+                gb = GrowthBudget(spec, pair, relaxed=relaxed, acc_limit=acc_limit)
+                values = np.array([gb.value(r) for r in radii])
+                values.flags.writeable = False
+                self._values[key] = values
+                if len(self._values) > self.size:
+                    self._values.popitem(last=False)
+            self._values.move_to_end(key)
+            return values
+
+
+# a report probes up to four budgets: two plain, two relaxed
+_BUDGETS = _BudgetProbes(8)
+
+
 # ---------------------------------------------------------------------------
 # Desk-level evaluation (uniform grid per call)
 
 def _desk_evaluator(spec: ProblemSpec, r: float) -> CriteriaEvaluator:
-    return CriteriaEvaluator(spec, np.linspace(0.0, float(r), 4097))
+    # owned and read-only, so its kernel plan holds it weakly and is
+    # released with the evaluator instead of crowding out the probe plans
+    xs = np.linspace(0.0, float(r), 4097).copy()
+    xs.flags.writeable = False
+    return CriteriaEvaluator(spec, xs)
 
 
 def accumulation(spec: ProblemSpec, side: int, bound: str, t: float) -> float:
@@ -304,8 +384,7 @@ def growth_budget(spec: ProblemSpec, pair: str, r: float) -> float:
 def accumulation_limit(spec: ProblemSpec, side: int,
                        schedule: ProbeSchedule = ProbeSchedule()) -> LimitVerdict:
     """Limit verdict for A_i(t) as t grows (the relaxation constant)."""
-    xs, idx = probe_grid(schedule)
-    ev = CriteriaEvaluator(spec, xs)
+    ev, idx = _probe_evaluator(spec, schedule)
     return schedule.verdict(ev.accumulation_values(side, "bar")[idx])
 
 
@@ -317,11 +396,16 @@ def probe_grid(schedule: ProbeSchedule):
     ``segment_nodes`` panels per probe segment, plus the probe indices.
 
     Both arrays are read-only and shared: one pair per probe geometry."""
+    return _probe_geometry(schedule)[:2]
+
+
+def _probe_geometry(schedule: ProbeSchedule):
     return _probe_grid(tuple(schedule.radii().tolist()), schedule.segment_nodes)
 
 
 @functools.lru_cache(maxsize=4)
 def _probe_grid(radii: tuple, segment_nodes: int):
+    """Nodes, probe indices and half panel widths of one probe geometry."""
     xs = [np.linspace(0.0, radii[0], segment_nodes + 1)]
     for k in range(1, len(radii)):
         xs.append(np.linspace(radii[k - 1], radii[k], segment_nodes + 1)[1:])
@@ -329,7 +413,15 @@ def _probe_grid(radii: tuple, segment_nodes: int):
     idx = segment_nodes * np.arange(1, len(radii) + 1)
     nodes.flags.writeable = False
     idx.flags.writeable = False
-    return nodes, idx
+    return nodes, idx, half_widths(nodes)
+
+
+def _probe_evaluator(spec: ProblemSpec, schedule: ProbeSchedule):
+    """An evaluator on the probe grid, with its memoized half-widths, and
+    the probe indices.  The grid comes through ``probe_grid``, where the
+    benchmark counts probe nodes."""
+    xs, idx = probe_grid(schedule)
+    return CriteriaEvaluator(spec, xs, _probe_geometry(schedule)[2]), idx
 
 
 @dataclass(frozen=True)
@@ -395,8 +487,7 @@ def build_report(spec: ProblemSpec,
     Relaxed variants are evaluated only when the matching accumulation limit
     is finite and positive, which is when the decision table may use them.
     """
-    xs, idx = probe_grid(schedule)
-    ev = CriteriaEvaluator(spec, xs)
+    ev, idx = _probe_evaluator(spec, schedule)
     radii = schedule.radii().tolist()
 
     def probe(values_fn, *args):
@@ -406,10 +497,8 @@ def build_report(spec: ProblemSpec,
         return _guarded(build, schedule)
 
     def budget_probe(pair, relaxed=False, acc_limit=None):
-        def build():
-            gb = GrowthBudget(spec, pair, relaxed=relaxed, acc_limit=acc_limit)
-            return np.array([gb.value(r) for r in radii])
-        return _guarded(build, schedule)
+        return _guarded(lambda: _BUDGETS.get(spec, pair, radii, relaxed, acc_limit),
+                        schedule)
 
     verdicts: dict = {}
     for side in spec.sides:

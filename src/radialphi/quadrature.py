@@ -46,8 +46,9 @@ built once per (node values, N):
 * **Applying.**  Per stretch of blocks, two multiplies and an add give the
   panel increments, one cumulative sum per block (one for all the blocks
   that repeat a row) and a carry at each block edge give the prefix, and
-  one multiply each by the output factors and by t give K; the only
-  temporary holds the second multiply.
+  one multiply each by the output factors and by t give K.  The second
+  multiply goes, 4096 panels at a time, to a scratch row that each thread
+  keeps, so a call allocates only its output.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ __all__ = [
     "NumericsError",
     "KernelPlan",
     "central_diff",
+    "half_widths",
     "prefix_trapezoid",
     "radial_kernel_at",
     "verdict_from_trace",
@@ -98,10 +100,17 @@ class RadialGrid:
         return len(self.nodes)
 
 
-def prefix_trapezoid(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def prefix_trapezoid(values: np.ndarray, xs: np.ndarray,
+                     half: np.ndarray | None = None) -> np.ndarray:
     """Running trapezoid integral of samples ``values`` at nodes ``xs``.
 
     Works for any strictly increasing node array; the first entry is 0.
+    ``half`` holds the half-widths ``0.5 * np.diff(xs)`` when the caller
+    keeps them (the criteria keep those of the probe grid with it); else
+    they are computed here.  The sum is formed inside the output array, so
+    that is the only full-length allocation when ``half`` is given, and the
+    result is bit for bit that of ``np.diff(xs) * (v[1:] + v[:-1]) * 0.5``,
+    since halving is exact.
     """
     values = np.asarray(values, dtype=float)
     xs = np.asarray(xs, dtype=float)
@@ -109,10 +118,23 @@ def prefix_trapezoid(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
         raise ValueError("values and nodes differ in length")
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite input sample")
+    if half is None:
+        half = half_widths(xs)
     out = np.empty_like(values)
     out[0] = 0.0
-    np.cumsum(np.diff(xs) * (values[1:] + values[:-1]) * 0.5, out=out[1:])
+    body = out[1:]
+    np.add(values[1:], values[:-1], out=body)
+    body *= half
+    body.cumsum(out=body)
     return out
+
+
+def half_widths(xs: np.ndarray) -> np.ndarray:
+    """Read-only half panel widths ``0.5 * np.diff(xs)`` of a node array."""
+    half = np.diff(xs)
+    half *= 0.5
+    half.flags.writeable = False
+    return half
 
 
 def central_diff(values: np.ndarray, step: float) -> np.ndarray:
@@ -219,7 +241,6 @@ class KernelPlan:
             (start, (count, n), *(w[offset:offset + n] for w in weights),
              tuple(cuts) if count == 1 else cuts[0][2])
             for start, count, n, offset, cuts in runs)
-        self._longest = max((count * n for _, (count, n), *_ in runs), default=0)
         # a list, so that the weak reference's callback can empty it
         self._held = [weights, runs]
         # only an array that owns its read-only memory cannot change under us
@@ -253,14 +274,21 @@ class KernelPlan:
         holds the node array, so the weights stay alive."""
         out = np.empty_like(values)
         out[0] = 0.0
-        tmp = np.empty(self._longest)
+        tmp = _scratch()
         carried = 0.0
         for start, shape, c0, c1, scale, cuts in self.runs:
             stop = start + shape[0] * shape[1]
             seg = out[start + 1:stop + 1].reshape(shape)
             np.multiply(c0, values[start:stop].reshape(shape), out=seg)
-            seg += np.multiply(c1, values[start + 1:stop + 1].reshape(shape),
-                               out=tmp[:stop - start].reshape(shape))
+            above = values[start + 1:stop + 1].reshape(shape)
+            # as many whole rows as fit the scratch, or one row in pieces
+            rows = max(1, _SCRATCH_SIZE // shape[1])
+            for top in range(0, shape[0], rows):
+                for lo in range(0, shape[1], _SCRATCH_SIZE):
+                    cols = slice(lo, lo + _SCRATCH_SIZE)
+                    part = above[top:top + rows, cols]
+                    seg[top:top + rows, cols] += np.multiply(
+                        c1[cols], part, out=tmp[:part.size].reshape(part.shape))
             if shape[0] == 1:
                 for begin, end, carry in cuts:
                     block = seg[0, begin:end]
@@ -269,7 +297,7 @@ class KernelPlan:
                     carried = block[-1]
             else:
                 seg.cumsum(axis=1, out=seg)
-                lifts = tmp[:shape[0]]
+                lifts = np.empty(shape[0])
                 for i, local in enumerate(seg[:, -1].tolist()):
                     lifts[i] = cuts * carried
                     carried = local + lifts[i]
@@ -277,6 +305,21 @@ class KernelPlan:
             seg *= scale
         out[1:] *= self.nodes[1:]
         return out
+
+
+# the scratch row of each thread: small, because a wider row kept between
+# calls fragments the heap (8192 floats raised solve peak RSS by 1 MB)
+_SCRATCH_SIZE = 4096
+_SCRATCH = threading.local()
+
+
+def _scratch() -> np.ndarray:
+    """This thread's scratch row, kept between calls so that applying a
+    plan allocates only its output."""
+    row = getattr(_SCRATCH, "row", None)
+    if row is None:
+        row = _SCRATCH.row = np.empty(_SCRATCH_SIZE)
+    return row
 
 
 class _PlanCache:

@@ -300,6 +300,8 @@ class TestConfigErrors:
             raise TypeError("planted")
 
         monkeypatch.setattr(getattr(cli, module), name, broken)
+        # a cold operator cache, so that assembly derives the envelopes
+        monkeypatch.setattr(model, "_OPERATORS", model._ConfigCache(8, model._operator_from_config))
         cfg = manufactured_config(tmp_path, sweep=ALPHA_SWEEP)
         with pytest.raises(TypeError, match="planted"):
             cli.run_config(command, cfg)

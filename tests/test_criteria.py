@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +47,18 @@ class TestAccumulation:
             assert cr.accumulation(spec, 1, "bar", t) == pytest.approx(t * t / 6, rel=1e-9)
         assert len(qd._PLANS._plans) <= 8
 
+    def test_desk_calls_keep_the_probe_plan(self, lap, monkeypatch):
+        # a desk grid owns its read-only memory, so its plan is released
+        # with it instead of pushing the probe plan out of the cache
+        monkeypatch.setattr(qd, "_PLANS", qd._PlanCache(8))
+        spec = make_spec(lap, w1="1/(1+r)^2", w2="1/(1+r)^2")
+        cr.build_report(spec)
+        xs = cr.probe_grid(qd.ProbeSchedule())[0]
+        (probe_plan,) = qd._PLANS._plans.values()
+        for t in np.linspace(1.0, 3.0, 10):
+            cr.accumulation(spec, 1, "bar", t)
+        assert qd._PLANS.get(xs, spec.N)[0] is probe_plan
+
     def test_zero_weight(self, lap):
         spec = make_spec(lap, w1="0")
         assert cr.accumulation(spec, 1, "bar", 5.0) == 0.0
@@ -78,6 +93,78 @@ class TestAccumulation:
         ev = cr.CriteriaEvaluator(make_spec(lap, env1=env), np.linspace(0.0, 3.0, 301))
         assert ev.accumulation_values(1, "bar")[-1] == pytest.approx(1.5, rel=1e-9)
         assert ev.accumulation_values(1, "under")[-1] == pytest.approx(0.75, rel=1e-9)
+
+
+class TestEvaluatorArrays:
+    # equal functions, equal samples of distinct functions, distinct samples
+    @pytest.mark.parametrize("w2, samples, kernels", [
+        ("1/(1+r)^2", 1, 1), ("1/(1+r)^2*1", 2, 1), ("1/(1+r)^3", 2, 2)])
+    def test_equal_weights_share_one_kernel(self, lap, monkeypatch, w2, samples, kernels):
+        calls, sampled = [], []
+        kernel = cr.radial_kernel_at
+        monkeypatch.setattr(cr, "radial_kernel_at",
+                            lambda *args: calls.append(args) or kernel(*args))
+        spec = make_spec(lap, w1="1/(1+r)^2", w2=w2)
+        sample = model.Weight.sample
+        monkeypatch.setattr(model.Weight, "sample",
+                            lambda w, xs: sampled.append(w.label) or sample(w, xs))
+        ev = cr.CriteriaEvaluator(spec, np.linspace(0.0, 4.0, 401))
+        k1, k2 = ev.kernel(1), ev.kernel(2)
+        assert len(sampled) == samples and len(calls) == kernels
+        assert (k2 is k1) == (kernels == 1)
+        assert np.array_equal(k2, kernel(sample(ev.spec.a2, ev.xs), 3, ev.xs))
+
+    @pytest.mark.parametrize("w2", ["64.5-r", "1/(1+r)^3"])
+    def test_failed_weight_leaves_the_other_side_alone(self, lap, w2):
+        # negative beyond the screening span: side 1 fails on the probe
+        # grid, and side 2 reports its own failure or its own verdict
+        spec = model.build_problem(
+            N=3, alpha=1.0, beta=1.0, op1=lap, op2=lap,
+            a1=model.weight_from_expr("64.5-r", label="a1"),
+            a2=model.weight_from_expr(w2, label="a2"),
+            f1=model.power_nonlinearity(1.0), f2=model.power_nonlinearity(1.0))
+        report = cr.build_report(spec)
+        assert "weight a1" in report.accumulation_1.note
+        if w2 == "64.5-r":
+            assert "weight a2" in report.accumulation_2.note
+        else:
+            assert not report.accumulation_2.note.startswith("evaluation failed")
+
+    def test_cached_arrays_read_only(self, lap):
+        # K may serve both sides, so a write by one consumer must raise
+        # instead of changing what the other reads
+        xs = np.linspace(0.0, 4.0, 401)
+        ev = cr.CriteriaEvaluator(make_spec(lap, w1="r", w2="r"), xs)
+        arrays = [ev.weight(1), ev.weight(2), ev.kernel(1), ev.kernel(2),
+                  ev.accumulation_values(1, "bar"), ev.accumulation_values(2, "under"),
+                  ev.upper_coupling_values("12"), ev.lower_coupling_values("21"),
+                  ev.upper_coupling_relaxed_values("12")]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[1] = -1.0
+            with pytest.raises(ValueError):
+                arr *= 2.0
+        assert ev.kernel(2) is ev.kernel(1)
+        # the caller's grid stays writable, even where a weight returns it
+        assert xs.flags.writeable
+
+    def test_allocation_guard(self):
+        # the prefix sums integrate inside their outputs and K is shared:
+        # the report's peak stays under 13 probe grids (15 before)
+        spec = model.build_problem(
+            N=3, alpha=1.0, beta=1.0, op1=ops.make_operator("p_laplacian", p=3),
+            op2=ops.make_operator("laplacian"),
+            a1=model.weight_from_expr("(1+r)^-2"), a2=model.weight_from_expr("(1+r)^-2"),
+            f1=model.power_nonlinearity(1.0), f2=model.power_nonlinearity(0.5))
+        xs = cr.probe_grid(qd.ProbeSchedule())[0]
+        cr.build_report(spec)
+        tracemalloc.start()
+        try:
+            cr.build_report(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13 * xs.nbytes
 
 
 class TestCoupling:
@@ -119,6 +206,102 @@ class TestCoupling:
             f2=model.power_nonlinearity(1.0))
         with pytest.raises(cr.CriteriaError, match="missing"):
             cr.coupling(spec_no_c2, "12", "bar", 1.0)
+
+
+def sweep_config(sigma, f1=None):
+    return {"N": 3, "alpha": 1.0, "beta": 1.0,
+            "operator1": {"family": "p_laplacian", "p": 3}, "operator2": "laplacian",
+            "weight1": {"expr": "(1+r)^(-sigma)", "params": {"sigma": sigma}},
+            "weight2": {"expr": "(1+r)^(-sigma)", "params": {"sigma": sigma}},
+            "f1": f1 or {"family": "power", "gamma": 1.0},
+            "f2": {"family": "log1p"}}
+
+
+class TestBudgetProbes:
+    """Growth-budget probe values shared by reports with equal budget inputs."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        monkeypatch.setattr(cr, "_BUDGETS", cr._BudgetProbes(8))
+        calls = []
+        init = cr.GrowthBudget.__init__
+
+        def counting(self, spec, pair, relaxed=False, acc_limit=None):
+            calls.append(pair + ("_relaxed" if relaxed else ""))
+            init(self, spec, pair, relaxed, acc_limit)
+
+        monkeypatch.setattr(cr.GrowthBudget, "__init__", counting)
+        return calls
+
+    def test_weight_sweep_builds_plain_budgets_once(self, built):
+        # assembly hands both points the same envelopes and nonlinearities
+        first = cr.build_report(model.assemble(sweep_config(3.0)))
+        plain = [b for b in built if not b.endswith("_relaxed")]
+        assert sorted(plain) == ["12", "21"]
+        second = cr.build_report(model.assemble(sweep_config(4.0)))
+        assert [b for b in built if not b.endswith("_relaxed")] == plain
+        for name in ("growth_budget_12", "growth_budget_21"):
+            assert second.verdicts[name] == first.verdicts[name]
+
+    def test_cached_values_match_a_fresh_budget(self, built):
+        spec = model.assemble(sweep_config(3.0))
+        radii = qd.ProbeSchedule().radii().tolist()
+        cached = cr._BUDGETS.get(spec, "12", radii)
+        again = cr._BUDGETS.get(model.assemble(sweep_config(5.0)), "12", radii)
+        fresh = cr.GrowthBudget(spec, "12")
+        assert again is cached and not cached.flags.writeable
+        assert np.array_equal(cached, [fresh.value(r) for r in radii])
+
+    def test_distinct_inputs_kept_apart(self, built):
+        radii = qd.ProbeSchedule().radii().tolist()
+        linear = cr._BUDGETS.get(model.assemble(sweep_config(3.0)), "12", radii)
+        sqrt = cr._BUDGETS.get(model.assemble(
+            sweep_config(3.0, {"family": "power", "gamma": 0.5})), "12", radii)
+        assert built == ["12", "12"] and not np.array_equal(linear, sqrt)
+        # relaxed budgets key on their accumulation limit
+        spec = model.assemble(sweep_config(3.0))
+        cr._BUDGETS.get(spec, "12", radii, relaxed=True, acc_limit=0.5)
+        cr._BUDGETS.get(spec, "12", radii, relaxed=True, acc_limit=0.25)
+        assert built == ["12", "12", "12_relaxed", "12_relaxed"]
+
+    def test_size_bounded_and_failures_not_kept(self, lap, built):
+        radii = qd.ProbeSchedule().radii().tolist()
+        spec = make_spec(lap)
+        for limit in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0):
+            cr._BUDGETS.get(spec, "12", radii, relaxed=True, acc_limit=limit)
+        assert len(cr._BUDGETS._values) == 8
+        # exp(t) - 1 has no upper split: the plain budget fails every time
+        no_split = model.build_problem(
+            N=3, alpha=1.0, beta=1.0, op1=lap, op2=lap,
+            a1=model.weight_from_expr("1"), a2=model.weight_from_expr("1"),
+            f1=model.exp_minus_one_nonlinearity(), f2=model.power_nonlinearity(1.0))
+        for _ in range(2):
+            with pytest.raises(cr.CriteriaError, match="no upper envelope"):
+                cr._BUDGETS.get(no_split, "12", radii)
+        assert len(cr._BUDGETS._values) == 8
+
+    def test_threads_build_once(self, built):
+        specs = [model.assemble(sweep_config(s)) for s in (3.0, 3.5, 4.0, 4.5)]
+        radii = qd.ProbeSchedule().radii().tolist()
+        barrier = threading.Barrier(4)
+        got = [None] * 4
+
+        def work(i):
+            barrier.wait(timeout=10)
+            got[i] = cr._BUDGETS.get(specs[i], "21", radii)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert built == ["21"] and all(g is got[0] for g in got)
 
 
 class TestGrowthBudget:

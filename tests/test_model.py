@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -196,3 +199,110 @@ class TestHypothesisChecks:
         rep = model.check_hypotheses(spec)
         assert rep.ok("upper_split_f1") and rep.ok("upper_split_f2")
         assert rep.ok("lower_split_f1") and rep.ok("lower_split_f2")
+
+
+def operator_config(operator1, operator2="laplacian"):
+    return {"N": 3, "alpha": 1.0, "beta": 1.0,
+            "operator1": operator1, "operator2": operator2,
+            "weight1": "1/(1+r)^2", "weight2": "1/(1+r)^2",
+            "f1": {"family": "power", "gamma": 1.0},
+            "f2": {"family": "power", "gamma": 0.5}}
+
+
+class TestOperatorCache:
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        fresh = model._ConfigCache(2, model._operator_from_config)
+        monkeypatch.setattr(model, "_OPERATORS", fresh)
+        return fresh
+
+    @pytest.fixture
+    def derived(self, monkeypatch):
+        calls = []
+        derive = model.derive_envelopes
+        monkeypatch.setattr(model, "derive_envelopes",
+                            lambda op: calls.append(op.label) or derive(op))
+        return calls
+
+    def test_same_config_same_operator_and_envelope(self, cache, derived):
+        first = model.assemble(operator_config({"family": "plasma", "p": 2, "q": 3}))
+        # an equal section with its keys in another order
+        again = model.assemble(operator_config({"q": 3, "p": 2, "family": "plasma"}))
+        assert again.op1 is first.op1 and again.env1 is first.env1
+        assert again.op2 is first.op2 and again.env2 is first.env2
+        assert sorted(derived) == ["laplacian", "plasma(p=2, q=3)"]
+
+    def test_distinct_configs_kept_apart(self, cache, derived):
+        a = model.assemble(operator_config({"family": "p_laplacian", "p": 3}))
+        b = model.assemble(operator_config({"family": "p_laplacian", "p": 2.5}))
+        assert a.op1 is not b.op1 and a.env1 is not b.env1
+        assert (a.op1.label, b.op1.label) == ("p_laplacian(p=3)", "p_laplacian(p=2.5)")
+        assert a.op2 is b.op2
+
+    def test_size_bounded(self, cache):
+        ops_seen = [model.assemble(operator_config({"family": "p_laplacian", "p": p})).op1
+                    for p in (1.5, 2.0, 2.5, 3.0, 3.5)]
+        assert len(cache._entries) == 2
+        # the oldest entries went first: p = 1.5 is built afresh
+        again = model.assemble(operator_config({"family": "p_laplacian", "p": 1.5}))
+        assert again.op1 is not ops_seen[0]
+
+    def test_refused_derivation_not_cached(self, cache, derived):
+        # the flux t/(1+t) saturates, so no sandwich can be derived
+        cfg = operator_config({"family": "custom", "expr": "1/(1+t)"})
+        for _ in range(2):
+            with pytest.raises(ops.OperatorError, match="refused"):
+                model.assemble(cfg)
+        assert derived.count("custom(1/(1+t))") == 2
+
+    def test_override_envelope_skips_derivation(self, cache, derived):
+        cfg = operator_config("laplacian")
+        cfg["envelope1"] = {"theta_under": "s", "theta_bar": "s",
+                            "psi_under": "h_inverse", "psi_bar": "h_inverse"}
+        spec = model.assemble(cfg)
+        assert spec.env1.description == "user override"
+        assert spec.op1 is spec.op2 and derived == ["laplacian"]
+
+    def test_nonlinearity_sections_shared(self, monkeypatch):
+        monkeypatch.setattr(model, "_NONLINEARITIES",
+                            model._ConfigCache(2, model._nonlinearity_from_config))
+        cfg = operator_config("laplacian")
+        a, b = model.assemble(cfg), model.assemble(cfg)
+        # finalizing copies the record, but the functions are the shared ones
+        assert a.f1 is not b.f1 and a.f1.f is b.f1.f and a.f1.g is b.f1.g
+        other = model.assemble(dict(cfg, f1={"family": "power", "gamma": 2.0}))
+        assert other.f1.f is not a.f1.f and other.f2.f is a.f2.f
+
+    def test_non_json_section_built_afresh(self, cache):
+        from radialphi import exprlang
+        section = {"family": "custom", "expr": exprlang.parse("1 + t")}
+        a = model.assemble(operator_config(section))
+        b = model.assemble(operator_config(section))
+        assert a.op1 is not b.op1 and len(cache._entries) == 1
+
+    def test_threads_build_and_derive_once(self, cache, derived, monkeypatch):
+        built = []
+        make = model.make_operator
+        monkeypatch.setattr(model, "make_operator",
+                            lambda family, **kw: built.append(family) or make(family, **kw))
+        cfg = operator_config({"family": "elasticity", "p": 1}, {"family": "elasticity", "p": 1})
+        barrier = threading.Barrier(4)
+        specs = [None] * 4
+
+        def work(i):
+            barrier.wait(timeout=10)
+            specs[i] = model.assemble(cfg)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(s is not None and s.op1 is specs[0].op1 is s.op2 for s in specs)
+        assert built == ["elasticity"] and derived == ["elasticity(p=1)"]

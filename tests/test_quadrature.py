@@ -1,6 +1,7 @@
 import gc
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,59 @@ class TestCumulativeIntegral:
         lhs = qd.prefix_trapezoid(a * w1 + b * w2, g.nodes)
         rhs = a * qd.prefix_trapezoid(w1, g.nodes) + b * qd.prefix_trapezoid(w2, g.nodes)
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+
+def reference_prefix(values, xs):
+    """The out-of-place formula the in-place prefix must match bit for bit."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(xs) * (values[1:] + values[:-1]) * 0.5)))
+
+
+# far from the subnormal range, where halving would no longer be exact
+samples = st.floats(-1e6, 1e6).map(lambda v: v if abs(v) > 1e-100 else 0.0)
+
+
+class TestInPlacePrefix:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(1e-6, 1e3), samples), min_size=1, max_size=80),
+           samples)
+    def test_bitwise_on_random_grids(self, panels, first):
+        xs = np.concatenate(([0.0], np.cumsum([w for w, _ in panels])))
+        values = np.array([first] + [v for _, v in panels])
+        assert np.all(np.diff(xs) > 0)
+        ref = reference_prefix(values, xs)
+        assert np.array_equal(qd.prefix_trapezoid(values, xs), ref)
+        assert np.array_equal(qd.prefix_trapezoid(values, xs, qd.half_widths(xs)), ref)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.floats(0.5, 6.0), st.floats(-10.0, 10.0))
+    def test_bitwise_on_probe_grid(self, sigma, shift):
+        schedule = qd.ProbeSchedule()
+        xs = criteria.probe_grid(schedule)[0]
+        half = criteria._probe_geometry(schedule)[2]
+        values = (1.0 + xs) ** -sigma + shift * np.sin(xs)
+        ref = reference_prefix(values, xs)
+        assert np.array_equal(qd.prefix_trapezoid(values, xs, half), ref)
+        assert np.array_equal(qd.prefix_trapezoid(values, xs), ref)
+
+    def test_half_widths_read_only(self):
+        half = qd.half_widths(np.linspace(0.0, 1.0, 11))
+        assert np.allclose(half, 0.05)
+        with pytest.raises(ValueError):
+            half[0] = 1.0
+
+    def test_allocates_only_its_output(self):
+        # the sum, the product and the running sum all happen inside the
+        # output; the rest is the finiteness mask (an eighth of the input)
+        xs = np.linspace(0.0, 10.0, 61441)
+        half = qd.half_widths(xs)
+        values = np.exp(-xs)
+        tracemalloc.start()
+        try:
+            qd.prefix_trapezoid(values, xs, half)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * xs.nbytes
 
 
 class TestRadialKernel:
@@ -194,6 +248,33 @@ class TestKernelPlan:
         assert built == [5]
         assert all(r is not None and np.array_equal(r, results[0]) for r in results)
 
+    def test_threads_apply_with_their_own_scratch(self, cache):
+        # each thread writes its second multiply to its own scratch row; a
+        # shared one would mix the rows of concurrent calls
+        xs = criteria.probe_grid(qd.ProbeSchedule())[0]
+        weights = [(1.0 + xs) ** -(2.0 + i) + np.cos(i * xs) ** 2 for i in range(4)]
+        expected = [qd.radial_kernel_at(w, 3, xs) for w in weights]
+        barrier = threading.Barrier(4)
+        matched = [None] * 4
+
+        def work(i):
+            barrier.wait(timeout=10)
+            matched[i] = all(np.array_equal(qd.radial_kernel_at(weights[i], 3, xs), expected[i])
+                             for _ in range(10))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert matched == [True] * 4
+
     def test_keyed_by_value_not_identity(self, cache):
         # same size and end nodes, different interior: a stale plan would
         # return K at the old nodes
@@ -227,6 +308,21 @@ class TestKernelPlan:
         assert plan.released and plan.weights == ()
         qd.radial_kernel_at(np.ones(11), 3, np.linspace(0.0, 1.0, 11))
         assert plan not in cache._plans.values() and len(cache._plans) == 1
+
+    def test_apply_allocates_only_its_output(self, cache):
+        # the second multiply goes to this thread's scratch row, kept from
+        # the first call; the rest is the finiteness mask and check
+        xs = criteria.probe_grid(qd.ProbeSchedule())[0]
+        w = (1.0 + xs) ** -2.0
+        first = qd.radial_kernel_at(w, 3, xs)
+        tracemalloc.start()
+        try:
+            again = qd.radial_kernel_at(w, 3, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(first, again)
+        assert peak <= 1.3 * xs.nbytes
 
     def test_default_probe_plan_storage(self, cache):
         xs = criteria.probe_grid(qd.ProbeSchedule())[0]
