@@ -82,13 +82,6 @@ def _output(cfg: dict, key: str) -> str | None:
     return _path(_section(cfg, "outputs").get(key), f"outputs.{key}")
 
 
-def _number(value, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise _ConfigError(f"{name} must be a number, got {value!r}") from exc
-
-
 def _assemble(cfg: dict):
     if "problem" not in cfg:
         raise _ConfigError("missing config key: 'problem'")
@@ -100,15 +93,15 @@ def _numerics(cfg: dict):
     would otherwise crash or yield a confident verdict from an empty probe
     grid.  The probe settings are defaulted and checked by ProbeSchedule."""
     num = _section(cfg, "numerics")
-    conv_tol = _number(num.get("conv_tol", iteration.DEFAULT_CONV_TOL), "numerics.conv_tol")
-    max_iter = _number(num.get("max_iter", iteration.DEFAULT_MAX_ITER), "numerics.max_iter")
+    conv_tol = model._num(num.get("conv_tol", iteration.DEFAULT_CONV_TOL), "numerics.conv_tol")
+    max_iter = model._num(num.get("max_iter", iteration.DEFAULT_MAX_ITER), "numerics.max_iter")
     probe_cfg = _section(cfg, "numerics.probe")
-    settings = {key: _number(probe_cfg[key], f"numerics.probe.{key}")
+    settings = {key: model._num(probe_cfg[key], f"numerics.probe.{key}")
                 for key in ("r0", "factor", "count", "segment_nodes") if key in probe_cfg}
-    settings.update((key, _number(num[key], f"numerics.{key}"))
+    settings.update((key, model._num(num[key], f"numerics.{key}"))
                     for key in ("tail_tol", "blowup_threshold") if key in num)
-    r_max = _number(num.get("r_max", 2.0), "numerics.r_max")
-    step = _number(num.get("step", 1e-3), "numerics.step")
+    r_max = model._num(num.get("r_max", 2.0), "numerics.r_max")
+    step = model._num(num.get("step", 1e-3), "numerics.step")
     try:
         grid = RadialGrid(r_max, step)
         schedule = ProbeSchedule(**settings)
@@ -290,9 +283,12 @@ def _classification_payload(cfg: dict):
 
 
 def cmd_classify(cfg: dict) -> int:
+    with_solve = _section(cfg, "classify").get("with_solve", False)
+    if not isinstance(with_solve, bool):
+        raise _ConfigError(f"classify.with_solve must be true or false, got {with_solve!r}")
     try:
         spec, num, report, cls, payload = _classification_payload(cfg)
-        if _section(cfg, "classify").get("with_solve", False):
+        if with_solve:
             sol = iteration.solve(spec, num["grid"], num["conv_tol"], num["max_iter"])
             consistency = classifier.cross_check(spec, cls, sol)
             payload["solution"] = sol.to_dict()

@@ -41,12 +41,11 @@ by the report's JSON names (``accumulation_1`` ... ``growth_budget_21_relaxed``)
 from __future__ import annotations
 
 import functools
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._memo import BoundedCache
 from .model import PAIRS, Nonlinearity, ProblemSpec
 from .operators import h_inverse
 from .quadrature import (LimitVerdict, NumericsError, ProbeSchedule,
@@ -318,36 +317,24 @@ class GrowthBudget:
         return float(out[0]) if scalar else out
 
 
-class _BudgetProbes:
-    """Growth-budget values at probe radii, keyed by the budget's inputs and
-    the radii, least recently used out first; each built once, under the
-    lock, and read-only.  A weight sweep leaves every input of the plain
-    budgets as it is: config assembly hands each point the same operator
-    envelopes and nonlinearities, so the points share these values."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self._values: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, spec: ProblemSpec, pair: str, radii: list, relaxed: bool = False,
-            acc_limit: float | None = None) -> np.ndarray:
-        key = (_budget_inputs(spec, pair, relaxed, acc_limit), tuple(radii))
-        with self._lock:
-            values = self._values.get(key)
-            if values is None:
-                gb = GrowthBudget(spec, pair, relaxed=relaxed, acc_limit=acc_limit)
-                values = np.array([gb.value(r) for r in radii])
-                values.flags.writeable = False
-                self._values[key] = values
-                if len(self._values) > self.size:
-                    self._values.popitem(last=False)
-            self._values.move_to_end(key)
-            return values
-
-
 # a report probes up to four budgets: two plain, two relaxed
-_BUDGETS = _BudgetProbes(8)
+_BUDGETS = BoundedCache(8)
+
+
+def _budget_probes(spec: ProblemSpec, pair: str, radii: list, relaxed: bool = False,
+                   acc_limit: float | None = None) -> np.ndarray:
+    """Growth-budget values at probe radii, read-only and kept by the
+    budget's inputs and the radii.  A weight sweep leaves every input of
+    the plain budgets as it is: config assembly hands each point the same
+    operator envelopes and nonlinearities, so the points share these values."""
+    def build():
+        gb = GrowthBudget(spec, pair, relaxed=relaxed, acc_limit=acc_limit)
+        values = np.array([gb.value(r) for r in radii])
+        values.flags.writeable = False
+        return values
+
+    key = (_budget_inputs(spec, pair, relaxed, acc_limit), tuple(radii))
+    return _BUDGETS.get(key, build)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +484,7 @@ def build_report(spec: ProblemSpec,
         return _guarded(build, schedule)
 
     def budget_probe(pair, relaxed=False, acc_limit=None):
-        return _guarded(lambda: _BUDGETS.get(spec, pair, radii, relaxed, acc_limit),
+        return _guarded(lambda: _budget_probes(spec, pair, radii, relaxed, acc_limit),
                         schedule)
 
     verdicts: dict = {}

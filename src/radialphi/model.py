@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Mapping
@@ -31,6 +29,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import exprlang
+from ._memo import BoundedCache
 from .operators import (EnvelopeSet, PhiOperator, check_envelope,
                         derive_envelopes, make_operator)
 
@@ -335,7 +334,7 @@ def build_problem(N: int, alpha: float, beta: float,
     envs = []
     for i, (op, env) in enumerate(((op1, env1), (op2, env2)), start=1):
         if env is None:
-            env = _OPERATORS.derived(op, _derived_envelope)
+            env = _ENVELOPES.get(op, lambda: derive_envelopes(op)[0])
         else:
             worst = check_envelope(op, env, n=24, s_min=1e-4)
             if worst > 1e-9:
@@ -519,55 +518,25 @@ def _operator_from_config(cfg, where: str) -> PhiOperator:
     return make_operator(family, **{k: v for k, v in cfg.items() if k != "family"})
 
 
-class _ConfigCache:
-    """Objects built from a config section, keyed by the section's
-    canonical JSON, least recently used out first, each with a memo of one
-    value derived from it.  Each object and each derivation is built once,
-    under the lock; a failed derivation is not kept, and a section that is
-    not plain JSON is built afresh every time.  Sweep points that share a
-    section thus share its object: an operator with its envelopes and flux
-    tables, a nonlinearity with the functions that the criteria key their
-    growth budgets on."""
-
-    def __init__(self, size: int, build: Callable):
-        self.size = size
-        self._build = build
-        self._entries: OrderedDict = OrderedDict()  # key -> [object, derived]
-        self._lock = threading.Lock()
-
-    def get(self, cfg, where: str):
-        try:
-            key = json.dumps(cfg, sort_keys=True)
-        except (TypeError, ValueError):
-            return self._build(cfg, where)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = self._entries[key] = [self._build(cfg, where), None]
-                if len(self._entries) > self.size:
-                    self._entries.popitem(last=False)
-            self._entries.move_to_end(key)
-            return entry[0]
-
-    def derived(self, obj, derive: Callable):
-        """``derive(obj)``, kept with ``obj`` when it is cached."""
-        with self._lock:
-            entry = next((e for e in self._entries.values() if e[0] is obj), None)
-            if entry is not None:
-                if entry[1] is None:
-                    entry[1] = derive(obj)
-                return entry[1]
-        return derive(obj)
-
-
-def _derived_envelope(op: PhiOperator) -> EnvelopeSet:
-    return derive_envelopes(op)[0]
-
-
 # a sweep point assembles two operators and two nonlinearities; more
 # entries would keep more flux tables alive between runs than a sweep reuses
-_OPERATORS = _ConfigCache(2, _operator_from_config)
-_NONLINEARITIES = _ConfigCache(2, _nonlinearity_from_config)
+_OPERATORS = BoundedCache(2)
+_NONLINEARITIES = BoundedCache(2)
+# envelopes derived from an operator, by the operator; a refusal is not kept
+_ENVELOPES = BoundedCache(2)
+
+
+def _from_section(cache: BoundedCache, build: Callable, cfg, where: str):
+    """``build(cfg, where)``, kept in ``cache`` by the section's canonical
+    JSON, so sweep points that share a section share its object: an
+    operator with its flux tables and derived envelopes, a nonlinearity
+    with the functions that the criteria key their growth budgets on.  A
+    section that is not plain JSON is built afresh every time."""
+    try:
+        key = json.dumps(cfg, sort_keys=True)
+    except (TypeError, ValueError):
+        return build(cfg, where)
+    return cache.get(key, lambda: build(cfg, where))
 
 
 def _envelope_from_config(cfg, op: PhiOperator, where: str) -> EnvelopeSet | None:
@@ -599,8 +568,11 @@ def assemble(problem: Mapping) -> ProblemSpec:
     def get(key, default=_REQUIRED):
         return _get(problem, key, "problem", default)
 
-    op1 = _OPERATORS.get(get("operator1"), "problem.operator1")
-    op2 = _OPERATORS.get(get("operator2"), "problem.operator2")
+    def shared(cache, build, key):
+        return _from_section(cache, build, get(key), "problem." + key)
+
+    op1 = shared(_OPERATORS, _operator_from_config, "operator1")
+    op2 = shared(_OPERATORS, _operator_from_config, "operator2")
     return build_problem(
         N=_whole(get("N"), "problem.N"),
         alpha=_num(get("alpha"), "problem.alpha"),
@@ -608,8 +580,8 @@ def assemble(problem: Mapping) -> ProblemSpec:
         op1=op1, op2=op2,
         a1=_weight_from_config(get("weight1"), "problem.weight1", "a1"),
         a2=_weight_from_config(get("weight2"), "problem.weight2", "a2"),
-        f1=_NONLINEARITIES.get(get("f1"), "problem.f1"),
-        f2=_NONLINEARITIES.get(get("f2"), "problem.f2"),
+        f1=shared(_NONLINEARITIES, _nonlinearity_from_config, "f1"),
+        f2=shared(_NONLINEARITIES, _nonlinearity_from_config, "f2"),
         env1=_envelope_from_config(get("envelope1", None), op1, "problem.envelope1"),
         env2=_envelope_from_config(get("envelope2", None), op2, "problem.envelope2"),
         **{key: _num_or_none(get(key, None), "problem." + key)

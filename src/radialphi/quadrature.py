@@ -36,13 +36,17 @@ built once per (node values, N):
   schedule are power-of-two scalings of one another, so that plan stores
   8192 panels (about 0.2 MB) for 61,440: the first segment's 4096 in 13
   rows and one row that every outer segment shares.
-* **Cache.**  ``radial_kernel_at`` finds its plan by a signature (size, N,
-  first and last node) and confirms it by comparing every node value, so a
-  node array changed in place gets a new plan.  Up to eight plans are kept,
-  least recently used out first, and the plan of a node array that owns
-  its read-only memory (a probe grid, a ``RadialGrid``) holds it weakly
-  and drops its weights when the array is freed.  Each plan is built once
-  under a lock, so threads share it.
+* **Cache.**  Plans live in the package's one ``BoundedCache`` policy,
+  which also keeps growth-budget probe values (8), operators (2),
+  nonlinearities (2) and derived envelopes (2).  ``radial_kernel_at``
+  finds its plan by a signature (size, N, first and last node) and
+  confirms it by comparing every node value, so a node array changed in
+  place gets a new plan.  Up to eight plans are kept, least recently used
+  out first, and the plan of a node array that owns its read-only memory
+  (a probe grid, a ``RadialGrid``) holds it weakly and drops its weights
+  when the array is freed; such a released plan leaves the cache before
+  the next lookup.  Each plan is built once under a lock, so threads
+  share it.
 * **Applying.**  Per stretch of blocks, two multiplies and an add give the
   panel increments, one cumulative sum per block (one for all the blocks
   that repeat a row) and a carry at each block edge give the prefix, and
@@ -55,10 +59,11 @@ from __future__ import annotations
 
 import threading
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._memo import BoundedCache
 
 __all__ = [
     "RadialGrid",
@@ -322,38 +327,9 @@ def _scratch() -> np.ndarray:
     return row
 
 
-class _PlanCache:
-    """Kernel plans keyed by node values and dimension, least recently used
-    out first; each plan is built once, under the lock, and released plans
-    are dropped."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self._plans: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, xs: np.ndarray, dim) -> tuple[KernelPlan, np.ndarray]:
-        """The plan of ``xs`` and ``dim`` together with the node array it
-        was checked against; holding that array keeps the plan usable."""
-        key = (xs.size, dim, float(xs[0]), float(xs[-1])) if xs.size else None
-        with self._lock:
-            for dead in [k for k, p in self._plans.items() if p.released]:
-                del self._plans[dead]
-            plan = self._plans.get(key)
-            nodes = None if plan is None else plan.nodes
-            if nodes is not None and np.array_equal(nodes, xs):
-                self._plans.move_to_end(key)
-                return plan, nodes
-            plan = KernelPlan(xs, dim)
-            self._plans[key] = plan
-            self._plans.move_to_end(key)
-            if len(self._plans) > self.size:
-                self._plans.popitem(last=False)
-            return plan, xs
-
-
-# a report probes one grid per dimension, the solver one more, the oracle N-2
-_PLANS = _PlanCache(8)
+# a report probes one grid per dimension, the solver one more, the oracle
+# N-2; a plan whose node array was freed is dropped before every lookup
+_PLANS = BoundedCache(8, stale=lambda plan: plan.released)
 
 
 def radial_kernel_at(values: np.ndarray, dim: int, xs: np.ndarray) -> np.ndarray:
@@ -370,7 +346,18 @@ def radial_kernel_at(values: np.ndarray, dim: int, xs: np.ndarray) -> np.ndarray
         raise ValueError("values and nodes differ in length")
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite input sample")
-    plan, anchor = _PLANS.get(xs, dim)
+    # the node array a plan was confirmed against keeps its weights alive
+    anchor = [xs]
+
+    def fits(plan: KernelPlan) -> bool:
+        nodes = plan.nodes
+        if nodes is None or not np.array_equal(nodes, xs):
+            return False
+        anchor[0] = nodes
+        return True
+
+    key = (xs.size, dim, float(xs[0]), float(xs[-1])) if xs.size else None
+    plan = _PLANS.get(key, lambda: KernelPlan(xs, dim), fits)
     # an overflow is reported once, by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         out = plan.apply(values)

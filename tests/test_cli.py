@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from radialphi import cli, iteration, model
+from radialphi._memo import BoundedCache
 from radialphi.quadrature import RadialGrid, central_diff
 
 
@@ -156,6 +157,15 @@ class TestClassifyCommand:
         assert report["consistency"]["u_consistent"] is True
         assert report["consistency"]["v_consistent"] is True
 
+    @pytest.mark.parametrize("value", ["false", "true", 0.0, 1, None, {}])
+    def test_with_solve_must_be_a_boolean(self, tmp_path, capsys, value):
+        # "false" used to run the solve and exit 0, while 0.0 skipped it
+        cfg = manufactured_config(tmp_path, classify={"with_solve": value})
+        assert cli.run_config("classify", cfg) == 1
+        assert capsys.readouterr().err == (
+            f"config error: classify.with_solve must be true or false, got {value!r}\n")
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestNumericsValidation:
     """Degenerate probe settings are config errors, never a verdict."""
@@ -300,8 +310,9 @@ class TestConfigErrors:
             raise TypeError("planted")
 
         monkeypatch.setattr(getattr(cli, module), name, broken)
-        # a cold operator cache, so that assembly derives the envelopes
-        monkeypatch.setattr(model, "_OPERATORS", model._ConfigCache(8, model._operator_from_config))
+        # cold operator and envelope caches, so that assembly derives the envelopes
+        monkeypatch.setattr(model, "_OPERATORS", BoundedCache(8))
+        monkeypatch.setattr(model, "_ENVELOPES", BoundedCache(2))
         cfg = manufactured_config(tmp_path, sweep=ALPHA_SWEEP)
         with pytest.raises(TypeError, match="planted"):
             cli.run_config(command, cfg)

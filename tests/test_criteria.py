@@ -10,6 +10,7 @@ from radialphi import criteria as cr
 from radialphi import model
 from radialphi import operators as ops
 from radialphi import quadrature as qd
+from radialphi._memo import BoundedCache
 
 
 @pytest.fixture(scope="module")
@@ -41,23 +42,24 @@ class TestAccumulation:
 
     def test_desk_calls_keep_plan_cache_bounded(self, lap, monkeypatch):
         # every desk radius is a new node array, hence a new kernel plan
-        monkeypatch.setattr(qd, "_PLANS", qd._PlanCache(8))
+        monkeypatch.setattr(qd, "_PLANS", BoundedCache(8, stale=lambda plan: plan.released))
         spec = make_spec(lap)
         for t in np.linspace(1.0, 3.0, 50):
             assert cr.accumulation(spec, 1, "bar", t) == pytest.approx(t * t / 6, rel=1e-9)
-        assert len(qd._PLANS._plans) <= 8
+        assert len(qd._PLANS._entries) <= 8
 
     def test_desk_calls_keep_the_probe_plan(self, lap, monkeypatch):
         # a desk grid owns its read-only memory, so its plan is released
         # with it instead of pushing the probe plan out of the cache
-        monkeypatch.setattr(qd, "_PLANS", qd._PlanCache(8))
+        monkeypatch.setattr(qd, "_PLANS", BoundedCache(8, stale=lambda plan: plan.released))
         spec = make_spec(lap, w1="1/(1+r)^2", w2="1/(1+r)^2")
         cr.build_report(spec)
         xs = cr.probe_grid(qd.ProbeSchedule())[0]
-        (probe_plan,) = qd._PLANS._plans.values()
+        (probe_plan,) = qd._PLANS._entries.values()
         for t in np.linspace(1.0, 3.0, 10):
             cr.accumulation(spec, 1, "bar", t)
-        assert qd._PLANS.get(xs, spec.N)[0] is probe_plan
+        key = (xs.size, spec.N, float(xs[0]), float(xs[-1]))
+        assert qd._PLANS.get(key, lambda: qd.KernelPlan(xs, spec.N)) is probe_plan
 
     def test_zero_weight(self, lap):
         spec = make_spec(lap, w1="0")
@@ -222,7 +224,7 @@ class TestBudgetProbes:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        monkeypatch.setattr(cr, "_BUDGETS", cr._BudgetProbes(8))
+        monkeypatch.setattr(cr, "_BUDGETS", BoundedCache(8))
         calls = []
         init = cr.GrowthBudget.__init__
 
@@ -246,30 +248,30 @@ class TestBudgetProbes:
     def test_cached_values_match_a_fresh_budget(self, built):
         spec = model.assemble(sweep_config(3.0))
         radii = qd.ProbeSchedule().radii().tolist()
-        cached = cr._BUDGETS.get(spec, "12", radii)
-        again = cr._BUDGETS.get(model.assemble(sweep_config(5.0)), "12", radii)
+        cached = cr._budget_probes(spec, "12", radii)
+        again = cr._budget_probes(model.assemble(sweep_config(5.0)), "12", radii)
         fresh = cr.GrowthBudget(spec, "12")
         assert again is cached and not cached.flags.writeable
         assert np.array_equal(cached, [fresh.value(r) for r in radii])
 
     def test_distinct_inputs_kept_apart(self, built):
         radii = qd.ProbeSchedule().radii().tolist()
-        linear = cr._BUDGETS.get(model.assemble(sweep_config(3.0)), "12", radii)
-        sqrt = cr._BUDGETS.get(model.assemble(
+        linear = cr._budget_probes(model.assemble(sweep_config(3.0)), "12", radii)
+        sqrt = cr._budget_probes(model.assemble(
             sweep_config(3.0, {"family": "power", "gamma": 0.5})), "12", radii)
         assert built == ["12", "12"] and not np.array_equal(linear, sqrt)
         # relaxed budgets key on their accumulation limit
         spec = model.assemble(sweep_config(3.0))
-        cr._BUDGETS.get(spec, "12", radii, relaxed=True, acc_limit=0.5)
-        cr._BUDGETS.get(spec, "12", radii, relaxed=True, acc_limit=0.25)
+        cr._budget_probes(spec, "12", radii, relaxed=True, acc_limit=0.5)
+        cr._budget_probes(spec, "12", radii, relaxed=True, acc_limit=0.25)
         assert built == ["12", "12", "12_relaxed", "12_relaxed"]
 
     def test_size_bounded_and_failures_not_kept(self, lap, built):
         radii = qd.ProbeSchedule().radii().tolist()
         spec = make_spec(lap)
         for limit in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0):
-            cr._BUDGETS.get(spec, "12", radii, relaxed=True, acc_limit=limit)
-        assert len(cr._BUDGETS._values) == 8
+            cr._budget_probes(spec, "12", radii, relaxed=True, acc_limit=limit)
+        assert len(cr._BUDGETS._entries) == 8
         # exp(t) - 1 has no upper split: the plain budget fails every time
         no_split = model.build_problem(
             N=3, alpha=1.0, beta=1.0, op1=lap, op2=lap,
@@ -277,8 +279,8 @@ class TestBudgetProbes:
             f1=model.exp_minus_one_nonlinearity(), f2=model.power_nonlinearity(1.0))
         for _ in range(2):
             with pytest.raises(cr.CriteriaError, match="no upper envelope"):
-                cr._BUDGETS.get(no_split, "12", radii)
-        assert len(cr._BUDGETS._values) == 8
+                cr._budget_probes(no_split, "12", radii)
+        assert len(cr._BUDGETS._entries) == 8
 
     def test_threads_build_once(self, built):
         specs = [model.assemble(sweep_config(s)) for s in (3.0, 3.5, 4.0, 4.5)]
@@ -288,7 +290,7 @@ class TestBudgetProbes:
 
         def work(i):
             barrier.wait(timeout=10)
-            got[i] = cr._BUDGETS.get(specs[i], "21", radii)
+            got[i] = cr._budget_probes(specs[i], "21", radii)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -6,6 +6,7 @@ import pytest
 
 from radialphi import model
 from radialphi import operators as ops
+from radialphi._memo import BoundedCache
 
 
 @pytest.fixture(scope="module")
@@ -212,8 +213,9 @@ def operator_config(operator1, operator2="laplacian"):
 class TestOperatorCache:
     @pytest.fixture
     def cache(self, monkeypatch):
-        fresh = model._ConfigCache(2, model._operator_from_config)
+        fresh = BoundedCache(2)
         monkeypatch.setattr(model, "_OPERATORS", fresh)
+        monkeypatch.setattr(model, "_ENVELOPES", BoundedCache(2))
         return fresh
 
     @pytest.fixture
@@ -264,8 +266,7 @@ class TestOperatorCache:
         assert spec.op1 is spec.op2 and derived == ["laplacian"]
 
     def test_nonlinearity_sections_shared(self, monkeypatch):
-        monkeypatch.setattr(model, "_NONLINEARITIES",
-                            model._ConfigCache(2, model._nonlinearity_from_config))
+        monkeypatch.setattr(model, "_NONLINEARITIES", BoundedCache(2))
         cfg = operator_config("laplacian")
         a, b = model.assemble(cfg), model.assemble(cfg)
         # finalizing copies the record, but the functions are the shared ones

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from radialphi import criteria
 from radialphi import quadrature as qd
+from radialphi._memo import BoundedCache
 
 
 def probe(func, schedule):
@@ -212,7 +213,7 @@ class TestKernelPlan:
 
     @pytest.fixture
     def cache(self, monkeypatch):
-        fresh = qd._PlanCache(8)
+        fresh = BoundedCache(8, stale=lambda plan: plan.released)
         monkeypatch.setattr(qd, "_PLANS", fresh)
         return fresh
 
@@ -292,7 +293,7 @@ class TestKernelPlan:
 
     def test_plan_arrays_read_only(self, cache):
         qd.radial_kernel_at(np.ones(101), 3, np.linspace(0.0, 1.0, 101))
-        (plan,) = cache._plans.values()
+        (plan,) = cache._entries.values()
         arrays = [plan.nodes, *plan.weights] + [a for r in plan.runs for a in r[2:5]]
         assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError):
@@ -301,13 +302,13 @@ class TestKernelPlan:
     def test_grid_plan_dies_with_grid(self, cache):
         grid = qd.RadialGrid(2.0, 1e-3)
         qd.radial_kernel_at(np.ones(len(grid)), 3, grid.nodes)
-        (plan,) = cache._plans.values()
+        (plan,) = cache._entries.values()
         assert plan.weights and not plan.released
         del grid
         gc.collect()
         assert plan.released and plan.weights == ()
         qd.radial_kernel_at(np.ones(11), 3, np.linspace(0.0, 1.0, 11))
-        assert plan not in cache._plans.values() and len(cache._plans) == 1
+        assert plan not in cache._entries.values() and len(cache._entries) == 1
 
     def test_apply_allocates_only_its_output(self, cache):
         # the second multiply goes to this thread's scratch row, kept from
@@ -327,7 +328,7 @@ class TestKernelPlan:
     def test_default_probe_plan_storage(self, cache):
         xs = criteria.probe_grid(qd.ProbeSchedule())[0]
         qd.radial_kernel_at(np.ones_like(xs), 3, xs)
-        (plan,) = cache._plans.values()
+        (plan,) = cache._entries.values()
         # the probe grid's own array, not a copy
         assert plan.nodes is xs
         # 13 rows for the first segment's blocks, one for all 14 outer ones,
