@@ -14,20 +14,16 @@ Subcommands, all driven by one JSON config (``--config``):
 Exit codes: 0 success (an indeterminate verdict is an honest outcome, not
 an error), 1 config error, 2 numeric failure.  Outputs are byte-stable for
 identical configs: fixed key order, fixed float formats, no timestamps.
-Sweeps fan out across threads, capped by the RPS_THREADS environment
-variable; per-point work stays sequential so results do not depend on the
-thread count.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import itertools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -368,22 +364,31 @@ def _sweep_axes(sweep: dict) -> list:
                 and all(isinstance(path, str) for path in ax["paths"])):
             raise _ConfigError(f"sweep.axes[{i}] needs a name, a list of values "
                                "and a list of dotted paths")
+        for path in ax["paths"]:
+            if "" in path.split("."):
+                raise _ConfigError(f"sweep axis {ax['name']!r}: path {path!r} "
+                                   "has an empty segment")
     return axes
 
 
-def _set_path(cfg: dict, dotted: str, value):
+def _set_path(cfg: dict, dotted: str, value, axis: str):
+    """Set the value at a dotted path of ``cfg``, creating missing objects
+    on the way; a path through an existing non-object is a config error."""
     keys = dotted.split(".")
     node = cfg
-    for k in keys[:-1]:
-        if k not in node or not isinstance(node[k], dict):
-            node[k] = {}
-        node = node[k]
+    for depth, key in enumerate(keys[:-1]):
+        node = node.setdefault(key, {})
+        if not isinstance(node, dict):
+            raise _ConfigError(f"sweep axis {axis!r}: path {dotted!r} runs through "
+                               f"{'.'.join(keys[:depth + 1])}, which is not an object")
     node[keys[-1]] = value
 
 
 def _fmt_cell(value) -> str:
     if isinstance(value, float):
         return _CSV_FLOAT % value
+    if isinstance(value, (list, dict)):
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
     return str(value)
 
 
@@ -391,46 +396,27 @@ def cmd_sweep(cfg: dict) -> int:
     sweep = _section(cfg, "sweep")
     axes = _sweep_axes(sweep)
     out_path = _path(sweep.get("csv"), "sweep.csv") or _output(cfg, "sweep_csv")
-    names = [ax["name"] for ax in axes]
+    rows = []
     # every combination, the last axis fastest; no axes means no points,
     # not the one empty combination of an empty product
-    points = ([dict(zip(names, combo))
-               for combo in itertools.product(*(ax["values"] for ax in axes))]
-              if axes else [])
-
-    def run_point(point):
+    for combo in itertools.product(*(ax["values"] for ax in axes)) if axes else ():
         local = copy.deepcopy(cfg)
-        for ax in axes:
+        for ax, value in zip(axes, combo):
             for path in ax["paths"]:
-                _set_path(local, path, point[ax["name"]])
+                _set_path(local, path, value, ax["name"])
         try:
             _, _, _, cls, _ = _classification_payload(local)
-            return point, cls.verdict, cls.matched_rule
+            outcome = [cls.verdict, cls.matched_rule]
         except NumericsError as exc:
-            return point, "numeric_failure", type(exc).__name__
+            outcome = ["numeric_failure", type(exc).__name__]
+        rows.append([_fmt_cell(value) for value in combo] + outcome)
 
-    workers = os.environ.get("RPS_THREADS")
-    try:
-        workers = int(workers) if workers else (os.cpu_count() or 1)
-    except ValueError as exc:
-        raise _ConfigError(f"RPS_THREADS must be an integer, got {workers!r}") from exc
-    workers = max(1, min(workers, max(1, len(points))))
-    if workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_point, points))
-    else:
-        rows = [run_point(pt) for pt in points]
-
-    lines = [",".join(names + ["verdict", "matched_rule"])]
-    for point, verdict, rule in rows:
-        lines.append(",".join([_fmt_cell(point[n]) for n in names]
-                              + [verdict, rule]))
-    text = "\n".join(lines) + "\n"
+    table = [[ax["name"] for ax in axes] + ["verdict", "matched_rule"]] + rows
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            csv.writer(fh, lineterminator="\n").writerows(table)
     else:
-        sys.stdout.write(text)
+        csv.writer(sys.stdout, lineterminator="\n").writerows(table)
     print(f"sweep: {len(rows)} points")
     return 0
 

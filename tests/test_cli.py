@@ -1,6 +1,11 @@
+import copy
 import csv
+import itertools
 import json
+import re
+import threading
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -255,6 +260,24 @@ class TestConfigErrors:
         assert cli.run_config(command, cfg) == 1
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("paths,name", [
+        # the string weight used to be replaced by an object, which then
+        # lacked its expression
+        (["problem.weight1.params.sigma"], "'problem.weight1.params.sigma' runs through "
+                                           "problem.weight1, which is not an object"),
+        # these two used to exit 0 with the value under a key nothing reads
+        (["problem..N"], "'problem..N' has an empty segment"),
+        (["problem.N", ""], "path '' has an empty segment"),
+    ])
+    def test_bad_sweep_path_names_it(self, tmp_path, capsys, monkeypatch, paths, name):
+        monkeypatch.setattr(cli, "_classification_payload",
+                            lambda cfg: pytest.fail("a sweep point ran"))
+        cfg = manufactured_config(tmp_path, sweep={
+            "axes": [{"name": "sigma", "paths": paths, "values": [3]}]})
+        assert cli.run_config("sweep", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep axis 'sigma': ") and name in err
+
     @pytest.mark.parametrize("numerics,name", [
         ({"probe": 3}, "numerics.probe"),
         ({"probe": {"count": "many"}}, "numerics.probe.count"),
@@ -414,9 +437,55 @@ class TestSweepCommand:
         assert text.splitlines()[0] == "verdict,matched_rule"
         assert len(text.splitlines()) == 1
 
-    def test_thread_cap_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RPS_THREADS", "1")
-        self.test_decay_exponent_sweep(tmp_path)
+    def test_points_run_in_order_on_calling_thread(self, tmp_path, monkeypatch):
+        # a thread count in the environment is not read
+        monkeypatch.setenv("RPS_THREADS", "2")
+        calls = []
+
+        def record(cfg):
+            calls.append((threading.get_ident(),
+                          cfg["problem"]["f1"]["gamma"], cfg["problem"]["f2"]["gamma"]))
+            cls = SimpleNamespace(verdict="both_large", matched_rule="large_both")
+            return None, None, None, cls, None
+
+        monkeypatch.setattr(cli, "_classification_payload", record)
+        cfg = manufactured_config(tmp_path, sweep={"axes": [
+            {"name": "gamma1", "paths": ["problem.f1.gamma"], "values": [0.5, 1.0]},
+            {"name": "gamma2", "paths": ["problem.f2.gamma"], "values": [0.5, 1.0, 2.0]},
+        ], "csv": str(tmp_path / "sweep.csv")})
+        assert cli.run_config("sweep", cfg) == 0
+        assert calls == [(threading.get_ident(), g1, g2)
+                         for g1 in (0.5, 1.0) for g2 in (0.5, 1.0, 2.0)]
+
+    def test_cells_round_trip_through_csv_reader(self, tmp_path):
+        # both values used to be written unquoted, so their rows split into
+        # more fields than the header has
+        weights = ["min(1,(1+r)^(-3))", {"params": {"sigma": 3}, "expr": "(1+r)^(-sigma)"}]
+        cfg = manufactured_config(tmp_path, sweep={
+            "axes": [{"name": "weight", "paths": ["problem.weight1"], "values": weights}],
+            "csv": str(tmp_path / "sweep.csv")})
+        cfg["numerics"]["probe"] = {"count": 3, "segment_nodes": 16}
+        assert cli.run_config("sweep", cfg) == 0
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["weight", "verdict", "matched_rule"]
+        assert [len(row) for row in rows] == [3, 3, 3]
+        assert rows[1][0] == weights[0]
+        # objects are compact JSON with sorted keys
+        assert rows[2][0] == '{"expr":"(1+r)^(-sigma)","params":{"sigma":3}}'
+
+    def test_readme_config_sweeps(self):
+        # every point of the README's example sweep assembles; the probes
+        # are not run
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        cfg = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        axes = cli._sweep_axes(cfg["sweep"])
+        for combo in itertools.product(*(ax["values"] for ax in axes)):
+            local = copy.deepcopy(cfg)
+            for ax, value in zip(axes, combo):
+                for path in ax["paths"]:
+                    cli._set_path(local, path, value, ax["name"])
+            model.assemble(local["problem"])
 
     def test_exponent_pair_sweep_all_large(self, tmp_path):
         # unit weights keep both couplings divergent for any exponent pair
