@@ -20,9 +20,8 @@ Evaluation is prefix-sum based on one shared node array (uniform for desk
 use, piecewise-uniform geometric for improper-limit probes, so the origin
 stays finely resolved while probes reach radii in the tens of thousands).
 Every probe consumer takes one ``ProbeSchedule`` with all probe settings.
-An evaluator integrates each prefix inside its output array from the
-grid's half panel widths: those of a probe grid are memoized with it, any
-other grid computes them once per evaluator.  The arrays an evaluator keeps
+An evaluator computes the grid's half panel widths once and integrates each
+prefix inside its output array from them.  The arrays an evaluator keeps
 (weights, kernels, accumulations, coupling prefixes) are read-only, because
 one may serve several consumers: both sides share one kernel when their
 weights are equal.
@@ -96,17 +95,16 @@ def _finite_positive(arr: np.ndarray, what: str) -> np.ndarray:
 class CriteriaEvaluator:
     """Memoized prefix arrays for all criteria functionals on one node set.
 
-    ``xs`` must be increasing and start at 0; ``half`` may hold its
-    half-widths ``0.5 * np.diff(xs)``.  Every array it returns is read-only.
+    ``xs`` must be increasing and start at 0.  Every array it returns is
+    read-only.
     """
 
-    def __init__(self, spec: ProblemSpec, xs: np.ndarray,
-                 half: np.ndarray | None = None):
+    def __init__(self, spec: ProblemSpec, xs: np.ndarray):
         self.spec = spec
         self.xs = np.asarray(xs, dtype=float)
         if self.xs[0] != 0.0:
             raise ValueError("criteria grid must start at 0")
-        self._half = half
+        self._half = half_widths(self.xs)
         self._cache: dict = {}
 
     def _get(self, key, builder):
@@ -120,8 +118,6 @@ class CriteriaEvaluator:
         return self._cache[key]
 
     def _prefix(self, values: np.ndarray) -> np.ndarray:
-        if self._half is None:
-            self._half = half_widths(self.xs)
         return prefix_trapezoid(values, self.xs, self._half)
 
     # -- primitive layers ---------------------------------------------------
@@ -383,16 +379,12 @@ def probe_grid(schedule: ProbeSchedule):
     ``segment_nodes`` panels per probe segment, plus the probe indices.
 
     Both arrays are read-only and shared: one pair per probe geometry."""
-    return _probe_geometry(schedule)[:2]
-
-
-def _probe_geometry(schedule: ProbeSchedule):
     return _probe_grid(tuple(schedule.radii().tolist()), schedule.segment_nodes)
 
 
 @functools.lru_cache(maxsize=4)
 def _probe_grid(radii: tuple, segment_nodes: int):
-    """Nodes, probe indices and half panel widths of one probe geometry."""
+    """Nodes and probe indices of one probe geometry."""
     xs = [np.linspace(0.0, radii[0], segment_nodes + 1)]
     for k in range(1, len(radii)):
         xs.append(np.linspace(radii[k - 1], radii[k], segment_nodes + 1)[1:])
@@ -400,15 +392,14 @@ def _probe_grid(radii: tuple, segment_nodes: int):
     idx = segment_nodes * np.arange(1, len(radii) + 1)
     nodes.flags.writeable = False
     idx.flags.writeable = False
-    return nodes, idx, half_widths(nodes)
+    return nodes, idx
 
 
 def _probe_evaluator(spec: ProblemSpec, schedule: ProbeSchedule):
-    """An evaluator on the probe grid, with its memoized half-widths, and
-    the probe indices.  The grid comes through ``probe_grid``, where the
-    benchmark counts probe nodes."""
+    """An evaluator on the probe grid and the probe indices.  The grid
+    comes through ``probe_grid``, where the benchmark counts probe nodes."""
     xs, idx = probe_grid(schedule)
-    return CriteriaEvaluator(spec, xs, _probe_geometry(schedule)[2]), idx
+    return CriteriaEvaluator(spec, xs), idx
 
 
 @dataclass(frozen=True)

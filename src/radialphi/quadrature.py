@@ -57,6 +57,7 @@ built once per (node values, N):
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -111,8 +112,8 @@ def prefix_trapezoid(values: np.ndarray, xs: np.ndarray,
 
     Works for any strictly increasing node array; the first entry is 0.
     ``half`` holds the half-widths ``0.5 * np.diff(xs)`` when the caller
-    keeps them (the criteria keep those of the probe grid with it); else
-    they are computed here.  The sum is formed inside the output array, so
+    keeps them (a criteria evaluator computes them once for its grid);
+    else they are computed here.  The sum is formed inside the output array, so
     that is the only full-length allocation when ``half`` is given, and the
     result is bit for bit that of ``np.diff(xs) * (v[1:] + v[:-1]) * 0.5``,
     since halving is exact.
@@ -463,42 +464,40 @@ def verdict_from_trace(radii, values, tail_tol: float,
     functional under a short schedule lands here on purpose.
     """
     values = [float(v) for v in values]
-    if any(not np.isfinite(v) for v in values):
-        k = next(i for i, v in enumerate(values) if not np.isfinite(v))
-        return LimitVerdict("divergent", note=f"non-finite value at radius {radii[k]:g}",
-                            probes=tuple(zip(radii, values)))
     trace = tuple(zip(radii, values))
+    for k, v in enumerate(values):
+        if not math.isfinite(v):
+            return LimitVerdict("divergent", note=f"non-finite value at radius {radii[k]:g}",
+                                probes=trace)
     last = values[-1]
     if last > blowup_threshold:
         return LimitVerdict("divergent", note="value exceeded blow-up threshold",
                             probes=trace)
 
-    diffs = np.diff(values)
+    diffs = [b - a for a, b in zip(values, values[1:])]
     if len(diffs) < _DECAY_WINDOW:
         return LimitVerdict("indeterminate", note="schedule too short", probes=trace)
     # nondecreasing F: clip tiny negative float noise
-    diffs = np.where(diffs > -1e-12 * (1.0 + np.abs(last)), np.maximum(diffs, 0.0), diffs)
-    if np.any(diffs < 0):
+    floor = -1e-12 * (1.0 + abs(last))
+    diffs = [max(0.0, d) if d > floor else d for d in diffs]
+    if min(diffs) < 0:
         return LimitVerdict("indeterminate", note="functional decreased between probes",
                             probes=trace)
 
     # the asymptotic call is made from the trailing window of increments
     window = diffs[-_DECAY_WINDOW:]
-    ratios = np.empty(_DECAY_WINDOW - 1)
-    for j in range(1, _DECAY_WINDOW):
-        if window[j - 1] > 0:
-            ratios[j - 1] = window[j] / window[j - 1]
-        else:
-            ratios[j - 1] = np.inf if window[j] > 0 else 0.0
+    ratios = [b / a if a > 0 else (math.inf if b > 0 else 0.0)
+              for a, b in zip(window, window[1:])]
 
-    if window[-1] > 0 and np.all(ratios >= _DECAY_RATIO):
+    if window[-1] > 0 and min(ratios) >= _DECAY_RATIO:
         return LimitVerdict("divergent",
                             note=f"increments not decaying (last ratios {np.round(ratios, 3).tolist()})",
                             probes=trace)
 
     # an increment still growing near the end of the schedule rules out a
     # finite call, no matter how small the values are
-    if np.any(ratios > 1.0 + 1e-9):
+    rho = max(ratios)
+    if rho > 1.0 + 1e-9:
         return LimitVerdict("indeterminate", note="increments still growing",
                             probes=trace)
 
@@ -506,9 +505,8 @@ def verdict_from_trace(radii, values, tail_tol: float,
         return LimitVerdict("finite", value=last, error=0.0,
                             note="increments vanished", probes=trace)
 
-    rho = float(np.max(ratios))
     if rho < 1.0:
-        tail = float(diffs[-1]) * rho / (1.0 - rho) if rho > 0 else 0.0
+        tail = diffs[-1] * rho / (1.0 - rho) if rho > 0 else 0.0
         if tail < tail_tol:
             return LimitVerdict("finite", value=last, error=tail,
                                 note=f"geometric decay, ratio about {rho:.3g}",

@@ -96,9 +96,8 @@ class TestInPlacePrefix:
     @settings(max_examples=15, deadline=None)
     @given(st.floats(0.5, 6.0), st.floats(-10.0, 10.0))
     def test_bitwise_on_probe_grid(self, sigma, shift):
-        schedule = qd.ProbeSchedule()
-        xs = criteria.probe_grid(schedule)[0]
-        half = criteria._probe_geometry(schedule)[2]
+        xs = criteria.probe_grid(qd.ProbeSchedule())[0]
+        half = qd.half_widths(xs)
         values = (1.0 + xs) ** -sigma + shift * np.sin(xs)
         ref = reference_prefix(values, xs)
         assert np.array_equal(qd.prefix_trapezoid(values, xs, half), ref)
@@ -386,6 +385,39 @@ class TestImproperLimitProbe:
         s = qd.ProbeSchedule(count=15.0, segment_nodes=4096.0)
         assert type(s.count) is int and type(s.segment_nodes) is int
         assert s == qd.ProbeSchedule()
+
+    @pytest.mark.parametrize("values,expected", [
+        ([0.0] * 5 + [np.inf] * 10,
+         ("divergent", None, None, "non-finite value at radius 32")),
+        ([10.0 ** k for k in range(15)],
+         ("divergent", None, None, "value exceeded blow-up threshold")),
+        ([0.0, 1.0, 2.0, 3.0], ("indeterminate", None, None, "schedule too short")),
+        ([0.0] * 7 + [1.0] + [0.5] * 7,
+         ("indeterminate", None, None, "functional decreased between probes")),
+        ([float(k) for k in range(15)],
+         ("divergent", None, None, "increments not decaying (last ratios [1.0, 1.0, 1.0])")),
+        ([0.0] * 12 + [1.0, 2.0, 3.0],
+         ("divergent", None, None, "increments not decaying (last ratios [inf, 1.0, 1.0])")),
+        ([0.0] * 11 + [1.0, 1.5, 2.3, 2.5],
+         ("indeterminate", None, None, "increments still growing")),
+        ([3.0] * 15, ("finite", 3.0, 0.0, "increments vanished")),
+        # a drop within float noise of the last value is clipped to no change
+        ([3.0] * 14 + [3.0 - 1e-13], ("finite", 3.0 - 1e-13, 0.0, "increments vanished")),
+        ([0.0] + [2.0 ** -9 - 2.0 ** -(10 + k) for k in range(14)],
+         ("finite", 2.0 ** -9 - 2.0 ** -23, 2.0 ** -23, "geometric decay, ratio about 0.5")),
+        ([0.0] + [2.0 - 2.0 ** -k for k in range(14)],
+         ("indeterminate", None, None, "tail estimate 0.000122 above tolerance 1e-06")),
+        ([0.0] * 11 + [1.0, 1.5, 2.0, 2.5],
+         ("indeterminate", None, None, "no usable decay pattern")),
+    ], ids=["non_finite", "blow_up", "too_short", "decreased", "not_decaying",
+            "not_decaying_after_flat", "still_growing", "vanished", "noise_clipped",
+            "geometric", "tail_above_tol", "no_pattern"])
+    def test_every_branch_pinned(self, values, expected):
+        # the notes land in the byte-stable report JSON
+        radii = qd.ProbeSchedule().radii().tolist()[:len(values)]
+        v = qd.verdict_from_trace(radii, values, 1e-6, 1e8)
+        assert (v.kind, v.value, v.error, v.note) == expected
+        assert v.probes == tuple(zip(radii, values))
 
     def test_blowup_threshold(self):
         v = probe(lambda r: r ** 2, qd.ProbeSchedule())
