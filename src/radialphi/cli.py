@@ -29,7 +29,7 @@ import numpy as np
 
 from . import classifier, criteria, iteration, model, oracle
 from .exprlang import ExprError
-from .model import SpecError
+from .model import ConfigShapeError, SpecError
 from .operators import OperatorError, check_envelope
 from .quadrature import NumericsError, ProbeSchedule, RadialGrid, central_diff
 
@@ -302,6 +302,8 @@ def cmd_classify(cfg: dict) -> int:
 def cmd_validate(cfg: dict) -> int:
     try:
         spec = _assemble(cfg)
+    except ConfigShapeError:
+        raise
     except SpecError as exc:
         # the config parsed but an instance hypothesis failed: that is the
         # finding, not a crash
@@ -417,7 +419,8 @@ def cmd_sweep(cfg: dict) -> int:
             csv.writer(fh, lineterminator="\n").writerows(table)
     else:
         csv.writer(sys.stdout, lineterminator="\n").writerows(table)
-    print(f"sweep: {len(rows)} points")
+    # stdout that carries the CSV carries nothing else
+    print(f"sweep: {len(rows)} points", file=sys.stdout if out_path else sys.stderr)
     return 0
 
 

@@ -42,6 +42,7 @@ __all__ = [
     "HypothesisCheck",
     "HypothesisReport",
     "SpecError",
+    "ConfigShapeError",
     "power_nonlinearity",
     "power_combination_nonlinearity",
     "exp_minus_one_nonlinearity",
@@ -58,6 +59,11 @@ _THRESHOLD_FLOOR = 1e-300
 
 class SpecError(ValueError):
     """A problem instance violates one of its structural constraints."""
+
+
+class ConfigShapeError(SpecError):
+    """A problem section is malformed: a key is missing, a value has the
+    wrong type, or a family name is unknown."""
 
 
 @dataclass(frozen=True)
@@ -424,14 +430,14 @@ _REQUIRED = object()
 
 
 def _get(cfg, key: str, where: str, default=_REQUIRED):
-    """``cfg[key]`` of the config object at ``where``: a SpecError when cfg
-    is not an object or a required key is missing."""
+    """``cfg[key]`` of the config object at ``where``: a ConfigShapeError
+    when cfg is not an object or a required key is missing."""
     if not isinstance(cfg, Mapping):
-        raise SpecError(f"{where} must be an object, got {cfg!r}")
+        raise ConfigShapeError(f"{where} must be an object, got {cfg!r}")
     if key in cfg:
         return cfg[key]
     if default is _REQUIRED:
-        raise SpecError(f"missing config key: {where}.{key}")
+        raise ConfigShapeError(f"missing config key: {where}.{key}")
     return default
 
 
@@ -439,7 +445,7 @@ def _num(value, where: str):
     try:
         return float(value)
     except (TypeError, ValueError):
-        raise SpecError(f"{where} must be a number, got {value!r}") from None
+        raise ConfigShapeError(f"{where} must be a number, got {value!r}") from None
 
 
 def _whole(value, where: str) -> int:
@@ -447,7 +453,7 @@ def _whole(value, where: str) -> int:
     truncate it)."""
     number = _num(value, where)
     if not number.is_integer():
-        raise SpecError(f"{where} must be an integer, got {value!r}")
+        raise ConfigShapeError(f"{where} must be an integer, got {value!r}")
     return int(number)
 
 
@@ -458,7 +464,7 @@ def _num_or_none(value, where: str):
 def _nums(cfg, key: str, where: str) -> list:
     values = _get(cfg, key, where)
     if not isinstance(values, list):
-        raise SpecError(f"{where}.{key} must be a list, got {values!r}")
+        raise ConfigShapeError(f"{where}.{key} must be a list, got {values!r}")
     return [_num(v, f"{where}.{key}[{i}]") for i, v in enumerate(values)]
 
 
@@ -468,13 +474,13 @@ def _params(cfg, where: str) -> dict | None:
     if params is None:
         return None
     if not isinstance(params, Mapping):
-        raise SpecError(f"{where}.params must be an object, got {params!r}")
+        raise ConfigShapeError(f"{where}.params must be an object, got {params!r}")
     return {k: _num(v, f"{where}.params.{k}") for k, v in params.items()}
 
 
 def _text(value, where: str) -> str:
     if not isinstance(value, str):
-        raise SpecError(f"{where} must be a string, got {value!r}")
+        raise ConfigShapeError(f"{where} must be a string, got {value!r}")
     return value
 
 
@@ -508,7 +514,7 @@ def _nonlinearity_from_config(cfg, where: str) -> Nonlinearity:
             g=opt("g"), xi_bar=opt("xi_bar"),
             c_under=_num_or_none(opt("c_under"), env_where + ".c_under"),
             xi_under=opt("xi_under"))
-    raise SpecError(f"unknown nonlinearity family {family!r}")
+    raise ConfigShapeError(f"unknown nonlinearity family {family!r}")
 
 
 def _operator_from_config(cfg, where: str) -> PhiOperator:
@@ -564,7 +570,9 @@ def _envelope_from_config(cfg, op: PhiOperator, where: str) -> EnvelopeSet | Non
 
 def assemble(problem: Mapping) -> ProblemSpec:
     """Build a ProblemSpec from the parsed ``problem`` section of a config.
-    A missing key, or a value of the wrong type, is a SpecError naming it."""
+    A missing key, a value of the wrong type or an unknown family is a
+    ConfigShapeError, a SpecError naming it; a value that breaks an
+    instance constraint is a plain SpecError."""
     def get(key, default=_REQUIRED):
         return _get(problem, key, "problem", default)
 

@@ -93,8 +93,10 @@ class RadialGrid:
     nodes: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        if not (self.r_max > 0 and self.step > 0):
-            raise ValueError("r_max and step must be positive")
+        if not (0 < self.r_max < math.inf and 0 < self.step < math.inf):
+            raise ValueError("r_max and step must be positive and finite")
+        if not math.isfinite(float(self.r_max) / float(self.step)):
+            raise ValueError("r_max / step must be a finite node count")
         n = max(1, int(round(self.r_max / self.step)))
         # owned and read-only, so kernel plans hold it instead of a copy
         nodes = np.linspace(0.0, self.r_max, n + 1).copy()
@@ -392,12 +394,19 @@ class ProbeSchedule:
                 (self.count >= 1, "probe.count must be at least 1"),
                 (float(self.segment_nodes).is_integer(), "probe.segment_nodes must be an integer"),
                 (self.segment_nodes >= 2, "probe.segment_nodes must be at least 2"),
-                (self.tail_tol > 0, "tail_tol must be positive"),
+                (0 < self.tail_tol < np.inf, "tail_tol must be positive and finite"),
                 (self.blowup_threshold > 0, "blowup_threshold must be positive")):
             if not ok:
                 raise ValueError(rule)
         object.__setattr__(self, "count", int(self.count))
         object.__setattr__(self, "segment_nodes", int(self.segment_nodes))
+        try:
+            last = float(self.r0) * float(self.factor) ** (self.count - 1)
+        except OverflowError:
+            last = math.inf
+        if not math.isfinite(last):
+            raise ValueError("the last probe radius, probe.r0 * probe.factor**(probe.count - 1), "
+                             "must be finite")
 
     def radii(self) -> np.ndarray:
         return self.r0 * self.factor ** np.arange(self.count)

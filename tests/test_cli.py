@@ -219,6 +219,26 @@ class TestNumericsValidation:
     def test_other_degenerate_settings_exit_1(self, tmp_path, numerics):
         assert self.run_classify(tmp_path, numerics) == (1, False)
 
+    @pytest.mark.parametrize("command", ["classify", "solve"])
+    @pytest.mark.parametrize("numerics", [
+        # these two used to end in an OverflowError traceback
+        {"r_max": float("inf")},
+        {"r_max": 1e300, "step": 1e-300},
+        # used to turn an indeterminate verdict into a confident one
+        {"tail_tol": float("inf")},
+        # used to overflow the probe radii with a RuntimeWarning
+        {"probe": {"factor": 1e30}},
+    ])
+    def test_non_finite_settings_exit_1(self, tmp_path, capsys, command, numerics):
+        cfg = manufactured_config(tmp_path)
+        cfg["numerics"].update(numerics)
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: numerics: ")
+        assert not (tmp_path / "report.json").exists()
+
     def test_smallest_accepted_settings_run(self, tmp_path):
         probe = {"count": 1, "segment_nodes": 2, "factor": 1.5}
         assert self.run_classify(tmp_path, {"probe": probe}) == (0, True)
@@ -362,6 +382,26 @@ class TestValidateCommand:
         assert report["all_ok"] is False
         assert "monotonicity" in report["validation"]["assembly_error"]
 
+    @pytest.mark.parametrize("key,value,name", [
+        ("N", None, "missing config key: problem.N"),
+        ("N", "three", "problem.N must be a number"),
+        ("f1", {"family": "nope"}, "unknown nonlinearity family 'nope'"),
+        ("weight1", 3, "problem.weight1 must be an object"),
+    ])
+    def test_malformed_problem_exits_1(self, tmp_path, capsys, key, value, name):
+        # these used to exit 0 with all_ok false, as if an instance
+        # hypothesis had failed, while classify exited 1
+        cfg = manufactured_config(tmp_path)
+        if value is None:
+            del cfg["problem"][key]
+        else:
+            cfg["problem"][key] = value
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["validate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and name in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_power_law_oracle_included(self, tmp_path):
         cfg = manufactured_config(tmp_path)
         cfg["numerics"]["tail_tol"] = 1e-2
@@ -456,6 +496,27 @@ class TestSweepCommand:
         assert cli.run_config("sweep", cfg) == 0
         assert calls == [(threading.get_ident(), g1, g2)
                          for g1 in (0.5, 1.0) for g2 in (0.5, 1.0, 2.0)]
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_stdout_holds_only_the_csv(self, tmp_path, capsys, monkeypatch, to_file):
+        # the summary line used to follow the rows on stdout
+        cls = SimpleNamespace(verdict="both_large", matched_rule="large_both")
+        monkeypatch.setattr(cli, "_classification_payload",
+                            lambda cfg: (None, None, None, cls, None))
+        sweep = {"axes": [{"name": "alpha", "paths": ["problem.alpha"],
+                           "values": [1.0, 2.0, 3.0]}]}
+        if to_file:
+            sweep["csv"] = str(tmp_path / "sweep.csv")
+        assert cli.run_config("sweep", manufactured_config(tmp_path, sweep=sweep)) == 0
+        out, err = capsys.readouterr()
+        if to_file:
+            assert (out, err) == ("sweep: 3 points\n", "")
+            out = (tmp_path / "sweep.csv").read_text()
+        else:
+            assert err == "sweep: 3 points\n"
+        rows = list(csv.reader(out.splitlines()))
+        assert rows == [["alpha", "verdict", "matched_rule"]] + [
+            [cli._CSV_FLOAT % a, "both_large", "large_both"] for a in (1.0, 2.0, 3.0)]
 
     def test_cells_round_trip_through_csv_reader(self, tmp_path):
         # both values used to be written unquoted, so their rows split into

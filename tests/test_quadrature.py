@@ -34,6 +34,16 @@ class TestRadialGrid:
         with pytest.raises(ValueError):
             qd.RadialGrid(1.0, -1.0)
 
+    @pytest.mark.parametrize("r_max,step", [
+        (np.inf, 1e-3), (np.nan, 1e-3), (2.0, np.inf),
+        # finite settings whose node count is not
+        (1e300, 1e-300),
+    ])
+    def test_rejects_non_finite(self, r_max, step):
+        # used to raise OverflowError, or to accept a two-node grid
+        with pytest.raises(ValueError, match="finite"):
+            qd.RadialGrid(r_max, step)
+
 
 class TestCumulativeIntegral:
     """Prefix trapezoid integration on RadialGrid nodes."""
@@ -373,7 +383,10 @@ class TestImproperLimitProbe:
         {"factor": 1.0}, {"factor": 0.5}, {"factor": np.inf},
         {"count": 0}, {"count": 1.5}, {"count": np.nan},
         {"segment_nodes": 1}, {"segment_nodes": 0}, {"segment_nodes": 2.5},
-        {"tail_tol": 0.0}, {"tail_tol": -1e-6}, {"blowup_threshold": 0.0},
+        {"tail_tol": 0.0}, {"tail_tol": -1e-6}, {"tail_tol": np.inf},
+        {"blowup_threshold": 0.0},
+        # the last probe radius overflows
+        {"factor": 1e30}, {"count": 2000}, {"r0": 1e306},
     ])
     def test_degenerate_schedule_rejected(self, settings):
         # count 0 used to raise IndexError in the probe grid, and
