@@ -340,6 +340,51 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and name in err
 
+    @pytest.mark.parametrize("text,line", [
+        (None, "cannot read config: [Errno 2] No such file or directory: {path!r}"),
+        ("nope", "config is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("[1.0]", "config must be a JSON object"),
+    ], ids=["unreadable", "invalid-json", "non-object"])
+    def test_config_file_error_line(self, tmp_path, capsys, text, line):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        assert cli.main(["solve", "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"config error: {line.format(path=str(path))}\n")
+
+    @pytest.mark.parametrize("command,key,value,line", [
+        pytest.param("solve", "problem", None, "missing config key: 'problem'",
+                     id="missing-problem"),
+        pytest.param("solve", "numerics", [1.0], "numerics must be an object", id="numerics"),
+        pytest.param("solve", "outputs", [1.0], "outputs must be an object", id="outputs"),
+        pytest.param("classify", "classify", [1.0], "classify must be an object", id="classify"),
+        pytest.param("sweep", "sweep", [1.0], "sweep must be an object", id="sweep"),
+        pytest.param("classify", "outputs.report_json", 2,
+                     "outputs.report_json must be a path, got 2", id="report-path"),
+        pytest.param("sweep", "sweep.csv", 2, "sweep.csv must be a path, got 2", id="sweep-path"),
+        pytest.param("solve", "numerics.max_iter", 1.5,
+                     "numerics: max_iter must be an integer of at least 1", id="max-iter-1.5"),
+        pytest.param("solve", "numerics.max_iter", -3,
+                     "numerics: max_iter must be an integer of at least 1", id="max-iter-negative"),
+        pytest.param("solve", "numerics.conv_tol", 0.0,
+                     "numerics: conv_tol must be positive", id="conv-tol-zero"),
+        pytest.param("solve", "numerics.r_max", float("inf"),
+                     "numerics: r_max and step must be positive and finite", id="r-max-inf"),
+        pytest.param("classify", "classify.with_solve", "false",
+                     "classify.with_solve must be true or false, got 'false'", id="with-solve"),
+    ])
+    def test_config_error_line(self, tmp_path, capsys, command, key, value, line):
+        # the whole stderr line of each config mistake; None deletes the key
+        cfg = manufactured_config(tmp_path)
+        if value is None:
+            del cfg[key]
+        else:
+            cli._set_path(cfg, key, value, key)
+        path = write_config(tmp_path, cfg)
+        assert cli.main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"config error: {line}\n")
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("command", ["classify", "sweep"])
     @pytest.mark.parametrize("module,name", [
         ("criteria", "build_report"),
