@@ -14,6 +14,10 @@ Subcommands, all driven by one JSON config (``--config``):
 Exit codes: 0 success (an indeterminate verdict is an honest outcome, not
 an error), 1 config error, 2 numeric failure.  Outputs are byte-stable for
 identical configs: fixed key order, fixed float formats, no timestamps.
+
+Config values are read with ``model``'s checked readers, so every config
+mistake, from an unreadable file to a string where a number belongs, is a
+``model.ConfigShapeError``.
 """
 
 from __future__ import annotations
@@ -38,20 +42,16 @@ __all__ = ["main", "run_config"]
 _CSV_FLOAT = "%.12e"
 
 
-class _ConfigError(ValueError):
-    pass
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        raise _ConfigError(f"cannot read config: {exc}") from exc
+        raise ConfigShapeError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ConfigShapeError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise _ConfigError("config must be a JSON object")
+        raise ConfigShapeError("config must be a JSON object")
     return cfg
 
 
@@ -61,27 +61,15 @@ def _section(cfg: dict, dotted: str) -> dict:
     for key in dotted.split("."):
         node = node.get(key, {})
         if not isinstance(node, dict):
-            raise _ConfigError(f"{dotted} must be an object")
+            raise ConfigShapeError(f"{dotted} must be an object")
     return node
 
 
-def _path(value, name: str) -> str | None:
-    """The file path a config value names, None when it is absent."""
-    if not (value is None or isinstance(value, str)):
-        # open() would take an integer for a file descriptor
-        raise _ConfigError(f"{name} must be a path, got {value!r}")
-    return value
-
-
-def _output(cfg: dict, key: str) -> str | None:
-    """The path of the ``outputs.<key>`` artifact, None when not asked for."""
-    return _path(_section(cfg, "outputs").get(key), f"outputs.{key}")
-
-
-def _assemble(cfg: dict):
-    if "problem" not in cfg:
-        raise _ConfigError("missing config key: 'problem'")
-    return model.assemble(cfg["problem"])
+def _output(cfg: dict, key: str, section: str = "outputs") -> str | None:
+    """The file path that ``<section>.<key>`` names, None when not asked
+    for; open() would take an integer for a file descriptor."""
+    path = _section(cfg, section).get(key)
+    return None if path is None else model._text(path, f"{section}.{key}")
 
 
 def _numerics(cfg: dict):
@@ -90,7 +78,7 @@ def _numerics(cfg: dict):
     grid.  The probe settings are defaulted and checked by ProbeSchedule."""
     num = _section(cfg, "numerics")
     conv_tol = model._num(num.get("conv_tol", iteration.DEFAULT_CONV_TOL), "numerics.conv_tol")
-    max_iter = model._num(num.get("max_iter", iteration.DEFAULT_MAX_ITER), "numerics.max_iter")
+    max_iter = model._whole(num.get("max_iter", iteration.DEFAULT_MAX_ITER), "numerics.max_iter")
     probe_cfg = _section(cfg, "numerics.probe")
     settings = {key: model._num(probe_cfg[key], f"numerics.probe.{key}")
                 for key in ("r0", "factor", "count", "segment_nodes") if key in probe_cfg}
@@ -102,12 +90,13 @@ def _numerics(cfg: dict):
         grid = RadialGrid(r_max, step)
         schedule = ProbeSchedule(**settings)
     except ValueError as exc:
-        raise _ConfigError(f"numerics: {exc}") from exc
-    if not conv_tol > 0:
-        raise _ConfigError("numerics: conv_tol must be positive")
-    if not (max_iter >= 1 and max_iter.is_integer()):
-        raise _ConfigError("numerics: max_iter must be an integer of at least 1")
-    return {"grid": grid, "conv_tol": conv_tol, "max_iter": int(max_iter),
+        raise ConfigShapeError(f"numerics: {exc}") from exc
+    # an infinite tolerance would call the first sweep converged
+    if not (conv_tol > 0 and np.isfinite(conv_tol)):
+        raise ConfigShapeError("numerics: conv_tol must be positive and finite")
+    if max_iter < 1:
+        raise ConfigShapeError("numerics: max_iter must be an integer of at least 1")
+    return {"grid": grid, "conv_tol": conv_tol, "max_iter": max_iter,
             "schedule": schedule}
 
 
@@ -246,7 +235,7 @@ def _finite_csv_rows(table: np.ndarray) -> bytes:
 
 
 def cmd_solve(cfg: dict) -> int:
-    spec = _assemble(cfg)
+    spec = model.assemble(model._get(cfg, "problem", "config"))
     num = _numerics(cfg)
     csv_path, report_path = _output(cfg, "solution_csv"), _output(cfg, "report_json")
     try:
@@ -264,7 +253,7 @@ def cmd_solve(cfg: dict) -> int:
 
 
 def _classification_payload(cfg: dict):
-    spec = _assemble(cfg)
+    spec = model.assemble(model._get(cfg, "problem", "config"))
     num = _numerics(cfg)
     hyp = model.check_hypotheses(spec)
     report = criteria.build_report(spec, num["schedule"])
@@ -281,7 +270,7 @@ def _classification_payload(cfg: dict):
 def cmd_classify(cfg: dict) -> int:
     with_solve = _section(cfg, "classify").get("with_solve", False)
     if not isinstance(with_solve, bool):
-        raise _ConfigError(f"classify.with_solve must be true or false, got {with_solve!r}")
+        raise ConfigShapeError(f"classify.with_solve must be true or false, got {with_solve!r}")
     try:
         spec, num, report, cls, payload = _classification_payload(cfg)
         if with_solve:
@@ -301,7 +290,7 @@ def cmd_classify(cfg: dict) -> int:
 
 def cmd_validate(cfg: dict) -> int:
     try:
-        spec = _assemble(cfg)
+        spec = model.assemble(model._get(cfg, "problem", "config"))
     except ConfigShapeError:
         raise
     except SpecError as exc:
@@ -359,17 +348,17 @@ def _sweep_axes(sweep: dict) -> list:
     dotted config paths it sets."""
     axes = sweep.get("axes", [])
     if not isinstance(axes, list):
-        raise _ConfigError("sweep.axes must be a list")
+        raise ConfigShapeError("sweep.axes must be a list")
     for i, ax in enumerate(axes):
         if not (isinstance(ax, dict) and isinstance(ax.get("name"), str)
                 and isinstance(ax.get("values"), list) and isinstance(ax.get("paths"), list)
                 and all(isinstance(path, str) for path in ax["paths"])):
-            raise _ConfigError(f"sweep.axes[{i}] needs a name, a list of values "
-                               "and a list of dotted paths")
+            raise ConfigShapeError(f"sweep.axes[{i}] needs a name, a list of values "
+                                   "and a list of dotted paths")
         for path in ax["paths"]:
             if "" in path.split("."):
-                raise _ConfigError(f"sweep axis {ax['name']!r}: path {path!r} "
-                                   "has an empty segment")
+                raise ConfigShapeError(f"sweep axis {ax['name']!r}: path {path!r} "
+                                       "has an empty segment")
     return axes
 
 
@@ -381,8 +370,8 @@ def _set_path(cfg: dict, dotted: str, value, axis: str):
     for depth, key in enumerate(keys[:-1]):
         node = node.setdefault(key, {})
         if not isinstance(node, dict):
-            raise _ConfigError(f"sweep axis {axis!r}: path {dotted!r} runs through "
-                               f"{'.'.join(keys[:depth + 1])}, which is not an object")
+            raise ConfigShapeError(f"sweep axis {axis!r}: path {dotted!r} runs through "
+                                   f"{'.'.join(keys[:depth + 1])}, which is not an object")
     node[keys[-1]] = value
 
 
@@ -397,7 +386,7 @@ def _fmt_cell(value) -> str:
 def cmd_sweep(cfg: dict) -> int:
     sweep = _section(cfg, "sweep")
     axes = _sweep_axes(sweep)
-    out_path = _path(sweep.get("csv"), "sweep.csv") or _output(cfg, "sweep_csv")
+    out_path = _output(cfg, "csv", "sweep") or _output(cfg, "sweep_csv")
     rows = []
     # every combination, the last axis fastest; no axes means no points,
     # not the one empty combination of an empty product
@@ -436,7 +425,7 @@ def run_config(command: str, cfg: dict) -> int:
     """Programmatic entry point used by the CLI and by tests."""
     try:
         return _COMMANDS[command](cfg)
-    except (_ConfigError, SpecError, ExprError, OperatorError) as exc:
+    except (SpecError, ExprError, OperatorError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except NumericsError as exc:
@@ -459,7 +448,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
-    except _ConfigError as exc:
+    except ConfigShapeError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     return run_config(args.command, cfg)

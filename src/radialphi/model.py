@@ -62,8 +62,8 @@ class SpecError(ValueError):
 
 
 class ConfigShapeError(SpecError):
-    """A problem section is malformed: a key is missing, a value has the
-    wrong type, or a family name is unknown."""
+    """A config is malformed: it cannot be read, a key is missing, a value
+    has the wrong type or range, or a family name is unknown."""
 
 
 @dataclass(frozen=True)

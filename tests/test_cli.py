@@ -239,6 +239,18 @@ class TestNumericsValidation:
         assert capsys.readouterr().err.startswith("config error: numerics: ")
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["classify", "solve"])
+    def test_infinite_conv_tol_exits_1(self, tmp_path, capsys, command):
+        # solve used to report converged=True after one sweep with a
+        # residual of 1.4e2
+        cfg = manufactured_config(tmp_path)
+        cfg["numerics"]["conv_tol"] = float("inf")
+        path = write_config(tmp_path, cfg)
+        assert cli.main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "config error: numerics: conv_tol must be positive and finite\n")
+        assert not (tmp_path / "report.json").exists()
+
     def test_smallest_accepted_settings_run(self, tmp_path):
         probe = {"count": 1, "segment_nodes": 2, "factor": 1.5}
         assert self.run_classify(tmp_path, {"probe": probe}) == (0, True)
@@ -353,21 +365,22 @@ class TestConfigErrors:
         assert capsys.readouterr() == ("", f"config error: {line.format(path=str(path))}\n")
 
     @pytest.mark.parametrize("command,key,value,line", [
-        pytest.param("solve", "problem", None, "missing config key: 'problem'",
+        pytest.param("solve", "problem", None, "missing config key: config.problem",
                      id="missing-problem"),
         pytest.param("solve", "numerics", [1.0], "numerics must be an object", id="numerics"),
         pytest.param("solve", "outputs", [1.0], "outputs must be an object", id="outputs"),
         pytest.param("classify", "classify", [1.0], "classify must be an object", id="classify"),
         pytest.param("sweep", "sweep", [1.0], "sweep must be an object", id="sweep"),
         pytest.param("classify", "outputs.report_json", 2,
-                     "outputs.report_json must be a path, got 2", id="report-path"),
-        pytest.param("sweep", "sweep.csv", 2, "sweep.csv must be a path, got 2", id="sweep-path"),
+                     "outputs.report_json must be a string, got 2", id="report-path"),
+        pytest.param("sweep", "sweep.csv", 2, "sweep.csv must be a string, got 2", id="sweep-path"),
         pytest.param("solve", "numerics.max_iter", 1.5,
-                     "numerics: max_iter must be an integer of at least 1", id="max-iter-1.5"),
+                     "numerics.max_iter must be an integer, got 1.5", id="max-iter-1.5"),
         pytest.param("solve", "numerics.max_iter", -3,
                      "numerics: max_iter must be an integer of at least 1", id="max-iter-negative"),
         pytest.param("solve", "numerics.conv_tol", 0.0,
-                     "numerics: conv_tol must be positive", id="conv-tol-zero"),
+                     "numerics: conv_tol must be positive and finite",
+                     id="conv-tol-zero"),
         pytest.param("solve", "numerics.r_max", float("inf"),
                      "numerics: r_max and step must be positive and finite", id="r-max-inf"),
         pytest.param("classify", "classify.with_solve", "false",
