@@ -334,8 +334,10 @@ def build_problem(N: int, alpha: float, beta: float,
     """
     if not (isinstance(N, int) and N >= 3):
         raise SpecError("dimension N must be an integer >= 3")
-    if not (alpha > 0 and beta > 0):
-        raise SpecError("central values alpha, beta must be positive")
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise SpecError("central values alpha, beta must be positive and finite")
+    if not all(M is None or math.isfinite(M) for M in (M1, M2)):
+        raise SpecError("scaling constants M1, M2 must be finite")
 
     envs = []
     for i, (op, env) in enumerate(((op1, env1), (op2, env2)), start=1):
@@ -441,11 +443,11 @@ def _get(cfg, key: str, where: str, default=_REQUIRED):
     return default
 
 
-def _num(value, where: str):
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigShapeError(f"{where} must be a number, got {value!r}") from None
+def _num(value, where: str) -> float:
+    """A config number: a JSON int or float, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigShapeError(f"{where} must be a number, got {value!r}")
+    return float(value)
 
 
 def _whole(value, where: str) -> int:

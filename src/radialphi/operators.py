@@ -32,6 +32,7 @@ the out-of-range failure.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -191,12 +192,13 @@ def make_operator(family: str, **params) -> PhiOperator:
     elasticity p > 1/2; plasticity p > 1, q > 0; newtonian 0 <= p <= 1,
     q > 0; custom takes ``expr`` (an exprlang Expr or source string for the
     profile phi).  The laplacian is phi == 1, so the flux map is the
-    identity.  A missing or non-numeric parameter is an OperatorError.
+    identity.  A missing parameter, or one that is not a real number (a
+    bool or a string), is an OperatorError.
     """
-    try:
-        num = {k: float(v) for k, v in params.items() if k != "expr"}
-    except (TypeError, ValueError) as exc:
-        raise OperatorError(f"{family}: parameters must be numbers ({exc})") from None
+    for k, v in params.items():
+        if k != "expr" and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+            raise OperatorError(f"{family}: parameters must be numbers, got {k}={v!r}")
+    num = {k: float(v) for k, v in params.items() if k != "expr"}
 
     def need(*names):
         missing = [name for name in names if name not in num]

@@ -228,6 +228,9 @@ class TestNumericsValidation:
         {"tail_tol": float("inf")},
         # used to overflow the probe radii with a RuntimeWarning
         {"probe": {"factor": 1e30}},
+        # solve used to report converged=True after one sweep with a
+        # residual of 1.4e2
+        {"conv_tol": float("inf")},
     ])
     def test_non_finite_settings_exit_1(self, tmp_path, capsys, command, numerics):
         cfg = manufactured_config(tmp_path)
@@ -237,18 +240,6 @@ class TestNumericsValidation:
             warnings.simplefilter("error")
             assert cli.main([command, "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("config error: numerics: ")
-        assert not (tmp_path / "report.json").exists()
-
-    @pytest.mark.parametrize("command", ["classify", "solve"])
-    def test_infinite_conv_tol_exits_1(self, tmp_path, capsys, command):
-        # solve used to report converged=True after one sweep with a
-        # residual of 1.4e2
-        cfg = manufactured_config(tmp_path)
-        cfg["numerics"]["conv_tol"] = float("inf")
-        path = write_config(tmp_path, cfg)
-        assert cli.main([command, "--config", str(path)]) == 1
-        assert capsys.readouterr() == (
-            "", "config error: numerics: conv_tol must be positive and finite\n")
         assert not (tmp_path / "report.json").exists()
 
     def test_smallest_accepted_settings_run(self, tmp_path):
@@ -317,6 +308,10 @@ class TestConfigErrors:
         ({"tail_tol": {}}, "numerics.tail_tol"),
         ({"r_max": "far"}, "numerics.r_max"),
         ({"max_iter": [3]}, "numerics.max_iter"),
+        # these three used to be read as 1.0
+        ({"max_iter": True}, "numerics.max_iter must be a number, got True"),
+        ({"conv_tol": True}, "numerics.conv_tol must be a number, got True"),
+        ({"probe": {"count": True}}, "numerics.probe.count must be a number, got True"),
     ])
     def test_mistyped_numerics_name_the_key(self, tmp_path, capsys, numerics, name):
         cfg = manufactured_config(tmp_path)
@@ -344,6 +339,13 @@ class TestConfigErrors:
          "problem.f2.envelopes.c_bar"),
         ("f2", 2.0, "problem.f2"),
         ("envelope1", {"theta_under": "t"}, "missing config key: problem.envelope1.theta_bar"),
+        # these four used to be read as numbers
+        ("alpha", "1", "problem.alpha must be a number, got '1'"),
+        ("beta", True, "problem.beta must be a number, got True"),
+        ("operator1", {"family": "p_laplacian", "p": "3"},
+         "p_laplacian: parameters must be numbers, got p='3'"),
+        ("operator2", {"family": "plasma", "p": 2.0, "q": True},
+         "plasma: parameters must be numbers, got q=True"),
     ])
     def test_mistyped_problem_value_names_the_key(self, tmp_path, capsys, key, value, name):
         cfg = manufactured_config(tmp_path)
@@ -395,6 +397,28 @@ class TestConfigErrors:
             cli._set_path(cfg, key, value, key)
         path = write_config(tmp_path, cfg)
         assert cli.main([command, "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"config error: {line}\n")
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "classify"])
+    @pytest.mark.parametrize("key,value,line", [
+        # used to exit 0 with RuntimeWarnings from the hypothesis sampling
+        # and the probe quadrature
+        ("alpha", float("inf"), "central values alpha, beta must be positive and finite"),
+        ("beta", float("inf"), "central values alpha, beta must be positive and finite"),
+        # these two used to exit 0 and write NaN or Infinity, which is not
+        # JSON, into report.json
+        ("M1", float("nan"), "scaling constants M1, M2 must be finite"),
+        ("M2", float("inf"), "scaling constants M1, M2 must be finite"),
+    ])
+    def test_non_finite_problem_scalar_exits_1(self, tmp_path, capsys, command, key, value,
+                                               line):
+        cfg = manufactured_config(tmp_path)
+        cfg["problem"][key] = value
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, "--config", str(path)]) == 1
         assert capsys.readouterr() == ("", f"config error: {line}\n")
         assert not (tmp_path / "report.json").exists()
 

@@ -65,6 +65,17 @@ class TestAssembly:
         with pytest.raises(model.SpecError, match="M ="):
             unit_problem(lap, M1=0.5)
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"alpha": np.inf}, "alpha, beta must be positive and finite"),
+        ({"beta": np.inf}, "alpha, beta must be positive and finite"),
+        ({"M1": np.nan}, "M1, M2 must be finite"),
+        ({"M2": np.inf}, "M1, M2 must be finite"),
+    ])
+    def test_non_finite_scalars_rejected(self, lap, kwargs, match):
+        # a NaN or infinite M passed the M >= bound check
+        with pytest.raises(model.SpecError, match=match):
+            unit_problem(lap, **kwargs)
+
     def test_user_M_above_bound_accepted(self, lap):
         spec = unit_problem(lap, M1=7.5)
         assert spec.f1.M_big == 7.5

@@ -79,6 +79,9 @@ class TestCatalog:
         ("plasma", {"p": 3.0, "q": 2.0}),
         ("plasticity", {"p": 1.0, "q": 1.0}),
         ("newtonian", {"p": 1.5, "q": 1.0}),
+        # float() used to read these two, so "3" ran as p = 3 and True as q = 1
+        ("p_laplacian", {"p": "3"}),
+        ("plasticity", {"p": 2.0, "q": True}),
     ])
     def test_parameter_constraints(self, family, params):
         with pytest.raises(ops.OperatorError):
@@ -87,6 +90,10 @@ class TestCatalog:
     def test_unknown_family(self):
         with pytest.raises(ops.OperatorError):
             ops.make_operator("tricubic")
+
+    @pytest.mark.parametrize("p", [np.float32(3.0), np.int64(3)])
+    def test_numpy_scalar_parameters_accepted(self, p):
+        assert ops.h_eval(ops.make_operator("p_laplacian", p=p), 3.0) == pytest.approx(9.0)
 
     def test_custom_profile(self):
         op = ops.make_operator("custom", expr="1 + t")
