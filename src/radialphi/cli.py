@@ -50,6 +50,10 @@ def _load_config(path: str) -> dict:
         raise ConfigShapeError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigShapeError(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # bytes that are not UTF-8, or an integer longer than Python's
+        # limit on digits that int() converts
+        raise ConfigShapeError(f"config cannot be read as JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigShapeError("config must be a JSON object")
     return cfg

@@ -17,8 +17,10 @@ between bounded and unbounded components:
   pointwise ceiling.
 
 Evaluation is prefix-sum based on one shared node array (uniform for desk
-use, piecewise-uniform geometric for improper-limit probes, so the origin
-stays finely resolved while probes reach radii in the tens of thousands).
+use, piecewise-uniform geometric for improper-limit probes: ten halving
+segments grade the head below the first probe radius, where the enveloped
+kernel behaves like a fractional power of t, and doubling segments reach
+radii in the tens of thousands).
 Every probe consumer takes one ``ProbeSchedule`` with all probe settings.
 An evaluator computes the grid's half panel widths once and integrates each
 prefix inside its output array from them.  The arrays an evaluator keeps
@@ -374,9 +376,18 @@ def accumulation_limit(spec: ProblemSpec, side: int,
 # ---------------------------------------------------------------------------
 # Probe grid and report
 
+# halvings of the first probe radius that grade the head of the probe grid
+_HEAD_HALVINGS = 10
+
+
 def probe_grid(schedule: ProbeSchedule):
-    """Piecewise-uniform geometric node array covering [0, R_last] with
-    ``segment_nodes`` panels per probe segment, plus the probe indices.
+    """Probe node array covering [0, R_last], plus the probe indices.
+
+    Its head is graded: [0, r0 / 2**10] is one segment, then ten halving
+    segments reach r0, where psi of the kernel behaves like a fractional
+    power of t and a uniform rule converges slowly.  One segment follows
+    per probe radius after r0.  Every segment has ``segment_nodes``
+    panels, and the nodes at the probe indices are the schedule's radii.
 
     Both arrays are read-only and shared: one pair per probe geometry."""
     return _probe_grid(tuple(schedule.radii().tolist()), schedule.segment_nodes)
@@ -385,11 +396,10 @@ def probe_grid(schedule: ProbeSchedule):
 @functools.lru_cache(maxsize=4)
 def _probe_grid(radii: tuple, segment_nodes: int):
     """Nodes and probe indices of one probe geometry."""
-    xs = [np.linspace(0.0, radii[0], segment_nodes + 1)]
-    for k in range(1, len(radii)):
-        xs.append(np.linspace(radii[k - 1], radii[k], segment_nodes + 1)[1:])
-    nodes = np.concatenate(xs)
-    idx = segment_nodes * np.arange(1, len(radii) + 1)
+    edges = [0.0, *(radii[0] / 2.0 ** k for k in range(_HEAD_HALVINGS, 0, -1)), *radii]
+    nodes = np.concatenate([[0.0]] + [np.linspace(lo, hi, segment_nodes + 1)[1:]
+                                      for lo, hi in zip(edges, edges[1:])])
+    idx = segment_nodes * np.arange(_HEAD_HALVINGS + 1, len(edges))
     nodes.flags.writeable = False
     idx.flags.writeable = False
     return nodes, idx

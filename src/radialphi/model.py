@@ -447,7 +447,10 @@ def _num(value, where: str) -> float:
     """A config number: a JSON int or float, never a bool or a string."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigShapeError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ConfigShapeError(f"{where} is too large for a float") from None
 
 
 def _whole(value, where: str) -> int:

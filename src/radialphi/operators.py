@@ -193,12 +193,18 @@ def make_operator(family: str, **params) -> PhiOperator:
     q > 0; custom takes ``expr`` (an exprlang Expr or source string for the
     profile phi).  The laplacian is phi == 1, so the flux map is the
     identity.  A missing parameter, or one that is not a real number (a
-    bool or a string), is an OperatorError.
+    bool or a string) or is too large for a float, is an OperatorError.
     """
+    num = {}
     for k, v in params.items():
-        if k != "expr" and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+        if k == "expr":
+            continue
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
             raise OperatorError(f"{family}: parameters must be numbers, got {k}={v!r}")
-    num = {k: float(v) for k, v in params.items() if k != "expr"}
+        try:
+            num[k] = float(v)
+        except OverflowError:  # an integer beyond the float range
+            raise OperatorError(f"{family}: parameter {k} is too large for a float") from None
 
     def need(*names):
         missing = [name for name in names if name not in num]

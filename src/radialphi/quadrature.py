@@ -32,10 +32,11 @@ built once per (node values, N):
   overflowed once N * log10(R) passed about 308; the plan still overflows
   when 2^N leaves the float range (N from about 1025).
 * **Row sharing.**  Blocks whose scaled nodes are bitwise equal share one
-  row of weights and output factors.  The 14 outer segments of the default
-  schedule are power-of-two scalings of one another, so that plan stores
-  8192 panels (about 0.2 MB) for 61,440: the first segment's 4096 in 13
-  rows and one row that every outer segment shares.
+  row of weights and output factors.  Every segment of the default probe
+  grid after its first, the ten halving segments of its graded head and
+  the 14 outer ones, is a power-of-two scaling of the others, so that plan
+  stores 2048 panels (about 49 KB) for 25,600: the first segment's 1024 in
+  11 rows and one row that the 24 segments after it share.
 * **Cache.**  Plans live in the package's one ``BoundedCache`` policy,
   which also keeps growth-budget probe values (8), operators (2),
   nonlinearities (2) and derived envelopes (2).  ``radial_kernel_at``
@@ -52,7 +53,8 @@ built once per (node values, N):
   that repeat a row) and a carry at each block edge give the prefix, and
   one multiply each by the output factors and by t give K.  The second
   multiply goes, 4096 panels at a time, to a scratch row that each thread
-  keeps, so a call allocates only its output.
+  keeps, and numpy's ufunc buffer is kept small while a plan is applied,
+  so a call allocates only its output.
 """
 
 from __future__ import annotations
@@ -280,6 +282,13 @@ class KernelPlan:
     def apply(self, values: np.ndarray) -> np.ndarray:
         """K[w] at the nodes from the samples ``values`` of w; the caller
         holds the node array, so the weights stay alive."""
+        size = np.setbufsize(_BUFSIZE)
+        try:
+            return self._apply(values)
+        finally:
+            np.setbufsize(size)
+
+    def _apply(self, values: np.ndarray) -> np.ndarray:
         out = np.empty_like(values)
         out[0] = 0.0
         tmp = _scratch()
@@ -314,6 +323,13 @@ class KernelPlan:
         out[1:] *= self.nodes[1:]
         return out
 
+
+# elements in numpy's ufunc buffer while a plan is applied.  A ufunc that
+# broadcasts a row of weights over repeated rows would gather rows into
+# that buffer, 8192 elements (64 KiB) by default under numpy 2; with a
+# buffer narrower than a row it runs on the rows in place.  16 is the
+# least size that numpy 1.24 accepts.
+_BUFSIZE = 16
 
 # the scratch row of each thread: small, because a wider row kept between
 # calls fragments the heap (8192 floats raised solve peak RSS by 1 MB)
@@ -382,7 +398,7 @@ class ProbeSchedule:
     r0: float = 1.0
     factor: float = 2.0
     count: int = 15
-    segment_nodes: int = 4096
+    segment_nodes: int = 1024
     tail_tol: float = 1e-6
     blowup_threshold: float = 1e8
 

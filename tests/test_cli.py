@@ -422,6 +422,41 @@ class TestConfigErrors:
         assert capsys.readouterr() == ("", f"config error: {line}\n")
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("old,new,line", [
+        ('"alpha": 1.0', '"alpha": 1' + "0" * 400, "problem.alpha is too large for a float"),
+        ('"gamma": 1.0', '"gamma": 1' + "0" * 400, "problem.f1.gamma is too large for a float"),
+        ('"step": 0.001', '"step": 0.001, "probe": {"count": 1' + "0" * 400 + "}",
+         "numerics.probe.count is too large for a float"),
+        ('"operator1": {"family": "laplacian"}',
+         '"operator1": {"family": "p_laplacian", "p": 1' + "0" * 400 + "}",
+         "p_laplacian: parameter p is too large for a float"),
+        # json.load's own message follows, worded by the interpreter
+        ('"alpha": 1.0', '"alpha": 1' + "0" * 5000,
+         "config cannot be read as JSON: Exceeds the limit (4300 digits)"),
+    ], ids=["alpha-400-digits", "gamma-400-digits", "probe-count-400-digits",
+            "operator-p-400-digits", "alpha-5001-digits"])
+    def test_integer_beyond_float_range_exits_1(self, tmp_path, capsys, old, new, line):
+        # each used to end in a traceback: float() raised OverflowError, and
+        # json.load a ValueError that is not a JSONDecodeError
+        text = json.dumps(manufactured_config(tmp_path))
+        assert old in text
+        path = tmp_path / "config.json"
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+        assert cli.main(["classify", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"config error: {line}")
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
+
+    def test_config_not_utf8_exits_1(self, tmp_path, capsys):
+        # a UnicodeDecodeError used to escape from json.load as a traceback
+        path = tmp_path / "config.json"
+        path.write_bytes(json.dumps(manufactured_config(tmp_path)).encode().replace(
+            b'"6/(1+r^2)"', b'"6/(1+r^2)\xff"', 1))
+        assert cli.main(["classify", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config cannot be read as JSON: 'utf-8' codec")
+
     @pytest.mark.parametrize("command", ["classify", "sweep"])
     @pytest.mark.parametrize("module,name", [
         ("criteria", "build_report"),

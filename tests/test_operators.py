@@ -91,6 +91,12 @@ class TestCatalog:
         with pytest.raises(ops.OperatorError):
             ops.make_operator("tricubic")
 
+    def test_integer_beyond_float_range(self):
+        # float() used to raise OverflowError, which no caller reads as a
+        # config mistake
+        with pytest.raises(ops.OperatorError, match="parameter p is too large for a float"):
+            ops.make_operator("p_laplacian", p=10 ** 400)
+
     @pytest.mark.parametrize("p", [np.float32(3.0), np.int64(3)])
     def test_numpy_scalar_parameters_accepted(self, p):
         assert ops.h_eval(ops.make_operator("p_laplacian", p=p), 3.0) == pytest.approx(9.0)

@@ -340,12 +340,13 @@ class TestKernelPlan:
         (plan,) = cache._entries.values()
         # the probe grid's own array, not a copy
         assert plan.nodes is xs
-        # 13 rows for the first segment's blocks, one for all 14 outer ones,
-        # applied as 14 blocks side by side and 13 that repeat the last row
-        assert [w.size for w in plan.weights] == [8192] * 3
-        assert [(r[0], r[1]) for r in plan.runs] == [(0, (1, 8192)), (8192, (13, 4096))]
-        assert len(plan.runs[0][5]) == 14
-        assert sum(w.nbytes for w in plan.weights) <= 0.25e6
+        # 11 rows for the first segment's blocks, one for all 24 segments
+        # after it (ten halving, 14 outer), applied as 12 blocks side by side
+        # and 23 that repeat the last row
+        assert [w.size for w in plan.weights] == [2048] * 3
+        assert [(r[0], r[1]) for r in plan.runs] == [(0, (1, 2048)), (2048, (23, 1024))]
+        assert len(plan.runs[0][5]) == 12
+        assert sum(w.nbytes for w in plan.weights) <= 0.05e6
 
     def test_rejects_unsorted_nodes(self):
         # used to return [0, 0.667, 0.333, ...] without complaint
@@ -395,7 +396,7 @@ class TestImproperLimitProbe:
             qd.ProbeSchedule(**settings)
 
     def test_whole_valued_float_counts_stored_as_int(self):
-        s = qd.ProbeSchedule(count=15.0, segment_nodes=4096.0)
+        s = qd.ProbeSchedule(count=15.0, segment_nodes=1024.0)
         assert type(s.count) is int and type(s.segment_nodes) is int
         assert s == qd.ProbeSchedule()
 
