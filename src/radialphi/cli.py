@@ -125,9 +125,9 @@ def _instance_echo(spec) -> dict:
 def _write_json(path: str | None, payload: dict):
     if not path:
         return
+    # one write: json.dump streams about 1,200 chunks per classify report
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _numeric_failure(cfg: dict, exc: NumericsError, payload: dict) -> int:
@@ -144,17 +144,23 @@ def _write_solution_csv(path: str | None, sol) -> None:
     Blocks of ``_CSV_BLOCK`` rows are formatted at once from integer
     digits, byte-identical to formatting every float with ``_CSV_FLOAT``.
     Each |x| becomes a 13-digit mantissa m = round(|x| * 10**(12 - e)) in
-    [1e12, 1e13) and a decimal exponent e.  The exact |x| times the
-    correctly rounded scale, rounded once more, is within 2.3e-3 of the
-    exact product (two relative errors of 2**-53 on a product below 1e13),
-    so ``rint`` rounds it as ``_CSV_FLOAT`` does whenever its fraction lies
-    more than 0.01 from one half.  Values inside that band (about 2%),
-    values whose e = floor(log10|x|) leaves the product outside
-    [1e12, 1e13) (an off-by-one log10 next to a power of 10, or |x|
-    outside [1e-100, 1e101), subnormals included, where e is clipped to
-    [-100, 100]) and mantissas that round up to 1e13 are formatted by
-    ``_CSV_FLOAT`` and parsed back into (m, e).  So every digit written is
-    proven, and none rests on the accuracy of log10.
+    [1e12, 1e13) and a decimal exponent e = floor(log10|x|).  Below 1e13,
+    y = fl(|x| * fl(10**(12 - e))) is within 9.8e-4 (half an ulp of y)
+    + 1.1e-3 (the scale's relative error of 2**-53) < 2.1e-3 of the exact
+    product, so ``rint`` rounds y as ``_CSV_FLOAT`` rounds |x| whenever
+    |y - rint(y)| < 0.497.  Values outside that band (about 0.6%), values
+    whose e leaves y outside [1e12, 1e13) (an off-by-one log10 next to a
+    power of 10, or |x| below 1e-296, subnormals included) and mantissas
+    that round up to 1e13 are formatted by ``_CSV_FLOAT`` and parsed back
+    into (m, e).  So every digit written is proven, and none rests on the
+    accuracy of log10.
+
+    A block with no negative value (-0.0 included) and every |e| < 100 is
+    written as 19-byte cells: digit, point, 12 digits as three 4-digit
+    words, "e", exponent sign and two digits as one 4-byte word, and the
+    separator.  Any other block has 21-byte cells, with a sign in front
+    and a third exponent digit, a NUL filling either when unused; the NULs
+    are squeezed out.
     """
     if not path:
         return
@@ -170,18 +176,24 @@ def _write_solution_csv(path: str | None, sol) -> None:
 # per row; over the 11 solves of the benchmark menu, blocks of 4096 rows
 # raised the peak RSS by 1.2 MB and blocks of 1024 by 0.2 MB, at one speed
 _CSV_BLOCK = 1024
-# "0000" ... "9999" as ASCII rows, gathered as one 4-byte word each; built
-# in uint8, since int64 arithmetic on the table raised peak RSS by 1.2 MB
+# "0000" ... "9999" as one 4-byte word each; built in uint8, since int64
+# arithmetic on the table raised peak RSS by 1.2 MB
 _DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-_DIGITS4 = np.stack(np.meshgrid(*[_DIGIT] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
-# exponent digits by |e|: two and a NUL below 100, three from 100 on
-_EXP_DIGITS = np.where(np.arange(1000)[:, None] < 100,
-                       np.column_stack((_DIGITS4[:1000, 2:], np.zeros(1000, np.uint8))),
-                       _DIGITS4[:1000, 1:])
-# the cell bytes without the sign and the third exponent digit
-_NARROW = np.r_[1:19, 20]
-# 10**(12 - e), correctly rounded, for decimal exponents e in [-100, 100]
-_SCALE = np.array([float(f"1e{12 - e}") for e in range(-100, 101)])
+_WORDS4 = np.stack(np.meshgrid(*[_DIGIT] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
+# "e", sign and two digits by e + 99; sign and two digits and a NUL, or
+# three digits, by e + 999
+_EXP_NARROW = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-99, 100)), np.uint32)
+_EXP_WIDE = np.frombuffer(b"".join((b"%+03d" % e).ljust(4, b"\0") for e in range(-999, 1000)),
+                          np.uint32)
+# the written fields of a cell at their byte offsets, and its fixed bytes
+_NARROW_CELL = np.dtype({"names": ["lead", "g0", "g1", "g2", "exp"], "itemsize": 19,
+                         "formats": ["u1"] + ["u4"] * 4, "offsets": [0, 2, 6, 10, 14]})
+_WIDE_CELL = np.dtype({"names": ["sign", "lead", "g0", "g1", "g2", "exp"], "itemsize": 21,
+                       "formats": ["u1"] * 2 + ["u4"] * 4, "offsets": [0, 1, 3, 7, 11, 16]})
+_NARROW_BYTES, _WIDE_BYTES = b"0.000000000000e+00,", b"\0" b"0.000000000000e+000,"
+# 10**(12 - e), correctly rounded, by e + 324 for every e = floor(log10|x|)
+# of a finite x; capped at 1e308, which sends every e < -296 to the fallback
+_SCALE = np.array([float(f"1e{min(12 - e, 308)}") for e in range(-324, 309)])
 
 
 def _csv_rows(table: np.ndarray) -> bytes:
@@ -202,40 +214,38 @@ def _csv_rows(table: np.ndarray) -> bytes:
 
 def _finite_csv_rows(table: np.ndarray) -> bytes:
     """``_csv_rows`` of a finite table, from the (m, e) digits described
-    in ``_write_solution_csv``.  Each cell is 21 bytes: sign, digit, point,
-    12 digits, "e", exponent sign, three exponent digits and the
-    separator.  A NUL fills an unused sign or third exponent digit; a block
-    with neither drops both slots, any other block squeezes the NULs out.
-    """
+    in ``_write_solution_csv``, written over a row of fixed cell bytes."""
     a = np.abs(table)
     zero = a == 0
-    e = np.clip(np.floor(np.log10(np.where(zero, 1.0, a))).astype(np.int64), -100, 100)
-    y = a * _SCALE[e + 100]
+    e = np.floor(np.log10(a + zero)).astype(np.int64)
+    y = a * _SCALE[e + 324]
     m = np.rint(y)
-    exact = zero | ((y >= 1e12) & (m < 1e13) & (np.abs(y - m) < 0.49))
-    m = np.where(exact, m, 0.0).astype(np.int64)
-    for i in np.flatnonzero(~exact):
-        mantissa, exponent = (_CSV_FLOAT % table.flat[i]).split("e")
-        m.flat[i] = int(mantissa.lstrip("-").replace(".", ""))
-        e.flat[i] = int(exponent)
+    exact = zero | ((y >= 1e12) & (m < 1e13) & (np.abs(y - m) < 0.497))
+    slow = np.flatnonzero(~exact)
+    m = m.astype(np.int64)
+    if slow.size:
+        texts = [(_CSV_FLOAT % x).lstrip("-").split("e") for x in table.flat[slow].tolist()]
+        m.flat[slow] = [int(mantissa.replace(".", "")) for mantissa, _ in texts]
+        e.flat[slow] = [int(exponent) for _, exponent in texts]
 
-    cells = np.empty(table.shape + (21,), np.uint8)
     neg = np.signbit(table)
-    lead, rest = np.divmod(m, 10**12)
-    e_abs = np.abs(e)
-    cells[..., 0] = np.where(neg, ord("-"), 0)
-    cells[..., 1] = lead + ord("0")
-    cells[..., 2] = ord(".")
-    groups = np.stack((rest // 10**8, rest // 10**4 % 10**4, rest % 10**4), axis=-1)
-    cells[..., 3:15] = _DIGITS4.view(np.uint32)[groups, 0].view(np.uint8)
-    cells[..., 15] = ord("e")
-    cells[..., 16] = np.where(e < 0, ord("-"), ord("+"))
-    cells[..., 17:20] = _EXP_DIGITS[e_abs]
-    cells[..., 20] = ord(",")
-    cells[:, -1, 20] = ord("\n")
-    if neg.any() or (e_abs >= 100).any():
-        return cells.tobytes().replace(b"\0", b"")
-    return cells[..., _NARROW].tobytes()
+    narrow = not neg.any() and (np.abs(e) < 100).all()
+    cell, fixed = (_NARROW_CELL, _NARROW_BYTES) if narrow else (_WIDE_CELL, _WIDE_BYTES)
+    # a repeated bytearray fills the rows four times as fast as numpy does
+    row = (fixed * table.shape[1])[:-1] + b"\n"
+    cells = np.frombuffer(bytearray(row) * table.shape[0], cell).reshape(table.shape)
+    hi = m // 10**8  # floor division and a product: np.divmod takes twice as long
+    lo = m - hi * 10**8
+    lead, g1 = hi // 10**4, lo // 10**4
+    cells["lead"] = lead + ord("0")
+    cells["g0"] = _WORDS4[hi - lead * 10**4]
+    cells["g1"], cells["g2"] = _WORDS4[g1], _WORDS4[lo - g1 * 10**4]
+    if narrow:
+        cells["exp"] = _EXP_NARROW[e + 99]
+        return cells.tobytes()
+    cells["exp"] = _EXP_WIDE[e + 999]
+    cells["sign"] = np.where(neg, ord("-"), 0)
+    return cells.tobytes().replace(b"\0", b"")
 
 
 def cmd_solve(cfg: dict) -> int:

@@ -737,6 +737,12 @@ _EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e22, 1e23,
           9.9999999999995e-1, 1e-100, 9.999999999999e99, 1e100, -1e300,
           1.7976931348623157e308, 0.5e-3, 0.5e-7, 0.5e-12, 2.5e-13,
           float("nan"), float("inf"), float("-inf")]
+# mantissas 0.0022 to 0.01 from a tie before the product rounds: most lie
+# just outside the 0.497 band and take the digit path
+_NEAR_TIES = st.builds(lambda m, delta, k, sign: sign * (m + 0.5 + delta) * 10.0 ** k,
+                       st.integers(10**12, 10**13 - 1),
+                       st.one_of(st.floats(0.0022, 0.01), st.floats(-0.01, -0.0022)),
+                       st.integers(-40, 30), st.sampled_from([-1.0, 1.0]))
 # exact ties at the 13th digit, rounded half to even; the last one carries
 _EXACT_TIES = [1234567890123.5, 1234567890122.5, 12345678901235.0,
                12345678901225.0, -1000000000000.5, 9999999999999.5]
@@ -767,6 +773,53 @@ class TestSolutionCsv:
     def test_edge_values_in_one_block(self):
         table = np.array(_EDGES + _EXACT_TIES[:4]).reshape(-1, 4)
         assert cli._csv_rows(table) == reference_rows(table)
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 5)),
+                  elements=_NEAR_TIES))
+    @settings(max_examples=50, deadline=None)
+    def test_values_next_to_the_band_match_per_float_format(self, table):
+        assert cli._csv_rows(table) == reference_rows(table)
+
+    def test_few_values_take_the_fallback(self, monkeypatch):
+        # uniform mantissas meet the 0.497 band about 0.6% of the time
+        class CountingFormat(str):
+            calls = 0
+
+            def __mod__(self, value):
+                CountingFormat.calls += 1
+                return str.__mod__(self, value)
+
+        monkeypatch.setattr(cli, "_CSV_FLOAT", CountingFormat("%.12e"))
+        rng = np.random.default_rng(15)
+        table = rng.uniform(1.0, 10.0, (1024, 5)) * 10.0 ** rng.integers(-30, 30, (1024, 5))
+        assert cli._csv_rows(table) == reference_rows(table)
+        assert CountingFormat.calls <= 0.01 * table.size
+
+    @pytest.mark.parametrize("bad", [[0], [2, 3], [5], [0, 1, 2, 3, 4, 5]],
+                             ids=["first", "adjacent", "last", "all"])
+    def test_non_finite_rows_leave_empty_slices(self, bad):
+        table = np.linspace(1.0, 2.0, 30).reshape(6, 5)
+        table[bad, 1] = np.nan
+        table[bad, 4] = -np.inf
+        assert cli._finite_csv_rows(table[:0]) == b""
+        assert cli._csv_rows(table) == reference_rows(table)
+        assert cli._csv_rows(-1e200 * table) == reference_rows(-1e200 * table)
+
+    def test_narrow_then_wide_block(self, tmp_path):
+        # the first block has no negative value and no |e| >= 100, so it is
+        # written as 19-byte cells; the second is not
+        rows = 2 * cli._CSV_BLOCK
+        grid = RadialGrid(0.5 * (rows - 1), 0.5)
+        u = 1.0 + grid.nodes ** 2
+        v = np.where(np.arange(rows) < cli._CSV_BLOCK + 100, u, -1e150 * u)
+        cols = (grid.nodes, u, v, central_diff(u, 0.5), central_diff(v, 0.5))
+        table = np.column_stack(cols)
+        head, tail = table[:cli._CSV_BLOCK], table[cli._CSV_BLOCK:]
+        assert not np.signbit(head).any() and head.max() < 1e99
+        assert np.signbit(tail).any()
+        path = tmp_path / "solution.csv"
+        cli._write_solution_csv(str(path), SimpleNamespace(grid=grid, u=u, v=v))
+        assert path.read_bytes() == reference_csv(cols)
 
     @pytest.mark.parametrize("offset", [-0.5, 0.5])
     def test_exact_when_log10_misjudges_exponent(self, monkeypatch, offset):
