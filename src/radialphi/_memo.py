@@ -1,7 +1,8 @@
 """The one cache policy of the package: a bounded map of values built once.
 
-Kernel plans, growth-budget probe values, and the operators, nonlinearities
-and envelopes that config assembly builds are all kept this way: least
+Kernel plans, panel matrices, growth-budget probe values, and the
+operators, nonlinearities and envelopes that config assembly builds are
+all kept this way: least
 recently used out first, each value built under the lock so that threads
 share one build, and nothing kept from a build that raises.
 """

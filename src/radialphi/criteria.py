@@ -16,17 +16,18 @@ between bounded and unbounded components:
   H_12(u_m(r)) <= k_bar_1 * P_upper_12(r), so H^-1 of the coupling is a
   pointwise ceiling.
 
-Evaluation is prefix-sum based on one shared node array (uniform for desk
-use, piecewise-uniform geometric for improper-limit probes: ten halving
-segments grade the head below the first probe radius, where the enveloped
-kernel behaves like a fractional power of t, and doubling segments reach
-radii in the tens of thousands).
+Evaluation is prefix-sum based on one shared node array.  The probes and
+the desk functions run on Chebyshev–Lobatto panels (``quadrature.PanelLayout``)
+over graded segments: 30 halving segments grade the head below the first
+radius, where the enveloped kernel behaves like a fractional power of t,
+and, for probes, one segment per later radius reaches radii in the tens of
+thousands; on smooth integrands their values are exact to roundoff.  An
+evaluator on caller-given nodes (``solution_bounds``) uses the trapezoid
+rules instead, with the grid's half panel widths computed once.
 Every probe consumer takes one ``ProbeSchedule`` with all probe settings.
-An evaluator computes the grid's half panel widths once and integrates each
-prefix inside its output array from them.  The arrays an evaluator keeps
-(weights, kernels, accumulations, coupling prefixes) are read-only, because
-one may serve several consumers: both sides share one kernel when their
-weights are equal.
+The arrays an evaluator keeps (weights, kernels, accumulations, coupling
+prefixes) are read-only, because one may serve several consumers: both
+sides share one kernel when their weights are equal.
 
 Index conventions: the outer envelope of a coupling integral belongs to the
 equation being bounded (psi_bar_1 for P_12, psi_bar_2 for P_21), matching
@@ -49,7 +50,7 @@ import numpy as np
 from ._memo import BoundedCache
 from .model import PAIRS, Nonlinearity, ProblemSpec
 from .operators import h_inverse
-from .quadrature import (LimitVerdict, NumericsError, ProbeSchedule,
+from .quadrature import (LimitVerdict, NumericsError, PanelLayout, ProbeSchedule,
                          half_widths, prefix_trapezoid, radial_kernel_at)
 
 __all__ = [
@@ -97,16 +98,21 @@ def _finite_positive(arr: np.ndarray, what: str) -> np.ndarray:
 class CriteriaEvaluator:
     """Memoized prefix arrays for all criteria functionals on one node set.
 
-    ``xs`` must be increasing and start at 0.  Every array it returns is
-    read-only.
+    ``xs`` must be increasing and start at 0.  Kernels and prefixes use the
+    piecewise-linear rules of any node array, or, with ``panels``, the
+    Chebyshev–Lobatto panels whose nodes ``xs`` are.  Every array it
+    returns is read-only.
     """
 
-    def __init__(self, spec: ProblemSpec, xs: np.ndarray):
+    def __init__(self, spec: ProblemSpec, xs: np.ndarray,
+                 panels: PanelLayout | None = None):
         self.spec = spec
         self.xs = np.asarray(xs, dtype=float)
         if self.xs[0] != 0.0:
             raise ValueError("criteria grid must start at 0")
-        self._half = half_widths(self.xs)
+        # the layout goes by keyword, and only when there is one
+        self._layout = {} if panels is None else {"panels": panels}
+        self._half = None if panels is not None else half_widths(self.xs)
         self._cache: dict = {}
 
     def _get(self, key, builder):
@@ -120,7 +126,10 @@ class CriteriaEvaluator:
         return self._cache[key]
 
     def _prefix(self, values: np.ndarray) -> np.ndarray:
-        return prefix_trapezoid(values, self.xs, self._half)
+        return prefix_trapezoid(values, self.xs, self._half, **self._layout)
+
+    def _kernel(self, values: np.ndarray) -> np.ndarray:
+        return radial_kernel_at(values, self.spec.N, self.xs, **self._layout)
 
     # -- primitive layers ---------------------------------------------------
 
@@ -144,7 +153,7 @@ class CriteriaEvaluator:
             held = self._cache.get(("w", 1))
             if side == 2 and held is not None and np.array_equal(held, w):
                 return self.kernel(1)
-            return radial_kernel_at(w, self.spec.N, self.xs)
+            return self._kernel(w)
         return self._get(("K", side), build)
 
     def accumulation_values(self, side: int, bound: str) -> np.ndarray:
@@ -175,7 +184,7 @@ class CriteriaEvaluator:
             inner = self.weight(own.index) * np.asarray(
                 nl.xi_bar(1.0 + self.accumulation_values(other.index, "bar")), dtype=float)
             _finite_positive(inner, f"upper coupling inner weight ({pair})")
-            kern = radial_kernel_at(inner, self.spec.N, self.xs)
+            kern = self._kernel(inner)
             outer = np.asarray(own.env.psi_bar(nl.c_bar * kern), dtype=float)
             _finite_positive(outer, f"upper coupling integrand ({pair})")
             return self._prefix(outer)
@@ -206,7 +215,7 @@ class CriteriaEvaluator:
             inner = self.weight(own.index) * np.asarray(
                 xi_under(1.0 + self.accumulation_values(other.index, "under")), dtype=float)
             _finite_positive(inner, f"lower coupling inner weight ({pair})")
-            kern = radial_kernel_at(inner, self.spec.N, self.xs)
+            kern = self._kernel(inner)
             outer = h_inverse(own.op, c_under * kern)
             _finite_positive(outer, f"lower coupling integrand ({pair})")
             return self._prefix(outer)
@@ -336,14 +345,11 @@ def _budget_probes(spec: ProblemSpec, pair: str, radii: list, relaxed: bool = Fa
 
 
 # ---------------------------------------------------------------------------
-# Desk-level evaluation (uniform grid per call)
+# Desk-level evaluation (graded panels up to the radius of each call)
 
 def _desk_evaluator(spec: ProblemSpec, r: float) -> CriteriaEvaluator:
-    # owned and read-only, so its kernel plan holds it weakly and is
-    # released with the evaluator instead of crowding out the probe plans
-    xs = np.linspace(0.0, float(r), 4097).copy()
-    xs.flags.writeable = False
-    return CriteriaEvaluator(spec, xs)
+    layout = PanelLayout(_graded_edges([float(r)]), ProbeSchedule.segment_nodes)
+    return CriteriaEvaluator(spec, layout.nodes, panels=layout)
 
 
 def accumulation(spec: ProblemSpec, side: int, bound: str, t: float) -> float:
@@ -377,39 +383,46 @@ def accumulation_limit(spec: ProblemSpec, side: int,
 # Probe grid and report
 
 # halvings of the first probe radius that grade the head of the probe grid
-_HEAD_HALVINGS = 10
+_HEAD_HALVINGS = 30
+
+
+def _graded_edges(radii: list) -> list:
+    """0, then radii[0] / 2**k for k = _HEAD_HALVINGS .. 1, then the radii."""
+    head = radii[0]
+    return [0.0, *(head / 2.0 ** k for k in range(_HEAD_HALVINGS, 0, -1)), *radii]
 
 
 def probe_grid(schedule: ProbeSchedule):
-    """Probe node array covering [0, R_last], plus the probe indices.
+    """Probe node array covering [0, R_last], the probe indices, and the
+    Chebyshev–Lobatto panel layout of the nodes.
 
-    Its head is graded: [0, r0 / 2**10] is one segment, then ten halving
+    Its head is graded: [0, r0 / 2**30] is one segment, then 30 halving
     segments reach r0, where psi of the kernel behaves like a fractional
-    power of t and a uniform rule converges slowly.  One segment follows
-    per probe radius after r0.  Every segment has ``segment_nodes``
-    panels, and the nodes at the probe indices are the schedule's radii.
+    power of t.  One segment follows per probe radius after r0.  Every
+    segment adds ``segment_nodes`` nodes (one panel of segment_nodes + 1
+    Lobatto points), and the nodes at the probe indices are the
+    schedule's radii.
 
-    Both arrays are read-only and shared: one pair per probe geometry."""
+    The arrays are read-only and all three are shared: one grid per probe
+    geometry, built when it is first asked for."""
     return _probe_grid(tuple(schedule.radii().tolist()), schedule.segment_nodes)
 
 
 @functools.lru_cache(maxsize=4)
 def _probe_grid(radii: tuple, segment_nodes: int):
-    """Nodes and probe indices of one probe geometry."""
-    edges = [0.0, *(radii[0] / 2.0 ** k for k in range(_HEAD_HALVINGS, 0, -1)), *radii]
-    nodes = np.concatenate([[0.0]] + [np.linspace(lo, hi, segment_nodes + 1)[1:]
-                                      for lo, hi in zip(edges, edges[1:])])
+    """Nodes, probe indices and panel layout of one probe geometry."""
+    edges = _graded_edges(list(radii))
+    layout = PanelLayout(edges, segment_nodes)
     idx = segment_nodes * np.arange(_HEAD_HALVINGS + 1, len(edges))
-    nodes.flags.writeable = False
     idx.flags.writeable = False
-    return nodes, idx
+    return layout.nodes, idx, layout
 
 
 def _probe_evaluator(spec: ProblemSpec, schedule: ProbeSchedule):
-    """An evaluator on the probe grid and the probe indices.  The grid
+    """An evaluator on the probe panels and the probe indices.  The grid
     comes through ``probe_grid``, where the benchmark counts probe nodes."""
-    xs, idx = probe_grid(schedule)
-    return CriteriaEvaluator(spec, xs), idx
+    xs, idx, layout = probe_grid(schedule)
+    return CriteriaEvaluator(spec, xs, panels=layout), idx
 
 
 @dataclass(frozen=True)

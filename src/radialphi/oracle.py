@@ -16,10 +16,14 @@ checks itself:
 
 The probe-based oracles take the ``ProbeSchedule`` of the criteria report,
 so both read their integrals at the same radii with the same tolerances.
+They integrate on a grid of their own, though: piecewise-linear panels,
+1024 per segment whatever ``segment_nodes`` says, with the product
+trapezoid kernel, where the report uses Chebyshev–Lobatto panels.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +32,6 @@ from .model import Nonlinearity, ProblemSpec, SpecError, Weight, build_problem
 from .operators import PhiOperator, h_eval
 from .quadrature import (LimitVerdict, ProbeSchedule, RadialGrid, central_diff,
                          prefix_trapezoid, radial_kernel_at)
-from .criteria import probe_grid
 
 __all__ = [
     "PowerLawInstance",
@@ -38,6 +41,32 @@ __all__ = [
     "single_equation_check",
     "manufactured_problem",
 ]
+
+
+# ---------------------------------------------------------------------------
+# The oracles' probe grid
+
+# trapezoid panels per segment, and halvings of r0 that grade the head
+_SEGMENT_PANELS = 1024
+_HEAD_HALVINGS = 10
+
+
+def _oracle_grid(schedule: ProbeSchedule):
+    """Read-only nodes on [0, R_last] and the indices of the probe radii:
+    [0, r0 / 2**10] is one segment, ten halving segments reach r0, and one
+    segment follows per later probe radius, each of 1024 uniform panels."""
+    return _trapezoid_grid(tuple(schedule.radii().tolist()))
+
+
+@functools.lru_cache(maxsize=4)
+def _trapezoid_grid(radii: tuple):
+    edges = [0.0, *(radii[0] / 2.0 ** k for k in range(_HEAD_HALVINGS, 0, -1)), *radii]
+    nodes = np.concatenate([[0.0]] + [np.linspace(lo, hi, _SEGMENT_PANELS + 1)[1:]
+                                      for lo, hi in zip(edges, edges[1:])])
+    idx = _SEGMENT_PANELS * np.arange(_HEAD_HALVINGS + 1, len(edges))
+    nodes.flags.writeable = False
+    idx.flags.writeable = False
+    return nodes, idx
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +172,7 @@ def power_law_criteria(inst: PowerLawInstance,
     coupling_1(R) = integral_0^R t a1(t) (t^(2-N) integral_0^t s^(N-3) Q(s) ds)^alpha dt
     with Q the first moment of a2 (and symmetrically for coupling_2).
     """
-    xs, idx = probe_grid(schedule)
+    xs, idx = _oracle_grid(schedule)
     a1v = inst.a1.sample(xs)
     a2v = inst.a2.sample(xs)
 
@@ -207,7 +236,7 @@ def single_equation_check(f: Nonlinearity, a: Weight, N: int,
     prev = 1.0
     for r in radii:
         if r > prev:
-            segs.append(np.linspace(prev, r, schedule.segment_nodes + 1)[1:])
+            segs.append(np.linspace(prev, r, _SEGMENT_PANELS + 1)[1:])
             prev = r
     ts = np.concatenate(segs)
     fv = np.asarray(f.f(ts), dtype=float)
@@ -217,7 +246,7 @@ def single_equation_check(f: Nonlinearity, a: Weight, N: int,
     recip_at = np.interp(np.asarray(radii), ts, recip)
     v_recip = schedule.verdict(recip_at)
 
-    xs, idx = probe_grid(schedule)
+    xs, idx = _oracle_grid(schedule)
     av = a.sample(xs)
     acc = prefix_trapezoid(radial_kernel_at(av, N, xs), xs)[idx]
     v_acc = schedule.verdict(acc)

@@ -4,20 +4,31 @@ improper-limit probe.
 Everything downstream (the fixed-point solver, the integral criteria, the
 oracles) is built from three primitives:
 
-* prefix trapezoid integration along a node array,
+* prefix integration along a node array,
 * the kernel  K[w](t) = t^(1-N) * integral_0^t s^(N-1) w(s) ds,
 * a heuristic probe (``verdict_from_trace``) that decides from its values
   at the radii of a ``ProbeSchedule`` whether a nondecreasing functional of
   the truncation radius converges or diverges as the radius grows; the
   schedule holds and validates every setting of the probe.
 
-The kernel integrates s^(N-1) times the piecewise-linear interpolant of the
-samples exactly on each panel (closed-form moments of s^(N-1)), so constant
-and linear integrands are reproduced to roundoff.  Plain trapezoid applied
-to the product s^(N-1) w(s) would lose several digits near the origin.
+The first two come in two layers, both reached through ``prefix_trapezoid``
+and ``radial_kernel_at``:
 
-The moments depend only on the nodes and N, so they live in a ``KernelPlan``
-built once per (node values, N):
+* **Panels** (``PanelLayout``, passed as ``panels=``), for the criteria
+  probes: n + 1 Chebyshev–Lobatto points per segment and spectral
+  integration (Greengard 1991; Trefethen, ATAP ch. 19), exact to roundoff
+  on smooth samples; a kink inside a panel costs that panel its spectral
+  accuracy.
+* **Trapezoid** on any node array, for the solver, the oracles and
+  evaluators on caller-given nodes: a running trapezoid sum, and a kernel
+  that integrates s^(N-1) times the piecewise-linear interpolant of the
+  samples exactly on each panel (closed-form moments of s^(N-1)), so
+  constant and linear integrands are reproduced to roundoff.  Plain
+  trapezoid applied to the product s^(N-1) w(s) would lose several digits
+  near the origin.
+
+The trapezoid moments depend only on the nodes and N, so they live in a
+``KernelPlan`` built once per (node values, N):
 
 * **Blocks.**  The first panel, which contains 0, is a block of its own;
   from there each block runs to the last node at most twice its bottom
@@ -32,19 +43,19 @@ built once per (node values, N):
   overflowed once N * log10(R) passed about 308; the plan still overflows
   when 2^N leaves the float range (N from about 1025).
 * **Row sharing.**  Blocks whose scaled nodes are bitwise equal share one
-  row of weights and output factors.  Every segment of the default probe
+  row of weights and output factors.  Every segment of the oracles' probe
   grid after its first, the ten halving segments of its graded head and
   the 14 outer ones, is a power-of-two scaling of the others, so that plan
   stores 2048 panels (about 49 KB) for 25,600: the first segment's 1024 in
   11 rows and one row that the 24 segments after it share.
 * **Cache.**  Plans live in the package's one ``BoundedCache`` policy,
-  which also keeps growth-budget probe values (8), operators (2),
-  nonlinearities (2) and derived envelopes (2).  ``radial_kernel_at``
-  finds its plan by a signature (size, N, first and last node) and
-  confirms it by comparing every node value, so a node array changed in
-  place gets a new plan.  Up to eight plans are kept, least recently used
+  which also keeps panel matrices (16), growth-budget probe values (8),
+  operators (2), nonlinearities (2) and derived envelopes (2).
+  ``radial_kernel_at`` finds its plan by a signature (size, N, first and
+  last node) and confirms it by comparing every node value, so a node
+  array changed in place gets a new plan.  Up to eight plans are kept, least recently used
   out first, and the plan of a node array that owns its read-only memory
-  (a probe grid, a ``RadialGrid``) holds it weakly and drops its weights
+  (an oracle grid, a ``RadialGrid``) holds it weakly and drops its weights
   when the array is freed; such a released plan leaves the cache before
   the next lookup.  Each plan is built once under a lock, so threads
   share it.
@@ -74,6 +85,7 @@ __all__ = [
     "ProbeSchedule",
     "NumericsError",
     "KernelPlan",
+    "PanelLayout",
     "central_diff",
     "half_widths",
     "prefix_trapezoid",
@@ -111,7 +123,8 @@ class RadialGrid:
 
 
 def prefix_trapezoid(values: np.ndarray, xs: np.ndarray,
-                     half: np.ndarray | None = None) -> np.ndarray:
+                     half: np.ndarray | None = None, *,
+                     panels: PanelLayout | None = None) -> np.ndarray:
     """Running trapezoid integral of samples ``values`` at nodes ``xs``.
 
     Works for any strictly increasing node array; the first entry is 0.
@@ -121,6 +134,9 @@ def prefix_trapezoid(values: np.ndarray, xs: np.ndarray,
     that is the only full-length allocation when ``half`` is given, and the
     result is bit for bit that of ``np.diff(xs) * (v[1:] + v[:-1]) * 0.5``,
     since halving is exact.
+
+    With ``panels``, the layout whose nodes ``xs`` are, the samples are
+    integrated on its Chebyshev–Lobatto panels instead, spectrally.
     """
     values = np.asarray(values, dtype=float)
     xs = np.asarray(xs, dtype=float)
@@ -128,6 +144,9 @@ def prefix_trapezoid(values: np.ndarray, xs: np.ndarray,
         raise ValueError("values and nodes differ in length")
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite input sample")
+    if panels is not None:
+        _check_layout(panels, xs)
+        return panels.prefix(values)
     if half is None:
         half = half_widths(xs)
     out = np.empty_like(values)
@@ -351,13 +370,17 @@ def _scratch() -> np.ndarray:
 _PLANS = BoundedCache(8, stale=lambda plan: plan.released)
 
 
-def radial_kernel_at(values: np.ndarray, dim: int, xs: np.ndarray) -> np.ndarray:
+def radial_kernel_at(values: np.ndarray, dim: int, xs: np.ndarray, *,
+                     panels: PanelLayout | None = None) -> np.ndarray:
     """K[w](t) = t^(1-dim) * integral_0^t s^(dim-1) w(s) ds at nodes ``xs``.
 
     ``xs`` must start at 0, where K is 0 by the integrand limit, and be
     strictly increasing.  A non-finite input sample or a length mismatch
     raises ValueError; a kernel that overflows on finite input raises
-    NumericsError.
+    NumericsError.  With ``panels``, the layout whose nodes ``xs`` are, K
+    comes from its Chebyshev–Lobatto panels instead of a kernel plan; an
+    interpolant can undershoot next to a kink, so there K of nonnegative
+    samples is clipped at 0, which it cannot be below.
     """
     values = np.asarray(values, dtype=float)
     xs = np.asarray(xs, dtype=float)
@@ -365,6 +388,23 @@ def radial_kernel_at(values: np.ndarray, dim: int, xs: np.ndarray) -> np.ndarray
         raise ValueError("values and nodes differ in length")
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite input sample")
+    if panels is not None:
+        _check_layout(panels, xs)
+        if dim < 1:
+            raise ValueError("dimension must be >= 1")
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = panels.kernel(values, int(dim))
+        if values.min() >= 0.0:
+            np.maximum(out, 0.0, out=out)
+    else:
+        out = _planned_kernel(values, dim, xs)
+    if not np.all(np.isfinite(out)):
+        raise NumericsError("radial kernel overflowed (dimension too large for this range)")
+    return out
+
+
+def _planned_kernel(values: np.ndarray, dim, xs: np.ndarray) -> np.ndarray:
+    """K on any node array, through the cached kernel plan of ``xs``."""
     # the node array a plan was confirmed against keeps its weights alive
     anchor = [xs]
 
@@ -377,13 +417,189 @@ def radial_kernel_at(values: np.ndarray, dim: int, xs: np.ndarray) -> np.ndarray
 
     key = (xs.size, dim, float(xs[0]), float(xs[-1])) if xs.size else None
     plan = _PLANS.get(key, lambda: KernelPlan(xs, dim), fits)
-    # an overflow is reported once, by the finiteness check below
+    # an overflow is reported once, by the finiteness check of the caller
     with np.errstate(over="ignore", invalid="ignore"):
         out = plan.apply(values)
     del anchor  # held through apply: the plan's weights live while its nodes do
-    if not np.all(np.isfinite(out)):
-        raise NumericsError("radial kernel overflowed (dimension too large for this range)")
     return out
+
+
+def _check_layout(panels: PanelLayout, xs: np.ndarray):
+    if xs is not panels.nodes and not np.array_equal(xs, panels.nodes):
+        raise ValueError("nodes are not those of the panel layout")
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev–Lobatto panels
+
+# The panel tables take their few sines and cosines from ``math``: numpy's
+# vector trigonometry would page in its code only for them, and
+# a process's peak RSS counts those pages.
+
+def _lobatto(n: int) -> np.ndarray:
+    """The n + 1 Chebyshev–Lobatto points of [0, 1], ascending, ends exact."""
+    t = np.array([math.sin(j * (0.5 * math.pi / n)) ** 2 for j in range(n + 1)])
+    t[0], t[-1] = 0.0, 1.0
+    return t
+
+
+def _gauss_legendre(q: int) -> tuple:
+    """Points and weights of the q-point Gauss–Legendre rule on [-1, 1], by
+    Newton's method on the three-term recurrence of P_q; at q = 558 this
+    integrates x^1099 about 300 times more accurately than the eigenvalue
+    route of ``numpy.polynomial.legendre.leggauss``, and it needs no LAPACK."""
+    x = np.array([math.cos(math.pi * (k - 0.25) / (q + 0.5)) for k in range(1, q + 1)])
+
+    def slope(x):
+        before, p = np.ones_like(x), x
+        for j in range(2, q + 1):
+            before, p = p, ((2 * j - 1) * x * p - (j - 1) * before) / j
+        return p, q * (x * p - before) / (x * x - 1.0)
+
+    for _ in range(100):
+        p, dp = slope(x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    dp = slope(x)[1]
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+def _panel_matrix(dim: int, n: int, rho: float) -> tuple:
+    """Kernel matrix of a panel [rho, 1] with n + 1 Lobatto points u_i.
+
+    Returns (W, decay): W[i-1, j] = integral_rho^u_i (s/u_i)^(dim-1) l_j(s) ds
+    for i = 1..n, with l_j the Lagrange basis of the points, and
+    decay[i-1] = (rho/u_i)^(dim-1).  The integrand is a polynomial of degree
+    dim - 1 + n, so Gauss–Legendre on ceil((dim + n) / 2) points is exact;
+    l_j is summed from its Chebyshev coefficients, so no point of one set
+    needs to avoid the other.  Cost O(n^2 (dim + n))."""
+    t = _lobatto(n)
+    u = rho + (1.0 - rho) * t[1:]
+    g, omega = _gauss_legendre((dim + n + 1) // 2)
+    moments = np.empty((n, n + 1))
+    # rows in blocks of about 32k Gauss points, which stay in cache
+    block = max(1, 32768 // g.size)
+    for top in range(0, n, block):
+        rows = slice(top, top + block)
+        # Gauss points of [rho, u_i], in the panel's Chebyshev variable
+        half = t[1:][rows, None] * (1.0 + g)
+        s = rho + (1.0 - rho) * 0.5 * half
+        wts = omega * (0.5 * (u[rows] - rho))[:, None] * (s / u[rows, None]) ** (dim - 1)
+        # moments of T_0 .. T_n by the three-term recurrence
+        twice = 2.0 * (half - 1.0)
+        prev, cur, spare = np.ones_like(half), half - 1.0, np.empty_like(half)
+        moments[rows, 0] = wts.sum(axis=1)
+        moments[rows, 1] = np.einsum("iq,iq->i", wts, cur)
+        for k in range(2, n + 1):
+            np.multiply(twice, cur, out=spare)
+            spare -= prev
+            prev, cur, spare = cur, spare, prev
+            moments[rows, k] = np.einsum("iq,iq->i", wts, cur)
+    # Chebyshev coefficients from the values at the points: discrete
+    # orthogonality of T_k at -cos(pi j / n), the end terms halved
+    cosines = np.array([math.cos(m * math.pi / n) * (2.0 / n) for m in range(2 * n)])
+    coef = cosines[np.outer(np.arange(n + 1), np.arange(n + 1)) % (2 * n)]
+    coef[:, [0, n]] *= 0.5
+    coef[[0, n], :] *= 0.5
+    coef[1::2, :] *= -1.0
+    # einsum, not matmul: small products that need no BLAS buffers
+    matrix = np.einsum("ik,kj->ij", moments, coef)
+    decay = (rho / u) ** (dim - 1)
+    matrix.flags.writeable = False
+    decay.flags.writeable = False
+    return matrix, decay
+
+
+# one matrix per (dimension, points, panel ratio): a probe grid with
+# factor 2 needs two per dimension plus the integration matrix
+_PANEL_MATRICES = BoundedCache(16)
+
+
+def _matrix(dim: int, n: int, rho: float) -> tuple:
+    return _PANEL_MATRICES.get((dim, n, rho), lambda: _panel_matrix(dim, n, rho))
+
+
+class PanelLayout:
+    """Read-only Chebyshev–Lobatto panels between increasing ``edges``.
+
+    Each segment [lo, hi] holds ``n`` + 1 Lobatto points, so the node array
+    has n * (segments) + 1 entries and ``nodes[n * k]`` is ``edges[k]``
+    exactly.  ``prefix`` integrates samples with the spectral integration
+    matrix of [0, 1], scaled by the panel width, and carries each panel's
+    total into the next.  ``kernel`` takes, for every panel,
+    K(x_i) = (lo/x_i)^(N-1) K(lo) + hi * sum_j W_ij w_j, with
+    W_ij = integral (s/x_i)^(N-1) l_j(s) ds over [lo, x_i] in units of hi;
+    W depends only on (N, n, lo/hi), the ratios of a geometric layout
+    repeat, so one matrix per ratio serves all its panels, and no stored
+    power exceeds 1.  The matrices are built on first use and cached.
+
+    Rejects, with ValueError, edges that do not start at 0 or are not
+    finite and strictly increasing, and fewer than 2 points per segment.
+    """
+
+    def __init__(self, edges, n: int):
+        edges = np.array(edges, dtype=float)
+        if n < 2 or edges.size < 2 or edges[0] != 0.0:
+            raise ValueError("panel edges must start at 0 and panels need >= 2 points")
+        lo, hi = edges[:-1], edges[1:]
+        if not (np.all(np.isfinite(edges)) and np.all(hi > lo)):
+            raise ValueError("panel edges must be finite and strictly increasing")
+        nodes = np.empty(lo.size * n + 1)
+        nodes[0] = 0.0
+        body = nodes[1:].reshape(lo.size, n)
+        body[:] = lo[:, None] + (hi - lo)[:, None] * _lobatto(n)[1:]
+        body[:, -1] = hi
+        if not np.all(nodes[1:] > nodes[:-1]):
+            raise ValueError("panel nodes must be strictly increasing")
+        nodes.flags.writeable = False
+        self.nodes = nodes
+        self.n = n
+        self._widths = (hi - lo)[:, None]
+        self._tops = hi[:, None]
+        # the node indices of each panel, one row each; neighbours share ends
+        self._index = n * np.arange(lo.size)[:, None] + np.arange(n + 1)
+        ratios = lo / hi
+        self._groups = tuple((rho, np.flatnonzero(ratios == rho))
+                             for rho in sorted(set(ratios.tolist())))
+
+    def _panels(self, values: np.ndarray) -> np.ndarray:
+        """The samples of each panel as rows."""
+        return values[self._index]
+
+    def _assemble(self, local: np.ndarray, start: np.ndarray) -> np.ndarray:
+        out = np.empty(self.nodes.size)
+        out[0] = 0.0
+        np.add(local, start, out=out[1:].reshape(local.shape))
+        return out
+
+    def prefix(self, values: np.ndarray) -> np.ndarray:
+        """Running integral of the samples ``values`` from 0."""
+        matrix = _matrix(1, self.n, 0.0)[0]
+        local = np.einsum("pj,ij->pi", self._panels(values), matrix)
+        local *= self._widths
+        start = np.cumsum(local[:, -1])
+        start = np.concatenate(([0.0], start[:-1]))[:, None]
+        return self._assemble(local, start)
+
+    def kernel(self, values: np.ndarray, dim: int) -> np.ndarray:
+        """K[w](t) = t^(1-dim) * integral_0^t s^(dim-1) w(s) ds at the nodes."""
+        rows = self._panels(values)
+        local = np.empty((rows.shape[0], self.n))
+        decay = np.empty_like(local)
+        for rho, panels in self._groups:
+            matrix, decay[panels] = _matrix(dim, self.n, rho)
+            local[panels] = np.einsum("pj,ij->pi", rows[panels], matrix)
+        local *= self._tops
+        # K at each panel's bottom edge, carried panel by panel, and its
+        # share (lo/x_i)^(N-1) K(lo) at the panel's nodes
+        carried, start = 0.0, []
+        for end, fade in zip(local[:, -1].tolist(), decay[:, -1].tolist()):
+            start.append(carried)
+            carried = fade * carried + end
+        decay *= np.array(start)[:, None]
+        return self._assemble(local, decay)
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +608,14 @@ def radial_kernel_at(values: np.ndarray, dim: int, xs: np.ndarray) -> np.ndarray
 @dataclass(frozen=True)
 class ProbeSchedule:
     """Every setting of the improper-limit probe: the radii r0 * factor**k
-    for k < count, ``segment_nodes`` panels per probe segment, and the
-    verdict tolerances.  A degenerate setting raises ValueError."""
+    for k < count, ``segment_nodes`` nodes added by each probe segment (a
+    panel of segment_nodes + 1 Lobatto points), and the verdict
+    tolerances.  A degenerate setting raises ValueError."""
 
     r0: float = 1.0
     factor: float = 2.0
     count: int = 15
-    segment_nodes: int = 1024
+    segment_nodes: int = 16
     tail_tol: float = 1e-6
     blowup_threshold: float = 1e8
 

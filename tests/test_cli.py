@@ -46,6 +46,24 @@ def manufactured_config(tmp_path, **overrides):
     return cfg
 
 
+def assert_same_report(got, want, path="report"):
+    """Equal JSON documents, floats to 1e-12 relative: the last bits of a
+    libm or numpy function may differ between machines."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_same_report(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_report(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), path
+    else:
+        assert got == want, path
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -108,8 +126,10 @@ class TestSolveCommand:
             assert report["error"]["kind"] == "NumericsError"
             assert "overflowed" in report["error"]["message"]
             assert cli.main(["classify", "--config", str(path)]) == 0
+        # the probes run on panels, which store no power above 1 and do not
+        # overflow: classify decides N = 1100 as it does N = 3 to 1000
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["classification"]["verdict"] == "indeterminate"
+        assert report["classification"]["verdict"] == "both_large"
 
     def test_kernel_overflow_warns_nothing(self, tmp_path, capsys):
         # the overflow used to flood stderr with numpy RuntimeWarnings
@@ -539,6 +559,26 @@ class TestValidateCommand:
         assert cli.main(["validate", "--config", str(path)]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["validation"]["power_law"]["product_le_one"] is False
+
+    def test_readme_report_independent_of_segment_nodes(self, tmp_path):
+        # the oracles keep their own trapezoid grid of 1024 panels per
+        # segment: the README config writes the same report JSON for any
+        # segment_nodes, and the report written when 1024 was the default
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        cfg = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        cfg["outputs"] = {"report_json": str(tmp_path / "report.json")}
+        texts = []
+        for nodes in (cfg["numerics"]["probe"]["segment_nodes"], 1024, None):
+            local = copy.deepcopy(cfg)
+            if nodes is None:
+                del local["numerics"]["probe"]["segment_nodes"]
+            else:
+                local["numerics"]["probe"]["segment_nodes"] = nodes
+            assert cli.run_config("validate", local) == 0
+            texts.append((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+        golden = Path(__file__).parent / "data" / "readme_validate.json"
+        assert_same_report(json.loads(texts[0]), json.loads(golden.read_text(encoding="utf-8")))
 
     def test_numeric_failure_writes_error_json(self, tmp_path, capsys):
         # validate used to exit 2 without writing its report

@@ -6,9 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from radialphi import classifier as cl
 from radialphi import criteria as cr
 from radialphi import model
 from radialphi import operators as ops
+from radialphi import oracle
 from radialphi import quadrature as qd
 from radialphi._memo import BoundedCache
 
@@ -40,26 +42,41 @@ class TestAccumulation:
         spec = make_spec(lap)
         assert cr.accumulation(spec, 1, "bar", 3.0) == pytest.approx(1.5, rel=1e-9)
 
-    def test_desk_calls_keep_plan_cache_bounded(self, lap, monkeypatch):
-        # every desk radius is a new node array, hence a new kernel plan
-        monkeypatch.setattr(qd, "_PLANS", BoundedCache(8, stale=lambda plan: plan.released))
+    def test_desk_calls_keep_matrix_cache_bounded(self, lap, monkeypatch):
+        # every desk radius is a new panel layout, but its panels have the
+        # ratios 0 and 1/2 of every other desk layout: two kernel matrices
+        # and the integration matrix serve all 50 calls
+        built = []
+        matrix = qd._panel_matrix
+        monkeypatch.setattr(qd, "_PANEL_MATRICES", BoundedCache(16))
+        monkeypatch.setattr(qd, "_panel_matrix",
+                            lambda *key: built.append(key) or matrix(*key))
         spec = make_spec(lap)
         for t in np.linspace(1.0, 3.0, 50):
             assert cr.accumulation(spec, 1, "bar", t) == pytest.approx(t * t / 6, rel=1e-9)
-        assert len(qd._PLANS._entries) <= 8
+        assert sorted(built) == [(1, 16, 0.0), (3, 16, 0.0), (3, 16, 0.5)]
 
-    def test_desk_calls_keep_the_probe_plan(self, lap, monkeypatch):
-        # a desk grid owns its read-only memory, so its plan is released
-        # with it instead of pushing the probe plan out of the cache
-        monkeypatch.setattr(qd, "_PLANS", BoundedCache(8, stale=lambda plan: plan.released))
+    def test_desk_calls_keep_the_probe_matrices(self, lap, monkeypatch):
+        # desk layouts share the probe grid's kernel matrices instead of
+        # pushing them out of the cache
+        monkeypatch.setattr(qd, "_PANEL_MATRICES", BoundedCache(16))
         spec = make_spec(lap, w1="1/(1+r)^2", w2="1/(1+r)^2")
         cr.build_report(spec)
-        xs = cr.probe_grid(qd.ProbeSchedule())[0]
-        (probe_plan,) = qd._PLANS._entries.values()
+        held = dict(qd._PANEL_MATRICES._entries)
         for t in np.linspace(1.0, 3.0, 10):
             cr.accumulation(spec, 1, "bar", t)
-        key = (xs.size, spec.N, float(xs[0]), float(xs[-1]))
-        assert qd._PLANS.get(key, lambda: qd.KernelPlan(xs, spec.N)) is probe_plan
+        assert qd._PANEL_MATRICES._entries.keys() == held.keys()
+        assert all(qd._PANEL_MATRICES._entries[k] is v for k, v in held.items())
+
+    def test_desk_call_builds_no_kernel_plan(self, lap, monkeypatch):
+        # a desk call used to build a 4097-node grid and its kernel plan
+        def refuse(*args):
+            raise AssertionError("kernel plan built")
+        monkeypatch.setattr(qd, "KernelPlan", refuse)
+        spec = make_spec(lap)
+        assert cr.accumulation(spec, 1, "bar", 3.0) == pytest.approx(1.5, rel=1e-12)
+        assert cr.coupling(spec, "12", "bar", 1.0) == pytest.approx(0.175, rel=1e-12)
+        assert cr.coupling(spec, "21", "under", 1.0) > 0.0
 
     def test_zero_weight(self, lap):
         spec = make_spec(lap, w1="0")
@@ -151,14 +168,13 @@ class TestEvaluatorArrays:
         assert xs.flags.writeable
 
     def test_allocation_guard(self):
-        # the prefix sums integrate inside their outputs and K is shared:
-        # the report's peak stays under 13 probe grids (15 before)
+        # the probe panels hold 721 nodes: a report's peak stays under
+        # 0.25 MB (13 graded trapezoid grids of 25,601 nodes, 2.66 MB, before)
         spec = model.build_problem(
             N=3, alpha=1.0, beta=1.0, op1=ops.make_operator("p_laplacian", p=3),
             op2=ops.make_operator("laplacian"),
             a1=model.weight_from_expr("(1+r)^-2"), a2=model.weight_from_expr("(1+r)^-2"),
             f1=model.power_nonlinearity(1.0), f2=model.power_nonlinearity(0.5))
-        xs = cr.probe_grid(qd.ProbeSchedule())[0]
         cr.build_report(spec)
         tracemalloc.start()
         try:
@@ -166,7 +182,7 @@ class TestEvaluatorArrays:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 13 * xs.nbytes
+        assert peak <= 0.25e6
 
 
 class TestCoupling:
@@ -369,18 +385,28 @@ class TestAccumulationLimit:
 
 class TestProbeGrid:
     def test_one_read_only_grid_per_geometry(self):
-        xs, idx = cr.probe_grid(qd.ProbeSchedule())
+        xs, idx, layout = cr.probe_grid(qd.ProbeSchedule())
         # tolerances do not change the grid, so they share it
         again = cr.probe_grid(qd.ProbeSchedule(tail_tol=1e-2, blowup_threshold=1e4))
-        assert again[0] is xs and again[1] is idx
+        assert all(a is b for a, b in zip(again, (xs, idx, layout)))
+        assert layout.nodes is xs
         assert not xs.flags.writeable and not idx.flags.writeable
-        # one head segment, ten halving segments up to r0, then 14 outer ones
-        assert cr.probe_grid(qd.ProbeSchedule(segment_nodes=8))[0].size == 25 * 8 + 1
-        assert xs.size == 25 * 1024 + 1 and xs[idx[-1]] == 16384.0
+        # one head segment, 30 halving segments up to r0, then 14 outer
+        # ones, each adding segment_nodes nodes
+        assert cr.probe_grid(qd.ProbeSchedule(segment_nodes=8))[0].size == 45 * 8 + 1
+        assert xs.size == 45 * 16 + 1 and xs[idx[-1]] == 16384.0
         assert xs[idx].tobytes() == qd.ProbeSchedule().radii().tobytes()
+        assert np.all(np.diff(xs) > 0)
 
 
 class TestProbeAccuracy:
+    @staticmethod
+    def p3_spec(lap):
+        return model.build_problem(
+            N=3, alpha=1.0, beta=1.0, op1=ops.make_operator("p_laplacian", p=3), op2=lap,
+            a1=model.weight_from_expr("(1+r)^-2"), a2=model.weight_from_expr("(1+r)^-2"),
+            f1=model.power_nonlinearity(1.0), f2=model.power_nonlinearity(0.5))
+
     @staticmethod
     def graded_grid(halvings, panels, radii):
         """A probe grid with ``halvings`` halving segments below radii[0]."""
@@ -392,8 +418,15 @@ class TestProbeAccuracy:
         return xs, panels * np.arange(halvings + 1, len(edges) + 1)
 
     @staticmethod
-    def probe_values(spec, xs, idx):
-        ev = cr.CriteriaEvaluator(spec, xs)
+    def graded_panels(halvings, n, radii):
+        """A panel layout with ``halvings`` halving segments below radii[0]."""
+        edges = [0.0, *(radii[0] / 2.0 ** k for k in range(halvings, 0, -1)), *radii]
+        layout = qd.PanelLayout(edges, n)
+        return layout.nodes, n * np.arange(halvings + 1, len(edges)), layout
+
+    @staticmethod
+    def probe_values(spec, xs, idx, panels=None):
+        ev = cr.CriteriaEvaluator(spec, xs, panels=panels)
         values = [ev.accumulation_values(1, "bar"), ev.accumulation_values(2, "bar")]
         for pair in ("12", "21"):
             values += [ev.upper_coupling_values(pair), ev.lower_coupling_values(pair)]
@@ -412,6 +445,51 @@ class TestProbeAccuracy:
         want = self.probe_values(spec, *self.graded_grid(20, 4096, schedule.radii().tolist()))
         worst = max(float(np.max(np.abs(g - w) / w)) for g, w in zip(got, want))
         assert worst <= 1e-6
+
+    def test_p3_probe_values_exact_to_roundoff(self, lap):
+        # against 33 Lobatto points per segment below 40 halvings; the
+        # graded trapezoid grid of 1024 panels read 2.9e-7 here, the
+        # panels read about 5e-16
+        spec = self.p3_spec(lap)
+        schedule = qd.ProbeSchedule()
+        got = self.probe_values(spec, *cr.probe_grid(schedule))
+        want = self.probe_values(spec, *self.graded_panels(40, 32, schedule.radii().tolist()))
+        worst = max(float(np.max(np.abs(g - w) / w)) for g, w in zip(got, want))
+        assert worst <= 1e-12
+
+    def test_kink_inside_a_panel(self, lap):
+        # max(3 - r, 0) has its kink inside the panel [2, 4]: the panels lose
+        # their spectral accuracy there, yet every kernel value stays a
+        # finite nonnegative number and every verdict is the one the graded
+        # trapezoid grid of 1024 panels per segment gives
+        spec = make_spec(lap, w1="max(3-r, 0)", w2="(1+r)^-3", g1=0.5, g2=1.0)
+        schedule = qd.ProbeSchedule(tail_tol=1e-2)
+        xs, idx, layout = cr.probe_grid(schedule)
+        ev = cr.CriteriaEvaluator(spec, xs, panels=layout)
+        kernels = [ev.kernel(1), ev.kernel(2)]
+        for pair in ("12", "21"):
+            own, other = spec.pair(pair)
+            inner = ev.weight(own.index) * (1.0 + ev.accumulation_values(other.index, "bar"))
+            kernels.append(qd.radial_kernel_at(inner, spec.N, xs, panels=layout))
+        assert all(np.all(np.isfinite(k)) and np.all(k >= 0.0) for k in kernels)
+        trapezoid = self.probe_values(spec, *oracle._oracle_grid(schedule))
+        panels = self.probe_values(spec, xs, idx, layout)
+        for got, want in zip(panels, trapezoid):
+            assert schedule.verdict(got).kind == schedule.verdict(want).kind
+        report = cr.build_report(spec, schedule)
+        names = ["accumulation_1", "accumulation_2", "upper_coupling_12",
+                 "lower_coupling_12", "upper_coupling_21", "lower_coupling_21"]
+        assert [report.verdicts[n].kind for n in names] == [
+            schedule.verdict(v).kind for v in panels]
+
+    def test_two_nodes_per_segment_classify(self, lap):
+        # segment_nodes = 2 puts 3 Lobatto points on each segment
+        spec = make_spec(lap)
+        schedule = qd.ProbeSchedule(segment_nodes=2, tail_tol=1e-2)
+        assert cr.probe_grid(schedule)[0].size == 45 * 2 + 1
+        verdict = cl.classify(spec, cr.build_report(spec, schedule),
+                              model.check_hypotheses(spec))
+        assert (verdict.verdict, verdict.matched_rule) == ("both_large", "large_both")
 
 
 class TestYangLimitIdentity:

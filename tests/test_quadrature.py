@@ -2,19 +2,26 @@ import gc
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radialphi import criteria
+from radialphi import criteria, oracle
 from radialphi import quadrature as qd
 from radialphi._memo import BoundedCache
 
 
 def probe(func, schedule):
     return schedule.verdict([func(r) for r in schedule.radii().tolist()])
+
+
+def graded_grid():
+    """The graded trapezoid grid of 25,601 nodes that the oracles probe on,
+    the largest node array the kernel plans serve besides the solver's."""
+    return oracle._oracle_grid(qd.ProbeSchedule())[0]
 
 
 class TestRadialGrid:
@@ -106,7 +113,7 @@ class TestInPlacePrefix:
     @settings(max_examples=15, deadline=None)
     @given(st.floats(0.5, 6.0), st.floats(-10.0, 10.0))
     def test_bitwise_on_probe_grid(self, sigma, shift):
-        xs = criteria.probe_grid(qd.ProbeSchedule())[0]
+        xs = graded_grid()
         half = qd.half_widths(xs)
         values = (1.0 + xs) ** -sigma + shift * np.sin(xs)
         ref = reference_prefix(values, xs)
@@ -201,7 +208,7 @@ needs_extended = pytest.mark.skipif(np.finfo(np.longdouble).maxexp < 16384,
 class TestKernelAccuracy:
     """The rescaled block kernel against the unscaled formula in long double."""
 
-    GRIDS = {"probe": lambda: criteria.probe_grid(qd.ProbeSchedule())[0],
+    GRIDS = {"probe": graded_grid,
              "uniform": lambda: qd.RadialGrid(20.0, 1e-3).nodes}
 
     @pytest.mark.parametrize("grid", sorted(GRIDS))
@@ -235,7 +242,7 @@ class TestKernelPlan:
                 super().__init__(nodes, dim)
 
         monkeypatch.setattr(qd, "KernelPlan", Counting)
-        xs = criteria.probe_grid(qd.ProbeSchedule())[0]
+        xs = graded_grid()
         w = (1.0 + xs) ** -3.0
         barrier = threading.Barrier(4)
         results = [None] * 4
@@ -261,7 +268,7 @@ class TestKernelPlan:
     def test_threads_apply_with_their_own_scratch(self, cache):
         # each thread writes its second multiply to its own scratch row; a
         # shared one would mix the rows of concurrent calls
-        xs = criteria.probe_grid(qd.ProbeSchedule())[0]
+        xs = graded_grid()
         weights = [(1.0 + xs) ** -(2.0 + i) + np.cos(i * xs) ** 2 for i in range(4)]
         expected = [qd.radial_kernel_at(w, 3, xs) for w in weights]
         barrier = threading.Barrier(4)
@@ -322,7 +329,7 @@ class TestKernelPlan:
     def test_apply_allocates_only_its_output(self, cache):
         # the second multiply goes to this thread's scratch row, kept from
         # the first call; the rest is the finiteness mask and check
-        xs = criteria.probe_grid(qd.ProbeSchedule())[0]
+        xs = graded_grid()
         w = (1.0 + xs) ** -2.0
         first = qd.radial_kernel_at(w, 3, xs)
         tracemalloc.start()
@@ -335,10 +342,10 @@ class TestKernelPlan:
         assert peak <= 1.3 * xs.nbytes
 
     def test_default_probe_plan_storage(self, cache):
-        xs = criteria.probe_grid(qd.ProbeSchedule())[0]
+        xs = graded_grid()
         qd.radial_kernel_at(np.ones_like(xs), 3, xs)
         (plan,) = cache._entries.values()
-        # the probe grid's own array, not a copy
+        # the oracles' probe grid's own array, not a copy
         assert plan.nodes is xs
         # 11 rows for the first segment's blocks, one for all 24 segments
         # after it (ten halving, 14 outer), applied as 12 blocks side by side
@@ -356,6 +363,102 @@ class TestKernelPlan:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="differ in length"):
             qd.radial_kernel_at(np.ones(5), 3, np.linspace(0.0, 1.0, 6))
+
+
+def doubling_edges(halvings=30, radii=(1.0, 2.0, 4.0, 8.0)):
+    return [0.0, *(radii[0] / 2.0 ** k for k in range(halvings, 0, -1)), *radii]
+
+
+class TestPanelLayout:
+    """Chebyshev–Lobatto panels: exact on polynomials, no stored power above 1."""
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_nodes_hold_the_edges(self, n):
+        edges = doubling_edges(radii=(1.0, 1.5, 2.25, 3.375))
+        layout = qd.PanelLayout(edges, n)
+        assert layout.nodes.size == n * (len(edges) - 1) + 1
+        assert layout.nodes[::n].tobytes() == np.array(edges).tobytes()
+        assert np.all(np.diff(layout.nodes) > 0) and not layout.nodes.flags.writeable
+
+    @staticmethod
+    def at_panel_scale(layout, got, want, rtol):
+        """|got - want| within rtol of the largest |want| of each panel."""
+        scale = np.abs(want[1:]).reshape(-1, layout.n).max(axis=1).repeat(layout.n)
+        return np.all(np.abs(got[1:] - want[1:]) <= rtol * scale) and got[0] == want[0]
+
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_polynomials_integrate_exactly(self, n):
+        layout = qd.PanelLayout(doubling_edges(), n)
+        x = layout.nodes
+        for m in range(n + 1):
+            got = qd.prefix_trapezoid(x ** m, x, panels=layout)
+            assert self.at_panel_scale(layout, got, x ** (m + 1) / (m + 1), 1e-14)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7])
+    def test_kernel_of_monomials_exact(self, dim):
+        # K[s^m](t) = t^(m+1) / (dim + m) while m is at most the degree n
+        layout = qd.PanelLayout(doubling_edges(), 8)
+        x = layout.nodes
+        for m in range(9):
+            got = qd.radial_kernel_at(x ** m, dim, x, panels=layout)
+            assert self.at_panel_scale(layout, got, x ** (m + 1) / (dim + m), 1e-14)
+
+    @pytest.mark.parametrize("dim, rtol", [(80, 1e-12), (120, 1e-12), (1100, 1e-10)])
+    def test_high_dimension_stays_finite(self, dim, rtol):
+        # the trapezoid plan overflows from N of about 1025; the panels
+        # carry (lo/t)^(N-1) <= 1 and store no larger power.  The accuracy
+        # of the Gauss–Legendre points bounds the matrices at large N
+        layout = criteria.probe_grid(qd.ProbeSchedule())[2]
+        x = layout.nodes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = qd.radial_kernel_at(np.ones_like(x), dim, x, panels=layout)
+        assert np.allclose(got, x / dim, rtol=rtol, atol=0.0)
+
+    def test_kernel_clipped_at_zero_next_to_a_kink(self):
+        # the interpolant of max(r - 3, 0) dips below 0 on the panel [2, 4];
+        # K of nonnegative samples cannot, so that dip is clipped
+        layout = criteria.probe_grid(qd.ProbeSchedule())[2]
+        w = np.maximum(layout.nodes - 3.0, 0.0)
+        assert layout.kernel(w, 3).min() < 0.0
+        got = qd.radial_kernel_at(w, 3, layout.nodes, panels=layout)
+        assert got.min() == 0.0 and got[-1] > 0.0
+
+    def test_matrices_built_on_first_use_and_shared(self, monkeypatch):
+        built = []
+        matrix = qd._panel_matrix
+        monkeypatch.setattr(qd, "_PANEL_MATRICES", BoundedCache(16))
+        monkeypatch.setattr(qd, "_panel_matrix", lambda *key: built.append(key) or matrix(*key))
+        first = qd.PanelLayout(doubling_edges(), 6)
+        second = qd.PanelLayout(doubling_edges(radii=(3.0, 6.0)), 6)
+        assert built == []
+        for layout in (first, second):
+            ones = np.ones_like(layout.nodes)
+            qd.radial_kernel_at(ones, 3, layout.nodes, panels=layout)
+            qd.prefix_trapezoid(ones, layout.nodes, panels=layout)
+        # the head, the ratio 1/2 and the integration matrix, once each
+        assert sorted(built) == [(1, 6, 0.0), (3, 6, 0.0), (3, 6, 0.5)]
+        for matrix, decay in qd._PANEL_MATRICES._entries.values():
+            assert not matrix.flags.writeable and not decay.flags.writeable
+            assert np.all(decay <= 1.0)
+
+    @pytest.mark.parametrize("edges, n", [
+        ([1.0, 2.0], 4), ([0.0, 1.0, 1.0], 4), ([0.0, 2.0, 1.0], 4),
+        ([0.0, np.inf], 4), ([0.0, np.nan], 4), ([0.0], 4), ([0.0, 1.0], 1)])
+    def test_rejects_bad_edges(self, edges, n):
+        with pytest.raises(ValueError):
+            qd.PanelLayout(edges, n)
+
+    def test_rejects_other_nodes(self):
+        layout = qd.PanelLayout(doubling_edges(), 4)
+        other = np.linspace(0.0, 8.0, layout.nodes.size)
+        ones = np.ones_like(other)
+        with pytest.raises(ValueError, match="panel layout"):
+            qd.radial_kernel_at(ones, 3, other, panels=layout)
+        with pytest.raises(ValueError, match="panel layout"):
+            qd.prefix_trapezoid(ones, other, panels=layout)
+        with pytest.raises(ValueError, match="differ in length"):
+            qd.radial_kernel_at(ones[1:], 3, layout.nodes, panels=layout)
 
 
 class TestImproperLimitProbe:
@@ -396,7 +499,7 @@ class TestImproperLimitProbe:
             qd.ProbeSchedule(**settings)
 
     def test_whole_valued_float_counts_stored_as_int(self):
-        s = qd.ProbeSchedule(count=15.0, segment_nodes=1024.0)
+        s = qd.ProbeSchedule(count=15.0, segment_nodes=16.0)
         assert type(s.count) is int and type(s.segment_nodes) is int
         assert s == qd.ProbeSchedule()
 
