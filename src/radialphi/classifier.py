@@ -336,6 +336,11 @@ def cross_check(spec: ProblemSpec, classification: Classification,
                              details=tuple(details))
 
 
+# abscissae at which converse_advisory compares the lower and upper data
+_ADVISORY_SS = np.logspace(-3, 3, 13)
+_ADVISORY_SS.flags.writeable = False
+
+
 def converse_advisory(spec: ProblemSpec, report: CriteriaReport,
                       classification: Classification) -> str | None:
     """Necessary-condition advisory for large solutions.
@@ -347,7 +352,7 @@ def converse_advisory(spec: ProblemSpec, report: CriteriaReport,
     """
     if classification.verdict != BOTH_LARGE:
         return None
-    ss = np.logspace(-3, 3, 13)
+    ss = _ADVISORY_SS
     for side in spec.sides:
         nl, env = side.nl, side.env
         if not (nl.has_upper_split and nl.has_lower_split):

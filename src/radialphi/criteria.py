@@ -227,6 +227,9 @@ class CriteriaEvaluator:
 
 _BUDGET_NODES_PER_DECADE = 1024
 _BUDGET_VALUE_CAP = 1e18
+# one block of budget nodes per decade, as multiples of the block's start
+_BUDGET_BLOCK = np.logspace(0.0, 1.0, _BUDGET_NODES_PER_DECADE + 1)[1:]
+_BUDGET_BLOCK.flags.writeable = False
 
 
 def _budget_inputs(spec: ProblemSpec, pair: str, relaxed: bool,
@@ -289,7 +292,7 @@ class GrowthBudget:
 
     def _extend_block(self):
         t0 = self.ts[-1]
-        block = t0 * np.logspace(0.0, 1.0, _BUDGET_NODES_PER_DECADE + 1)[1:]
+        block = t0 * _BUDGET_BLOCK
         ts = np.concatenate(([t0], block))
         vals = self._integrand(ts)
         hs = self.hs[-1] + prefix_trapezoid(vals, ts)[1:]

@@ -15,6 +15,12 @@ growth hypotheses used by the criteria are:
 Built-in nonlinearity families carry exact envelope data; custom expression
 nonlinearities may supply their own.  Quantified hypotheses are validated by
 sampling: that is documented as heuristic screening, not proof.
+
+A check that passed is kept by exactly what it reads: monotonicity by the
+function f, a split by f, its builder and the threshold or m the builder
+was given.  The points of a weight sweep share their nonlinearities, so
+each of these checks runs once per sweep; ``check_hypotheses`` reuses the
+weight screen of ``build_problem`` instead of sampling the weights again.
 """
 
 from __future__ import annotations
@@ -276,6 +282,8 @@ class ProblemSpec:
     a2: Weight
     f1: Nonlinearity
     f2: Nonlinearity
+    # the weights that passed build_problem's screen on [0, _SCREEN_SPAN]
+    screened: tuple = field(default=(), repr=False, compare=False)
 
     @cached_property
     def sides(self) -> tuple[Side, Side]:
@@ -294,8 +302,21 @@ def _scalar(fn: Callable, x: float) -> float:
     return float(np.asarray(fn(float(x)), dtype=float))
 
 
+# sample grids of the screens and checks below; read-only, shared by calls
+# weights are screened on [0, _SCREEN_SPAN]; solver and criteria grids
+# re-validate them on their own nodes
+_SCREEN_SPAN = 64.0
+_SCREEN_GRID = np.linspace(0.0, _SCREEN_SPAN, 513)
+_MONOTONE_GRID = np.concatenate(([0.0], np.logspace(-6, 6, 241)))
+_SPLIT_WS = 2.0 ** np.arange(0, 11)
+_SPLIT_TS = np.logspace(0, 4, 64)
+for _grid in (_SCREEN_GRID, _MONOTONE_GRID, _SPLIT_WS, _SPLIT_TS):
+    _grid.flags.writeable = False
+del _grid
+
+
 def _check_monotone(nl: Nonlinearity, name: str):
-    ss = np.concatenate(([0.0], np.logspace(-6, 6, 241)))
+    ss = _MONOTONE_GRID
     try:
         with np.errstate(over="ignore"):
             vals = np.asarray(nl.f(ss), dtype=float)
@@ -316,6 +337,20 @@ def _check_monotone(nl: Nonlinearity, name: str):
             f"(f drops by {-d[k]:.3g})")
     if np.any(vals[1:] <= 0):
         raise SpecError(f"{name} ({nl.label}): vanishes at a positive argument")
+
+
+# the checks that passed, each kept by exactly what it reads; a sweep point
+# has two nonlinearities, and points that share a nonlinearity section share
+# its functions and split builders (see _from_section)
+_MONOTONE = BoundedCache(2)
+_UPPER_SPLITS = BoundedCache(2)
+_LOWER_SPLITS = BoundedCache(2)
+
+
+def _monotone(nl: Nonlinearity, name: str):
+    """``_check_monotone(nl, name)``, run once per function f while its pass
+    is kept; a failure raises, is not kept, and names this caller's ``name``."""
+    _MONOTONE.get(nl.f, lambda: _check_monotone(nl, name))
 
 
 def build_problem(N: int, alpha: float, beta: float,
@@ -351,12 +386,10 @@ def build_problem(N: int, alpha: float, beta: float,
         envs.append(env)
     env1, env2 = envs
 
-    _check_monotone(f1, "f1")
-    _check_monotone(f2, "f2")
-    # weights screened on a default span; solver and criteria grids
-    # re-validate on their own nodes
+    _monotone(f1, "f1")
+    _monotone(f2, "f2")
     for w in (a1, a2):
-        w.sample(np.linspace(0.0, 64.0, 513))
+        w.sample(_SCREEN_GRID)
 
     f2_alpha = _scalar(f2.f, alpha)
     f1_beta = _scalar(f1.f, beta)
@@ -372,7 +405,7 @@ def build_problem(N: int, alpha: float, beta: float,
 
     return ProblemSpec(N=N, alpha=float(alpha), beta=float(beta),
                        op1=op1, op2=op2, env1=env1, env2=env2,
-                       a1=a1, a2=a2, f1=f1, f2=f2)
+                       a1=a1, a2=a2, f1=f1, f2=f2, screened=(a1, a2))
 
 
 def _finalize_side(nl: Nonlinearity, name: str, start_own: float,
@@ -634,29 +667,52 @@ class HypothesisReport:
         return {c.name: c.to_dict() for c in self.checks}
 
 
+class _Failed(Exception):
+    """Carries a failed check out of a cache build, so it is not kept."""
+
+
+def _split(cache: BoundedCache, sample: Callable, nl: Nonlinearity,
+           builder: Callable | None, at: float | None) -> HypothesisCheck:
+    """``sample(nl)``; a passed check is kept in ``cache`` by ``(f, builder,
+    at)``, because the builder makes the split's constant and functions
+    from ``at`` alone.  A failed check is not kept."""
+    if builder is None:
+        return sample(nl)
+
+    def build():
+        check = sample(nl)
+        if not check.ok:
+            raise _Failed(check)
+        return check
+    try:
+        return cache.get((nl.f, builder, at), build)
+    except _Failed as failed:
+        return failed.args[0]
+
+
 def _sample_upper_split(nl: Nonlinearity) -> HypothesisCheck:
     name = "upper_split"
     if not nl.has_upper_split:
         return HypothesisCheck(name, False, note="no upper envelope data")
-    ws = 2.0 ** np.arange(0, 11)
-    ts = nl.threshold * np.logspace(0, 4, 64)
-    tv, wv = np.meshgrid(ts, ws, indexing="ij")
-    with np.errstate(over="ignore"):
+    ts = nl.threshold * _SPLIT_TS
+    tv, wv = np.meshgrid(ts, _SPLIT_WS, indexing="ij")
+    # f(t*w) and its bound may both overflow: such a sample is a violation
+    with np.errstate(over="ignore", invalid="ignore"):
         lhs = np.asarray(nl.f(tv * wv), dtype=float)
         rhs = nl.c_bar * np.asarray(nl.g(tv), dtype=float) * np.asarray(nl.xi_bar(wv), dtype=float)
-    finite = np.isfinite(lhs) & np.isfinite(rhs)
-    scale = np.maximum(np.abs(rhs), 1.0)
-    viol = np.where(finite, (lhs - rhs) / scale, np.inf)
+        finite = np.isfinite(lhs) & np.isfinite(rhs)
+        scale = np.maximum(np.abs(rhs), 1.0)
+        viol = np.where(finite, (lhs - rhs) / scale, np.inf)
     worst = float(np.max(viol))
     return HypothesisCheck(name, worst <= 1e-9, max(worst, 0.0),
-                           note=f"sampled on {len(ts)}x{len(ws)} (t, w) grid")
+                           note=f"sampled on {len(ts)}x{len(_SPLIT_WS)} (t, w) grid")
 
 
 def _sample_lower_split(nl: Nonlinearity) -> HypothesisCheck:
     name = "lower_split"
     if not nl.has_lower_split:
         return HypothesisCheck(name, False, note="no lower envelope data")
-    ws = 2.0 ** np.arange(0, 11)
+    ws = _SPLIT_WS
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = np.asarray(nl.f(nl.m_small * ws), dtype=float)
         rhs = nl.c_under * np.asarray(nl.xi_under(ws), dtype=float)
@@ -666,24 +722,30 @@ def _sample_lower_split(nl: Nonlinearity) -> HypothesisCheck:
                            note=f"sampled at w in powers of 2 up to {ws[-1]:g}")
 
 
-def check_hypotheses(spec: ProblemSpec, span: float = 64.0) -> HypothesisReport:
+def check_hypotheses(spec: ProblemSpec, span: float = _SCREEN_SPAN) -> HypothesisReport:
     """Per-hypothesis pass/fail with worst sampled violation magnitudes."""
     checks = []
-    xs = np.linspace(0.0, span, 513)
+    xs = _SCREEN_GRID if span == _SCREEN_SPAN else np.linspace(0.0, span, 513)
     for tag, w in (("weight_1", spec.a1), ("weight_2", spec.a2)):
         try:
-            w.sample(xs)
+            # build_problem screened its weights on this very grid
+            if not (xs is _SCREEN_GRID and any(w is s for s in spec.screened)):
+                w.sample(xs)
             checks.append(HypothesisCheck(tag, True, note=f"sampled on [0, {span:g}]"))
         except SpecError as exc:
             checks.append(HypothesisCheck(tag, False, note=str(exc)))
     for tag, nl in (("monotone_f1", spec.f1), ("monotone_f2", spec.f2)):
         try:
-            _check_monotone(nl, tag)
+            _monotone(nl, tag)
             checks.append(HypothesisCheck(tag, True))
         except SpecError as exc:
             checks.append(HypothesisCheck(tag, False, note=str(exc)))
-    checks.append(replace(_sample_upper_split(spec.f1), name="upper_split_f1"))
-    checks.append(replace(_sample_upper_split(spec.f2), name="upper_split_f2"))
-    checks.append(replace(_sample_lower_split(spec.f1), name="lower_split_f1"))
-    checks.append(replace(_sample_lower_split(spec.f2), name="lower_split_f2"))
+    for tag, nl in (("f1", spec.f1), ("f2", spec.f2)):
+        check = _split(_UPPER_SPLITS, _sample_upper_split, nl,
+                       nl.upper_split_builder, nl.threshold)
+        checks.append(replace(check, name=f"upper_split_{tag}"))
+    for tag, nl in (("f1", spec.f1), ("f2", spec.f2)):
+        check = _split(_LOWER_SPLITS, _sample_lower_split, nl,
+                       nl.lower_split_builder, nl.m_small)
+        checks.append(replace(check, name=f"lower_split_{tag}"))
     return HypothesisReport(checks=tuple(checks))

@@ -1,10 +1,15 @@
+import json
+import os
 import sys
 import threading
+import time
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from radialphi import model
+from radialphi import cli, model
 from radialphi import operators as ops
 from radialphi._memo import BoundedCache
 
@@ -201,6 +206,14 @@ class TestHypothesisChecks:
         assert "negative" in rep["weight_1"].note
         assert rep.ok("weight_2")
 
+    def test_overflowing_upper_split_flagged_without_warning(self, lap):
+        # f(t*w) and its bound both overflow for gamma = 50: a violation, not
+        # a RuntimeWarning from inf - inf
+        spec = unit_problem(lap, f1=model.power_nonlinearity(50.0))
+        rep = model.check_hypotheses(spec)
+        assert not rep.ok("upper_split_f1") and rep["upper_split_f1"].worst == np.inf
+        assert rep.ok("upper_split_f2")
+
     def test_auto_constants_satisfy_own_checks(self, lap):
         # varied instance: auto M/m must self-validate
         spec = unit_problem(
@@ -318,3 +331,185 @@ class TestOperatorCache:
         assert not any(t.is_alive() for t in threads)
         assert all(s is not None and s.op1 is specs[0].op1 is s.op2 for s in specs)
         assert built == ["elasticity"] and derived == ["elasticity(p=1)"]
+
+
+_CHECK_CACHES = ("_MONOTONE", "_UPPER_SPLITS", "_LOWER_SPLITS")
+
+
+def cold_caches(monkeypatch):
+    """Fresh config-assembly and hypothesis-check caches."""
+    for name in ("_OPERATORS", "_NONLINEARITIES", "_ENVELOPES") + _CHECK_CACHES:
+        monkeypatch.setattr(model, name, BoundedCache(2))
+
+
+def decay_config(**problem):
+    cfg = {"N": 3, "alpha": 1.0, "beta": 1.0,
+           "operator1": "laplacian", "operator2": "laplacian",
+           "weight1": {"expr": "(1+r)^(-sigma)", "params": {"sigma": 0.0}},
+           "weight2": {"expr": "(1+r)^(-sigma)", "params": {"sigma": 0.0}},
+           "f1": {"family": "power", "gamma": 1.0},
+           "f2": {"family": "log1p"}}
+    cfg.update(problem)
+    return cfg
+
+
+# an upper split of f1 that holds for thresholds >= 1 only, and a lower split
+# of f2 that holds for m >= 0.1 only: both outcomes move with alpha
+ALPHA_SENSITIVE = dict(
+    beta=0.5,
+    f1={"family": "custom", "expr": "t+t^2",
+        "envelopes": {"c_bar": 2.0, "g": "t^2", "xi_bar": "w^2"}},
+    f2={"family": "custom", "expr": "t^2",
+        "envelopes": {"c_under": 0.01, "xi_under": "w^2"}})
+
+
+def sweep_hypotheses(tmp_path, monkeypatch, problem, axis, paths, values):
+    """The hypotheses of every point of an in-process ``rps sweep``."""
+    seen = []
+    payload = cli._classification_payload
+
+    def recording(cfg):
+        out = payload(cfg)
+        seen.append(out[-1]["hypotheses"])
+        return out
+
+    monkeypatch.setattr(cli, "_classification_payload", recording)
+    cfg = {"problem": problem, "sweep": {
+        "axes": [{"name": axis, "paths": paths, "values": values}],
+        "csv": str(tmp_path / "sweep.csv")}}
+    assert cli.run_config("sweep", cfg) == 0
+    monkeypatch.setattr(cli, "_classification_payload", payload)
+    return seen
+
+
+def cold_hypotheses(tmp_path, monkeypatch, problem) -> dict:
+    """The hypotheses of one ``rps classify`` with every cache cold."""
+    cold_caches(monkeypatch)
+    out = tmp_path / "report.json"
+    assert cli.run_config("classify", {"problem": problem,
+                                       "outputs": {"report_json": str(out)}}) == 0
+    return json.loads(out.read_text(encoding="utf-8"))["hypotheses"]
+
+
+class TestCheckCache:
+    def test_sigma_sweep_runs_each_check_once_per_key(self, tmp_path, monkeypatch):
+        cold_caches(monkeypatch)
+        runs = {"monotone": Counter(), "upper": Counter(), "lower": Counter()}
+        screens = []
+        monotone, upper, lower = (model._check_monotone, model._sample_upper_split,
+                                  model._sample_lower_split)
+        sample = model.Weight.sample
+
+        def counting(kind, key, check):
+            def run(nl, *args):
+                runs[kind][key(nl)] += 1
+                return check(nl, *args)
+            return run
+
+        monkeypatch.setattr(model, "_check_monotone",
+                            counting("monotone", lambda nl: nl.f, monotone))
+        monkeypatch.setattr(model, "_sample_upper_split", counting(
+            "upper", lambda nl: (nl.f, nl.upper_split_builder, nl.threshold), upper))
+        monkeypatch.setattr(model, "_sample_lower_split", counting(
+            "lower", lambda nl: (nl.f, nl.lower_split_builder, nl.m_small), lower))
+        monkeypatch.setattr(model.Weight, "sample", lambda w, xs: (
+            screens.append(w) if xs is model._SCREEN_GRID else None) or sample(w, xs))
+        sigmas = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]
+        hyps = sweep_hypotheses(tmp_path, monkeypatch, decay_config(), "sigma",
+                                ["problem.weight1.params.sigma",
+                                 "problem.weight2.params.sigma"], sigmas)
+        assert len(hyps) == 8 and all(all(c["ok"] for c in h.values()) for h in hyps)
+        for kind, counts in runs.items():
+            assert len(counts) == 2 and set(counts.values()) == {1}, kind
+        # each weight is screened once, by assembly; the report reuses that
+        assert len(screens) == 16 and len(set(map(id, screens))) == 16
+
+    @pytest.mark.parametrize("problem,axis,path,values", [
+        (decay_config(), "gamma", "problem.f1.gamma", [1.0, 50.0, 2.0, 0.5, 50.0]),
+        (decay_config(**ALPHA_SENSITIVE), "alpha", "problem.alpha", [2.0, 0.5, 0.1, 1.0, 0.1]),
+    ], ids=["gamma", "alpha"])
+    def test_sweep_points_match_cold_classifies(self, tmp_path, monkeypatch,
+                                                problem, axis, path, values):
+        cold_caches(monkeypatch)
+        hyps = sweep_hypotheses(tmp_path, monkeypatch, problem, axis, [path], values)
+        key = path.split(".")[1:]
+        cold = []
+        for value in values:
+            point = json.loads(json.dumps(problem))
+            node = point
+            for k in key[:-1]:
+                node = node[k]
+            node[key[-1]] = value
+            cold.append(cold_hypotheses(tmp_path, monkeypatch, point))
+        assert hyps == cold
+        # the sweep passes through both outcomes of a check
+        assert len({json.dumps(h, sort_keys=True) for h in cold}) > 1
+
+    def test_failed_monotone_check_names_each_caller(self, tmp_path, capsys, monkeypatch, lap):
+        cold_caches(monkeypatch)
+        problem = decay_config(f1="exp(-t)")
+        cfg = {"problem": problem, "outputs": {"report_json": str(tmp_path / "r.json")}}
+        for _ in range(2):  # a failure is not kept: the second run checks again
+            assert cli.run_config("classify", cfg) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: f1 (exp(-t)): fails monotonicity")
+        env = ops.derive_envelopes(lap)[0]
+        spec = model.ProblemSpec(
+            N=3, alpha=1.0, beta=1.0, op1=lap, op2=lap, env1=env, env2=env,
+            a1=model.weight_from_expr("1"), a2=model.weight_from_expr("1"),
+            f1=model.custom_nonlinearity("exp(-t)"), f2=model.power_nonlinearity(1.0))
+        rep = model.check_hypotheses(spec)
+        assert not rep.ok("monotone_f1") and rep.ok("monotone_f2")
+        assert rep["monotone_f1"].note.startswith("monotone_f1 (exp(-t)): fails monotonicity")
+        # a spec made without build_problem has its weights sampled
+        assert rep.ok("weight_1")
+
+    def test_replaced_weight_sampled_again(self, lap):
+        spec = replace(unit_problem(lap), a1=model.weight_from_expr("0 - 1"))
+        rep = model.check_hypotheses(spec)
+        assert not rep.ok("weight_1") and "negative" in rep["weight_1"].note
+        assert rep.ok("weight_2")
+
+    def test_threads_share_checks(self, monkeypatch):
+        # three nonlinearity sections and three alphas against caches of two
+        # entries: threads evict each other's entries all the time
+        configs = [decay_config(alpha=alpha, f1=f1)
+                   for alpha in (2.0, 0.5, 0.1)
+                   for f1 in (ALPHA_SENSITIVE["f1"], {"family": "power", "gamma": 50.0},
+                              {"family": "log1p"})]
+        for cfg in configs:
+            cfg["beta"] = 0.5
+
+        def report(cfg):
+            return model.check_hypotheses(model.assemble(cfg)).to_dict()
+
+        want = []
+        for cfg in configs:
+            cold_caches(monkeypatch)
+            want.append(report(cfg))
+        cold_caches(monkeypatch)
+        n_threads = (os.cpu_count() or 1) + 2
+        deadline = time.monotonic() + 2.0
+        rounds = [0] * n_threads
+        wrong = []
+
+        def work(i):
+            order = list(range(len(configs)))
+            while rounds[i] < 5 and time.monotonic() < deadline:
+                for k in order[i % len(order):] + order[:i % len(order)]:
+                    if report(configs[k]) != want[k]:
+                        wrong.append((i, k))
+                rounds[i] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(rounds) and wrong == []
