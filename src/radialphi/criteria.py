@@ -23,7 +23,7 @@ radius, where the enveloped kernel behaves like a fractional power of t,
 and, for probes, one segment per later radius reaches radii in the tens of
 thousands; on smooth integrands their values are exact to roundoff.  An
 evaluator on caller-given nodes (``solution_bounds``) uses the trapezoid
-rules instead, with the grid's half panel widths computed once.
+rules of a ``quadrature.LinearPanels`` layout of those nodes instead.
 Every probe consumer takes one ``ProbeSchedule`` with all probe settings.
 The arrays an evaluator keeps (weights, kernels, accumulations, coupling
 prefixes) are read-only, because one may serve several consumers: both
@@ -50,8 +50,8 @@ import numpy as np
 from ._memo import BoundedCache
 from .model import PAIRS, Nonlinearity, ProblemSpec
 from .operators import h_inverse
-from .quadrature import (LimitVerdict, NumericsError, PanelLayout, ProbeSchedule,
-                         half_widths, prefix_trapezoid, radial_kernel_at)
+from .quadrature import (LimitVerdict, LinearPanels, NumericsError, PanelLayout,
+                         ProbeSchedule, prefix_trapezoid, radial_kernel_at)
 
 __all__ = [
     "CriteriaError",
@@ -98,21 +98,19 @@ def _finite_positive(arr: np.ndarray, what: str) -> np.ndarray:
 class CriteriaEvaluator:
     """Memoized prefix arrays for all criteria functionals on one node set.
 
-    ``xs`` must be increasing and start at 0.  Kernels and prefixes use the
-    piecewise-linear rules of any node array, or, with ``panels``, the
-    Chebyshev–Lobatto panels whose nodes ``xs`` are.  Every array it
-    returns is read-only.
+    ``xs`` must be increasing and start at 0.  Kernels and prefixes run on
+    ``panels``, the layout whose nodes ``xs`` are, or, without one, on the
+    piecewise-linear panels of ``xs``.  Every array it returns is
+    read-only.
     """
 
     def __init__(self, spec: ProblemSpec, xs: np.ndarray,
-                 panels: PanelLayout | None = None):
+                 panels: LinearPanels | PanelLayout | None = None):
         self.spec = spec
-        self.xs = np.asarray(xs, dtype=float)
+        self.panels = LinearPanels(xs) if panels is None else panels
+        self.xs = self.panels.nodes if panels is None else np.asarray(xs, dtype=float)
         if self.xs[0] != 0.0:
             raise ValueError("criteria grid must start at 0")
-        # the layout goes by keyword, and only when there is one
-        self._layout = {} if panels is None else {"panels": panels}
-        self._half = None if panels is not None else half_widths(self.xs)
         self._cache: dict = {}
 
     def _get(self, key, builder):
@@ -126,10 +124,10 @@ class CriteriaEvaluator:
         return self._cache[key]
 
     def _prefix(self, values: np.ndarray) -> np.ndarray:
-        return prefix_trapezoid(values, self.xs, self._half, **self._layout)
+        return prefix_trapezoid(values, self.xs, panels=self.panels)
 
     def _kernel(self, values: np.ndarray) -> np.ndarray:
-        return radial_kernel_at(values, self.spec.N, self.xs, **self._layout)
+        return radial_kernel_at(values, self.spec.N, self.xs, panels=self.panels)
 
     # -- primitive layers ---------------------------------------------------
 

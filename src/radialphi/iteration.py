@@ -99,7 +99,7 @@ def _half_sweep(spec: ProblemSpec, grid: RadialGrid, weight_samples, side: Side,
         raise NumericsError(
             f"non-finite forcing in equation {side.index} at r={nodes[k]:.6g} "
             f"(possible blow-up inside the grid)")
-    kernel = radial_kernel_at(forcing, spec.N, nodes)
+    kernel = radial_kernel_at(forcing, spec.N, nodes, panels=grid.panels)
     # the flux inverse is the memory peak of a solver sweep: hold no dead
     # array there
     del forcing
@@ -108,7 +108,7 @@ def _half_sweep(spec: ProblemSpec, grid: RadialGrid, weight_samples, side: Side,
         k = int(np.argmax(~np.isfinite(slope)))
         raise NumericsError(
             f"non-finite inverse flux in equation {side.index} at r={nodes[k]:.6g}")
-    return side.start + prefix_trapezoid(slope, nodes)
+    return side.start + prefix_trapezoid(slope, nodes, panels=grid.panels)
 
 
 def step(state: IterationState, spec: ProblemSpec) -> IterationState:

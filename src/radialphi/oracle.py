@@ -30,8 +30,8 @@ import numpy as np
 
 from .model import Nonlinearity, ProblemSpec, SpecError, Weight, build_problem
 from .operators import PhiOperator, h_eval
-from .quadrature import (LimitVerdict, ProbeSchedule, RadialGrid, central_diff,
-                         prefix_trapezoid, radial_kernel_at)
+from .quadrature import (LimitVerdict, LinearPanels, ProbeSchedule, RadialGrid,
+                         central_diff, prefix_trapezoid, radial_kernel_at)
 
 __all__ = [
     "PowerLawInstance",
@@ -52,21 +52,22 @@ _HEAD_HALVINGS = 10
 
 
 def _oracle_grid(schedule: ProbeSchedule):
-    """Read-only nodes on [0, R_last] and the indices of the probe radii:
-    [0, r0 / 2**10] is one segment, ten halving segments reach r0, and one
-    segment follows per later probe radius, each of 1024 uniform panels."""
+    """Read-only nodes on [0, R_last], the indices of the probe radii and
+    the nodes' ``LinearPanels``: [0, r0 / 2**10] is one segment, ten halving
+    segments reach r0, and one segment follows per later probe radius,
+    each of 1024 uniform panels."""
     return _trapezoid_grid(tuple(schedule.radii().tolist()))
 
 
 @functools.lru_cache(maxsize=4)
 def _trapezoid_grid(radii: tuple):
     edges = [0.0, *(radii[0] / 2.0 ** k for k in range(_HEAD_HALVINGS, 0, -1)), *radii]
-    nodes = np.concatenate([[0.0]] + [np.linspace(lo, hi, _SEGMENT_PANELS + 1)[1:]
-                                      for lo, hi in zip(edges, edges[1:])])
+    layout = LinearPanels(np.concatenate(
+        [[0.0]] + [np.linspace(lo, hi, _SEGMENT_PANELS + 1)[1:]
+                   for lo, hi in zip(edges, edges[1:])]))
     idx = _SEGMENT_PANELS * np.arange(_HEAD_HALVINGS + 1, len(edges))
-    nodes.flags.writeable = False
     idx.flags.writeable = False
-    return nodes, idx
+    return layout.nodes, idx, layout
 
 
 # ---------------------------------------------------------------------------
@@ -172,22 +173,22 @@ def power_law_criteria(inst: PowerLawInstance,
     coupling_1(R) = integral_0^R t a1(t) (t^(2-N) integral_0^t s^(N-3) Q(s) ds)^alpha dt
     with Q the first moment of a2 (and symmetrically for coupling_2).
     """
-    xs, idx = _oracle_grid(schedule)
+    xs, idx, layout = _oracle_grid(schedule)
     a1v = inst.a1.sample(xs)
     a2v = inst.a2.sample(xs)
 
     def coupling(av_outer, av_inner, exponent):
-        moment_inner = prefix_trapezoid(xs * av_inner, xs)
-        iterated = radial_kernel_at(moment_inner, inst.N - 2, xs)
+        moment_inner = prefix_trapezoid(xs * av_inner, xs, panels=layout)
+        iterated = radial_kernel_at(moment_inner, inst.N - 2, xs, panels=layout)
         with np.errstate(divide="ignore", invalid="ignore"):
             iterated = np.where(xs > 0, iterated / xs, 0.0)
         integrand = xs * av_outer * iterated ** exponent
-        return prefix_trapezoid(integrand, xs)
+        return prefix_trapezoid(integrand, xs, panels=layout)
 
     c1 = coupling(a1v, a2v, inst.alpha_exp)[idx]
     c2 = coupling(a2v, a1v, inst.beta_exp)[idx]
-    m1 = prefix_trapezoid(xs * a1v, xs)[idx]
-    m2 = prefix_trapezoid(xs * a2v, xs)[idx]
+    m1 = prefix_trapezoid(xs * a1v, xs, panels=layout)[idx]
+    m2 = prefix_trapezoid(xs * a2v, xs, panels=layout)[idx]
 
     return PowerLawCriteria(
         coupling_1=schedule.verdict(c1),
@@ -246,11 +247,12 @@ def single_equation_check(f: Nonlinearity, a: Weight, N: int,
     recip_at = np.interp(np.asarray(radii), ts, recip)
     v_recip = schedule.verdict(recip_at)
 
-    xs, idx = _oracle_grid(schedule)
+    xs, idx, layout = _oracle_grid(schedule)
     av = a.sample(xs)
-    acc = prefix_trapezoid(radial_kernel_at(av, N, xs), xs)[idx]
+    kernel = radial_kernel_at(av, N, xs, panels=layout)
+    acc = prefix_trapezoid(kernel, xs, panels=layout)[idx]
     v_acc = schedule.verdict(acc)
-    moment = prefix_trapezoid(xs * av, xs)[idx] / (N - 2)
+    moment = prefix_trapezoid(xs * av, xs, panels=layout)[idx] / (N - 2)
     v_moment = schedule.verdict(moment)
 
     agrees = None

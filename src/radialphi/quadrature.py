@@ -19,60 +19,32 @@ and ``radial_kernel_at``:
   integration (Greengard 1991; Trefethen, ATAP ch. 19), exact to roundoff
   on smooth samples; a kink inside a panel costs that panel its spectral
   accuracy.
-* **Trapezoid** on any node array, for the solver, the oracles and
-  evaluators on caller-given nodes: a running trapezoid sum, and a kernel
-  that integrates s^(N-1) times the piecewise-linear interpolant of the
-  samples exactly on each panel (closed-form moments of s^(N-1)), so
-  constant and linear integrands are reproduced to roundoff.  Plain
-  trapezoid applied to the product s^(N-1) w(s) would lose several digits
-  near the origin.
+* **Trapezoid** (``LinearPanels``, built for the call when no layout is
+  passed) on any node array, for the solver, the oracles and evaluators
+  on caller-given nodes: a running trapezoid sum, and a kernel that
+  integrates s^(N-1) times the piecewise-linear interpolant of the samples
+  exactly on each panel (closed-form moments of s^(N-1)), so constant and
+  linear integrands are reproduced to roundoff.  Plain trapezoid applied
+  to the product s^(N-1) w(s) would lose several digits near the origin.
 
-The trapezoid moments depend only on the nodes and N, so they live in a
-``KernelPlan`` built once per (node values, N):
+The trapezoid moments depend only on the nodes and N, so a
+``LinearPanels`` layout builds them once per N on first use and keeps them:
 
 * **Blocks.**  The first panel, which contains 0, is a block of its own;
   from there each block runs to the last node at most twice its bottom
-  radius (a single wider panel is a block too).  For a factor-2 probe
-  schedule every probe-segment edge is such a doubling edge, so each outer
-  segment is one block.
+  radius (a single wider panel is a block too).
 * **Rescaling.**  Inside a block with top radius T the prefix integral is
   carried in units of T^N: panel weights come from the nodes divided by T,
   the carry into the next block is (bottom/T)^N, and K at a node t is
   t * (T/t)^N times that sum.  No stored power exceeds 2^N, so N = 120 on
   probes reaching 16384 stays finite where the unscaled s^N and t^(1-N)
-  overflowed once N * log10(R) passed about 308; the plan still overflows
-  when 2^N leaves the float range (N from about 1025).
-* **Row sharing.**  Blocks whose scaled nodes are bitwise equal share one
-  row of weights and output factors.  Every segment of the oracles' probe
-  grid after its first, the ten halving segments of its graded head and
-  the 14 outer ones, is a power-of-two scaling of the others, so that plan
-  stores 2048 panels (about 49 KB) for 25,600: the first segment's 1024 in
-  11 rows and one row that the 24 segments after it share.
-* **Cache.**  Plans live in the package's one ``BoundedCache`` policy,
-  which also keeps panel matrices (16), growth-budget probe values (8),
-  operators (2), nonlinearities (2) and derived envelopes (2).
-  ``radial_kernel_at`` finds its plan by a signature (size, N, first and
-  last node) and confirms it by comparing every node value, so a node
-  array changed in place gets a new plan.  Up to eight plans are kept, least recently used
-  out first, and the plan of a node array that owns its read-only memory
-  (an oracle grid, a ``RadialGrid``) holds it weakly and drops its weights
-  when the array is freed; such a released plan leaves the cache before
-  the next lookup.  Each plan is built once under a lock, so threads
-  share it.
-* **Applying.**  Per stretch of blocks, two multiplies and an add give the
-  panel increments, one cumulative sum per block (one for all the blocks
-  that repeat a row) and a carry at each block edge give the prefix, and
-  one multiply each by the output factors and by t give K.  The second
-  multiply goes, 4096 panels at a time, to a scratch row that each thread
-  keeps, and numpy's ufunc buffer is kept small while a plan is applied,
-  so a call allocates only its output.
+  overflowed once N * log10(R) passed about 308; the weights still
+  overflow when 2^N leaves the float range (N from about 1025).
 """
 
 from __future__ import annotations
 
 import math
-import threading
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,7 +56,7 @@ __all__ = [
     "LimitVerdict",
     "ProbeSchedule",
     "NumericsError",
-    "KernelPlan",
+    "LinearPanels",
     "PanelLayout",
     "central_diff",
     "half_widths",
@@ -100,11 +72,13 @@ class NumericsError(RuntimeError):
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform grid 0 = r_0 < r_1 < ... < r_n = r_max; the nodes are read-only."""
+    """Uniform grid 0 = r_0 < r_1 < ... < r_n = r_max; the nodes are
+    read-only, and ``panels`` is their ``LinearPanels`` layout."""
 
     r_max: float
     step: float
     nodes: np.ndarray = field(repr=False, default=None)
+    panels: LinearPanels = field(repr=False, default=None, compare=False)
 
     def __post_init__(self):
         if not (0 < self.r_max < math.inf and 0 < self.step < math.inf):
@@ -112,50 +86,29 @@ class RadialGrid:
         if not math.isfinite(float(self.r_max) / float(self.step)):
             raise ValueError("r_max / step must be a finite node count")
         n = max(1, int(round(self.r_max / self.step)))
-        # owned and read-only, so kernel plans hold it instead of a copy
-        nodes = np.linspace(0.0, self.r_max, n + 1).copy()
-        nodes.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
+        # the grid's own layout, so a solve builds its kernel weights once
+        # and they are freed with the grid
+        panels = LinearPanels(np.linspace(0.0, self.r_max, n + 1))
+        object.__setattr__(self, "nodes", panels.nodes)
+        object.__setattr__(self, "panels", panels)
         object.__setattr__(self, "step", self.r_max / n)
 
     def __len__(self):
         return len(self.nodes)
 
 
-def prefix_trapezoid(values: np.ndarray, xs: np.ndarray,
-                     half: np.ndarray | None = None, *,
-                     panels: PanelLayout | None = None) -> np.ndarray:
-    """Running trapezoid integral of samples ``values`` at nodes ``xs``.
+def prefix_trapezoid(values: np.ndarray, xs: np.ndarray, *,
+                     panels: LinearPanels | PanelLayout | None = None) -> np.ndarray:
+    """Running integral of samples ``values`` at nodes ``xs``; the first
+    entry is 0.
 
-    Works for any strictly increasing node array; the first entry is 0.
-    ``half`` holds the half-widths ``0.5 * np.diff(xs)`` when the caller
-    keeps them (a criteria evaluator computes them once for its grid);
-    else they are computed here.  The sum is formed inside the output array, so
-    that is the only full-length allocation when ``half`` is given, and the
-    result is bit for bit that of ``np.diff(xs) * (v[1:] + v[:-1]) * 0.5``,
-    since halving is exact.
-
-    With ``panels``, the layout whose nodes ``xs`` are, the samples are
-    integrated on its Chebyshev–Lobatto panels instead, spectrally.
+    ``panels`` is the layout whose nodes ``xs`` are: a ``LinearPanels``
+    sums trapezoids, a ``PanelLayout`` integrates on its Chebyshev–Lobatto
+    panels, spectrally.  Without one, the trapezoid rule runs on a layout
+    built for this call, so ``xs`` must be finite and strictly increasing.
     """
-    values = np.asarray(values, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    if values.shape != xs.shape:
-        raise ValueError("values and nodes differ in length")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite input sample")
-    if panels is not None:
-        _check_layout(panels, xs)
-        return panels.prefix(values)
-    if half is None:
-        half = half_widths(xs)
-    out = np.empty_like(values)
-    out[0] = 0.0
-    body = out[1:]
-    np.add(values[1:], values[:-1], out=body)
-    body *= half
-    body.cumsum(out=body)
-    return out
+    values, xs = _samples(values, xs)
+    return _layout(panels, xs).prefix(values)
 
 
 def half_widths(xs: np.ndarray) -> np.ndarray:
@@ -179,6 +132,52 @@ def central_diff(values: np.ndarray, step: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Radial kernel
 
+def radial_kernel_at(values: np.ndarray, dim: int, xs: np.ndarray, *,
+                     panels: LinearPanels | PanelLayout | None = None) -> np.ndarray:
+    """K[w](t) = t^(1-dim) * integral_0^t s^(dim-1) w(s) ds at nodes ``xs``.
+
+    ``xs`` must start at 0, where K is 0 by the integrand limit, and be
+    strictly increasing; ``panels`` is the layout whose nodes ``xs`` are,
+    and without one the trapezoid kernel runs on a layout built for this
+    call.  A dimension that is not a whole number >= 1, a non-finite input
+    sample or a length mismatch raises ValueError; a kernel that overflows
+    on finite input raises NumericsError.  On Chebyshev–Lobatto panels an
+    interpolant can undershoot next to a kink, so there K of nonnegative
+    samples is clipped at 0, which it cannot be below.
+    """
+    if isinstance(dim, (bool, np.bool_)) or not (dim >= 1 and float(dim).is_integer()):
+        raise ValueError(f"dimension must be a whole number >= 1, not {dim!r}")
+    values, xs = _samples(values, xs)
+    panels = _layout(panels, xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = panels.kernel(values, int(dim))
+    if isinstance(panels, PanelLayout) and values.min() >= 0.0:
+        np.maximum(out, 0.0, out=out)
+    if not np.all(np.isfinite(out)):
+        raise NumericsError("radial kernel overflowed (dimension too large for this range)")
+    return out
+
+
+def _samples(values, xs) -> tuple:
+    values = np.asarray(values, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    if values.shape != xs.shape:
+        raise ValueError("values and nodes differ in length")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("non-finite input sample")
+    return values, xs
+
+
+def _layout(panels, xs: np.ndarray):
+    """The layout to run on: ``panels``, checked against ``xs``, or a new
+    ``LinearPanels`` of ``xs``."""
+    if panels is None:
+        return LinearPanels(xs)
+    if xs is not panels.nodes and not np.array_equal(xs, panels.nodes):
+        raise ValueError("nodes are not those of the panel layout")
+    return panels
+
+
 def _block_weights(x: np.ndarray, dim, out: list) -> float:
     """Weights of one block from its nodes ``x`` divided by its top radius T.
 
@@ -201,232 +200,96 @@ def _block_weights(x: np.ndarray, dim, out: list) -> float:
     return float(p[0])
 
 
-class KernelPlan:
-    """Read-only kernel plan of one node array and dimension.
+class LinearPanels:
+    """Read-only piecewise-linear panels between the nodes of an array.
 
-    ``weights`` holds three arrays (c0, c1, output factor), each with the
-    rows of every distinct block geometry side by side.  ``runs`` groups
-    the blocks for ``apply``: ``(start, shape, c0, c1, scale, cuts)``
-    covers the panels from node ``start`` on as a ``shape`` matrix with
-    weight views ``c0, c1, scale``.  One row of several blocks, cut at
-    ``cuts = ((begin, end, carry), ...)``, is a stretch of blocks whose
-    rows lie side by side in the weights; several rows are consecutive
-    blocks that share one row of weights, and ``cuts`` is their carry.
+    ``prefix`` sums trapezoids with the half panel widths the layout
+    holds.  ``kernel`` integrates s^(N-1) times the linear interpolant of
+    the samples exactly on each panel, in the blocks and units of the
+    module docstring; its weights are built on first use for each N and
+    kept on the layout, so they live as long as it does.
 
-    A node array that owns its read-only memory is taken as immutable and
-    held by weak reference: when it is freed the plan drops its weights, so
-    a grid's plan does not outlive the grid.  Any other node array, such
-    as a writable one or a view, is copied.
-
-    Rejects, with ValueError, a dimension below 1 and nodes that are not
-    finite, strictly increasing and starting at 0; raises NumericsError
-    when an output factor overflows.
+    Takes its own read-only copy of the nodes.  Rejects, with ValueError,
+    nodes that are not a nonempty, finite and strictly increasing array,
+    and, for the kernel, nodes that do not start at 0; raises
+    NumericsError when an output factor of the kernel overflows.
     """
 
-    def __init__(self, nodes: np.ndarray, dim):
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
-        if nodes.ndim != 1 or nodes.size == 0 or nodes[0] != 0.0:
-            raise ValueError("kernel grid must start at 0")
+    def __init__(self, nodes):
+        nodes = np.array(nodes, dtype=float)
+        if nodes.ndim != 1 or nodes.size == 0:
+            raise ValueError("nodes must be a nonempty 1-d array")
         if not (np.all(np.isfinite(nodes)) and np.all(nodes[1:] > nodes[:-1])):
-            raise ValueError("kernel nodes must be finite and strictly increasing")
+            raise ValueError("nodes must be finite and strictly increasing")
+        nodes.flags.writeable = False
+        self.nodes = nodes
+        self._half = half_widths(nodes)
+        self._weights: dict = {}
 
-        rows: dict = {}  # bytes of the scaled nodes -> offset in the weights
-        edges = []
-        start = width = 0
-        while start < nodes.size - 1:
-            top_at = int(np.searchsorted(nodes, 2.0 * nodes[start], side="right")) - 1
-            stop = max(start + 1, top_at)
-            key = (nodes[start:stop + 1] / nodes[stop]).tobytes()
-            if key not in rows:
-                rows[key] = width
-                width += stop - start
-            edges.append((start, stop, rows[key]))
-            start = stop
-        weights = tuple(np.empty(width) for _ in range(3))
-        carries = {}
+    def prefix(self, values: np.ndarray) -> np.ndarray:
+        """Running trapezoid integral of the samples ``values`` from the
+        first node.  The sum is formed inside the output, the only
+        full-length allocation, and equals
+        ``np.diff(xs) * (v[1:] + v[:-1]) * 0.5`` bit for bit, since halving
+        is exact."""
+        out = np.empty_like(values)
+        out[0] = 0.0
+        body = out[1:]
+        np.add(values[1:], values[:-1], out=body)
+        body *= self._half
+        body.cumsum(out=body)
+        return out
+
+    def weights(self, dim: int) -> tuple:
+        """Read-only kernel weights of dimension ``dim``: the panel moments
+        c0 and c1, the output factors, and the blocks as
+        ``(begin, end, carry)`` panel ranges."""
+        if dim not in self._weights:
+            self._weights[dim] = self._kernel_weights(dim)
+        return self._weights[dim]
+
+    def _kernel_weights(self, dim: int) -> tuple:
+        nodes = self.nodes
+        if nodes[0] != 0.0:
+            raise ValueError("kernel grid must start at 0")
+        weights = tuple(np.empty(nodes.size - 1) for _ in range(3))
+        blocks = []
+        start = 0
         with np.errstate(over="ignore"):
-            for key, offset in rows.items():
-                x = np.frombuffer(key)
-                cols = slice(offset, offset + x.size - 1)
-                carries[offset] = _block_weights(x, dim, [w[cols] for w in weights])
+            while start < nodes.size - 1:
+                top_at = int(np.searchsorted(nodes, 2.0 * nodes[start], side="right")) - 1
+                stop = max(start + 1, top_at)
+                carry = _block_weights(nodes[start:stop + 1] / nodes[stop], dim,
+                                       [w[start:stop] for w in weights])
+                blocks.append((start, stop, carry))
+                start = stop
         for w in weights:
             w.flags.writeable = False
         if not np.all(np.isfinite(weights[2])):
             raise NumericsError(
                 f"radial kernel overflowed (dimension {dim}: 2^N leaves the float range)")
-        runs: list = []  # [start, row count, panels per row, offset, cuts]
-        for start, stop, offset in edges:
-            n, carry = stop - start, carries[offset]
-            last = runs[-1] if runs else None
-            if last and last[3] == offset and last[2] == n and len(last[4]) == 1:
-                last[1] += 1
-            elif last and last[1] == 1 and last[3] + last[2] == offset:
-                last[4].append((last[2], last[2] + n, carry))
-                last[2] += n
-            else:
-                runs.append([start, 1, n, offset, [(0, n, carry)]])
-        runs = tuple(
-            (start, (count, n), *(w[offset:offset + n] for w in weights),
-             tuple(cuts) if count == 1 else cuts[0][2])
-            for start, count, n, offset, cuts in runs)
-        # a list, so that the weak reference's callback can empty it
-        self._held = [weights, runs]
-        # only an array that owns its read-only memory cannot change under us
-        if nodes.flags.writeable or nodes.base is not None:
-            nodes = nodes.copy()
-            nodes.flags.writeable = False
-            self._nodes = lambda: nodes
-        else:
-            self._nodes = weakref.ref(nodes, lambda _, held=self._held: held.clear())
+        return (*weights, tuple(blocks))
 
-    @property
-    def nodes(self) -> np.ndarray | None:
-        """The node array; None once a read-only one has been freed."""
-        return self._nodes()
+    def kernel(self, values: np.ndarray, dim: int) -> np.ndarray:
+        """K[w](t) = t^(1-dim) * integral_0^t s^(dim-1) w(s) ds at the nodes.
 
-    @property
-    def released(self) -> bool:
-        """True once the node array has been freed and the weights dropped."""
-        return not self._held
-
-    @property
-    def weights(self) -> tuple:
-        return self._held[0] if self._held else ()
-
-    @property
-    def runs(self) -> tuple:
-        return self._held[1] if self._held else ()
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """K[w] at the nodes from the samples ``values`` of w; the caller
-        holds the node array, so the weights stay alive."""
-        size = np.setbufsize(_BUFSIZE)
-        try:
-            return self._apply(values)
-        finally:
-            np.setbufsize(size)
-
-    def _apply(self, values: np.ndarray) -> np.ndarray:
+        Per block: the panel increments, its carry added to the first, a
+        running sum, then the output factors and t."""
+        c0, c1, scale, blocks = self.weights(dim)
         out = np.empty_like(values)
         out[0] = 0.0
-        tmp = _scratch()
+        body = out[1:]
+        np.multiply(c0, values[:-1], out=body)
+        body += c1 * values[1:]
         carried = 0.0
-        for start, shape, c0, c1, scale, cuts in self.runs:
-            stop = start + shape[0] * shape[1]
-            seg = out[start + 1:stop + 1].reshape(shape)
-            np.multiply(c0, values[start:stop].reshape(shape), out=seg)
-            above = values[start + 1:stop + 1].reshape(shape)
-            # as many whole rows as fit the scratch, or one row in pieces
-            rows = max(1, _SCRATCH_SIZE // shape[1])
-            for top in range(0, shape[0], rows):
-                for lo in range(0, shape[1], _SCRATCH_SIZE):
-                    cols = slice(lo, lo + _SCRATCH_SIZE)
-                    part = above[top:top + rows, cols]
-                    seg[top:top + rows, cols] += np.multiply(
-                        c1[cols], part, out=tmp[:part.size].reshape(part.shape))
-            if shape[0] == 1:
-                for begin, end, carry in cuts:
-                    block = seg[0, begin:end]
-                    block[0] += carry * carried
-                    block.cumsum(out=block)
-                    carried = block[-1]
-            else:
-                seg.cumsum(axis=1, out=seg)
-                lifts = np.empty(shape[0])
-                for i, local in enumerate(seg[:, -1].tolist()):
-                    lifts[i] = cuts * carried
-                    carried = local + lifts[i]
-                seg += lifts[:, None]
-            seg *= scale
-        out[1:] *= self.nodes[1:]
+        for begin, end, carry in blocks:
+            block = body[begin:end]
+            block[0] += carry * carried
+            block.cumsum(out=block)
+            carried = block[-1]
+        body *= scale
+        body *= self.nodes[1:]
         return out
-
-
-# elements in numpy's ufunc buffer while a plan is applied.  A ufunc that
-# broadcasts a row of weights over repeated rows would gather rows into
-# that buffer, 8192 elements (64 KiB) by default under numpy 2; with a
-# buffer narrower than a row it runs on the rows in place.  16 is the
-# least size that numpy 1.24 accepts.
-_BUFSIZE = 16
-
-# the scratch row of each thread: small, because a wider row kept between
-# calls fragments the heap (8192 floats raised solve peak RSS by 1 MB)
-_SCRATCH_SIZE = 4096
-_SCRATCH = threading.local()
-
-
-def _scratch() -> np.ndarray:
-    """This thread's scratch row, kept between calls so that applying a
-    plan allocates only its output."""
-    row = getattr(_SCRATCH, "row", None)
-    if row is None:
-        row = _SCRATCH.row = np.empty(_SCRATCH_SIZE)
-    return row
-
-
-# a report probes one grid per dimension, the solver one more, the oracle
-# N-2; a plan whose node array was freed is dropped before every lookup
-_PLANS = BoundedCache(8, stale=lambda plan: plan.released)
-
-
-def radial_kernel_at(values: np.ndarray, dim: int, xs: np.ndarray, *,
-                     panels: PanelLayout | None = None) -> np.ndarray:
-    """K[w](t) = t^(1-dim) * integral_0^t s^(dim-1) w(s) ds at nodes ``xs``.
-
-    ``xs`` must start at 0, where K is 0 by the integrand limit, and be
-    strictly increasing.  A non-finite input sample or a length mismatch
-    raises ValueError; a kernel that overflows on finite input raises
-    NumericsError.  With ``panels``, the layout whose nodes ``xs`` are, K
-    comes from its Chebyshev–Lobatto panels instead of a kernel plan; an
-    interpolant can undershoot next to a kink, so there K of nonnegative
-    samples is clipped at 0, which it cannot be below.
-    """
-    values = np.asarray(values, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    if values.shape != xs.shape:
-        raise ValueError("values and nodes differ in length")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite input sample")
-    if panels is not None:
-        _check_layout(panels, xs)
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = panels.kernel(values, int(dim))
-        if values.min() >= 0.0:
-            np.maximum(out, 0.0, out=out)
-    else:
-        out = _planned_kernel(values, dim, xs)
-    if not np.all(np.isfinite(out)):
-        raise NumericsError("radial kernel overflowed (dimension too large for this range)")
-    return out
-
-
-def _planned_kernel(values: np.ndarray, dim, xs: np.ndarray) -> np.ndarray:
-    """K on any node array, through the cached kernel plan of ``xs``."""
-    # the node array a plan was confirmed against keeps its weights alive
-    anchor = [xs]
-
-    def fits(plan: KernelPlan) -> bool:
-        nodes = plan.nodes
-        if nodes is None or not np.array_equal(nodes, xs):
-            return False
-        anchor[0] = nodes
-        return True
-
-    key = (xs.size, dim, float(xs[0]), float(xs[-1])) if xs.size else None
-    plan = _PLANS.get(key, lambda: KernelPlan(xs, dim), fits)
-    # an overflow is reported once, by the finiteness check of the caller
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = plan.apply(values)
-    del anchor  # held through apply: the plan's weights live while its nodes do
-    return out
-
-
-def _check_layout(panels: PanelLayout, xs: np.ndarray):
-    if xs is not panels.nodes and not np.array_equal(xs, panels.nodes):
-        raise ValueError("nodes are not those of the panel layout")
 
 
 # ---------------------------------------------------------------------------

@@ -69,10 +69,12 @@ class TestAccumulation:
         assert all(qd._PANEL_MATRICES._entries[k] is v for k, v in held.items())
 
     def test_desk_call_builds_no_kernel_plan(self, lap, monkeypatch):
-        # a desk call used to build a 4097-node grid and its kernel plan
+        # a desk call used to build a 4097-node grid and its trapezoid
+        # kernel weights; it runs on Chebyshev–Lobatto panels alone
         def refuse(*args):
-            raise AssertionError("kernel plan built")
-        monkeypatch.setattr(qd, "KernelPlan", refuse)
+            raise AssertionError("trapezoid layout built")
+        for module in (qd, cr):
+            monkeypatch.setattr(module, "LinearPanels", refuse)
         spec = make_spec(lap)
         assert cr.accumulation(spec, 1, "bar", 3.0) == pytest.approx(1.5, rel=1e-12)
         assert cr.coupling(spec, "12", "bar", 1.0) == pytest.approx(0.175, rel=1e-12)
@@ -122,7 +124,7 @@ class TestEvaluatorArrays:
         calls, sampled = [], []
         kernel = cr.radial_kernel_at
         monkeypatch.setattr(cr, "radial_kernel_at",
-                            lambda *args: calls.append(args) or kernel(*args))
+                            lambda *args, **kw: calls.append(args) or kernel(*args, **kw))
         spec = make_spec(lap, w1="1/(1+r)^2", w2=w2)
         sample = model.Weight.sample
         monkeypatch.setattr(model.Weight, "sample",
@@ -413,8 +415,6 @@ class TestProbeAccuracy:
         edges = [radii[0] / 2.0 ** k for k in range(halvings, 0, -1)] + list(radii)
         xs = np.concatenate([np.linspace(0.0, edges[0], panels + 1)] + [
             np.linspace(lo, hi, panels + 1)[1:] for lo, hi in zip(edges, edges[1:])])
-        # owned and read-only, so its kernel plan is released with it
-        xs.flags.writeable = False
         return xs, panels * np.arange(halvings + 1, len(edges) + 1)
 
     @staticmethod

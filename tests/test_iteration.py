@@ -3,6 +3,7 @@ import pytest
 
 from radialphi import criteria, iteration as it, model
 from radialphi import operators as ops
+from radialphi import quadrature as qd
 from radialphi.quadrature import RadialGrid
 
 
@@ -132,6 +133,20 @@ class TestSolve:
         sol = it.solve(spec, grid, max_iter=max_iter)
         assert it.residual(spec, sol)[1] == sol.residual_v
         assert (sol.residual_v == 0.0) == (max_iter > 0)
+
+
+class TestKernelWeights:
+    def test_solve_builds_the_grid_weights_once(self, lap, monkeypatch):
+        # every half-sweep and the residual run on the grid's own layout;
+        # rebuilding its weights per call would cost a build per half-sweep
+        built = []
+        build = qd.LinearPanels._kernel_weights
+        monkeypatch.setattr(qd.LinearPanels, "_kernel_weights",
+                            lambda self, dim: built.append(dim) or build(self, dim))
+        spec = make_spec(lap, w1="1/(1+r^2)", w2="exp(-r)")
+        sol = it.solve(spec, RadialGrid(2.0, 1e-3))
+        assert sol.converged and sol.iterations_used >= 4
+        assert built == [spec.N]
 
 
 class TestEnvelopedBounds:

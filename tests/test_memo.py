@@ -38,27 +38,6 @@ class TestBoundedCache:
         built = []
         assert cache.get("a", counting(5, built)) == 5 and built == [5]
 
-    def test_stale_entries_dropped_before_lookup(self):
-        dead = set()
-        cache, built = BoundedCache(2, stale=lambda v: v in dead), []
-        cache.get("a", counting(1, built))
-        cache.get("b", counting(2, built))
-        dead.add(1)
-        # the stale entry goes before the lookup, so no live one is evicted
-        cache.get("c", counting(3, built))
-        assert list(cache._entries) == ["b", "c"]
-        dead.add(3)
-        assert cache.get("c", counting(4, built)) == 4
-        assert built == [1, 2, 3, 4]
-
-    def test_unfit_entry_rebuilt_at_its_key(self):
-        cache, built = BoundedCache(2), []
-        cache.get("a", counting(1, built))
-        cache.get("b", counting(2, built))
-        assert cache.get("a", counting(9, built), fits=lambda v: v == 1) == 1
-        assert cache.get("a", counting(7, built), fits=lambda v: v == 7) == 7
-        assert cache._entries == {"b": 2, "a": 7} and built == [1, 2, 7]
-
     def test_threads_share_one_build(self):
         cache, built = BoundedCache(2), []
         barrier = threading.Barrier(4)

@@ -1,4 +1,3 @@
-import gc
 import sys
 import threading
 import tracemalloc
@@ -20,7 +19,7 @@ def probe(func, schedule):
 
 def graded_grid():
     """The graded trapezoid grid of 25,601 nodes that the oracles probe on,
-    the largest node array the kernel plans serve besides the solver's."""
+    the largest node array the trapezoid kernel runs on besides the solver's."""
     return oracle._oracle_grid(qd.ProbeSchedule())[0]
 
 
@@ -108,16 +107,15 @@ class TestInPlacePrefix:
         assert np.all(np.diff(xs) > 0)
         ref = reference_prefix(values, xs)
         assert np.array_equal(qd.prefix_trapezoid(values, xs), ref)
-        assert np.array_equal(qd.prefix_trapezoid(values, xs, qd.half_widths(xs)), ref)
+        assert np.array_equal(qd.prefix_trapezoid(values, xs, panels=qd.LinearPanels(xs)), ref)
 
     @settings(max_examples=15, deadline=None)
     @given(st.floats(0.5, 6.0), st.floats(-10.0, 10.0))
     def test_bitwise_on_probe_grid(self, sigma, shift):
-        xs = graded_grid()
-        half = qd.half_widths(xs)
+        xs, _, layout = oracle._oracle_grid(qd.ProbeSchedule())
         values = (1.0 + xs) ** -sigma + shift * np.sin(xs)
         ref = reference_prefix(values, xs)
-        assert np.array_equal(qd.prefix_trapezoid(values, xs, half), ref)
+        assert np.array_equal(qd.prefix_trapezoid(values, xs, panels=layout), ref)
         assert np.array_equal(qd.prefix_trapezoid(values, xs), ref)
 
     def test_half_widths_read_only(self):
@@ -128,13 +126,14 @@ class TestInPlacePrefix:
 
     def test_allocates_only_its_output(self):
         # the sum, the product and the running sum all happen inside the
-        # output; the rest is the finiteness mask (an eighth of the input)
-        xs = np.linspace(0.0, 10.0, 61441)
-        half = qd.half_widths(xs)
+        # output of LinearPanels.prefix; the rest is the finiteness mask
+        # (an eighth of the input)
+        layout = qd.LinearPanels(np.linspace(0.0, 10.0, 61441))
+        xs = layout.nodes
         values = np.exp(-xs)
         tracemalloc.start()
         try:
-            qd.prefix_trapezoid(values, xs, half)
+            qd.prefix_trapezoid(values, xs, panels=layout)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -225,59 +224,23 @@ class TestKernelAccuracy:
 
 
 class TestKernelPlan:
-    """Plans built once per node values and dimension, shared and bounded."""
+    """The trapezoid kernel's weights: built on first use for each dimension
+    and kept by the layout whose nodes they belong to."""
 
-    @pytest.fixture
-    def cache(self, monkeypatch):
-        fresh = BoundedCache(8, stale=lambda plan: plan.released)
-        monkeypatch.setattr(qd, "_PLANS", fresh)
-        return fresh
-
-    def test_threads_share_one_plan(self, cache, monkeypatch):
-        built = []
-
-        class Counting(qd.KernelPlan):
-            def __init__(self, nodes, dim):
-                built.append(dim)
-                super().__init__(nodes, dim)
-
-        monkeypatch.setattr(qd, "KernelPlan", Counting)
-        xs = graded_grid()
-        w = (1.0 + xs) ** -3.0
-        barrier = threading.Barrier(4)
-        results = [None] * 4
-
-        def work(i):
-            barrier.wait(timeout=10)
-            results[i] = qd.radial_kernel_at(w, 5, xs)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert built == [5]
-        assert all(r is not None and np.array_equal(r, results[0]) for r in results)
-
-    def test_threads_apply_with_their_own_scratch(self, cache):
-        # each thread writes its second multiply to its own scratch row; a
-        # shared one would mix the rows of concurrent calls
+    def test_concurrent_kernel_calls_agree(self):
+        # four threads apply one layout whose weights none has built yet
         xs = graded_grid()
         weights = [(1.0 + xs) ** -(2.0 + i) + np.cos(i * xs) ** 2 for i in range(4)]
         expected = [qd.radial_kernel_at(w, 3, xs) for w in weights]
+        layout = qd.LinearPanels(xs)
         barrier = threading.Barrier(4)
         matched = [None] * 4
 
         def work(i):
             barrier.wait(timeout=10)
-            matched[i] = all(np.array_equal(qd.radial_kernel_at(weights[i], 3, xs), expected[i])
-                             for _ in range(10))
+            matched[i] = all(np.array_equal(
+                qd.radial_kernel_at(weights[i], 3, layout.nodes, panels=layout), expected[i])
+                for _ in range(10))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -292,7 +255,7 @@ class TestKernelPlan:
         assert not any(t.is_alive() for t in threads)
         assert matched == [True] * 4
 
-    def test_keyed_by_value_not_identity(self, cache):
+    def test_keyed_by_value_not_identity(self):
         # same size and end nodes, different interior: a stale plan would
         # return K at the old nodes
         xs = np.linspace(0.0, 2.0, 2001)
@@ -307,58 +270,71 @@ class TestKernelPlan:
         xs[:] = np.sqrt(2.0 * xs)
         assert np.allclose(qd.radial_kernel_at(ones, 3, view), xs / 3.0, atol=1e-13)
 
-    def test_plan_arrays_read_only(self, cache):
-        qd.radial_kernel_at(np.ones(101), 3, np.linspace(0.0, 1.0, 101))
-        (plan,) = cache._entries.values()
-        arrays = [plan.nodes, *plan.weights] + [a for r in plan.runs for a in r[2:5]]
-        assert not any(a.flags.writeable for a in arrays)
+    def test_layout_weights_read_only(self):
+        xs = np.linspace(0.0, 1.0, 101)
+        layout = qd.LinearPanels(xs)
+        xs[:] = 0.0  # the layout holds its own copy
+        qd.radial_kernel_at(np.ones(101), 3, layout.nodes, panels=layout)
+        c0, c1, scale, blocks = layout.weights(3)
+        assert not any(a.flags.writeable for a in (layout.nodes, c0, c1, scale))
+        assert layout.nodes[-1] == 1.0 and blocks[0][:2] == (0, 1)
         with pytest.raises(ValueError):
-            plan.runs[0][2][0] = 1.0
+            c1[0] = 1.0
 
-    def test_grid_plan_dies_with_grid(self, cache):
-        grid = qd.RadialGrid(2.0, 1e-3)
-        qd.radial_kernel_at(np.ones(len(grid)), 3, grid.nodes)
-        (plan,) = cache._entries.values()
-        assert plan.weights and not plan.released
-        del grid
-        gc.collect()
-        assert plan.released and plan.weights == ()
-        qd.radial_kernel_at(np.ones(11), 3, np.linspace(0.0, 1.0, 11))
-        assert plan not in cache._entries.values() and len(cache._entries) == 1
+    def test_weights_built_once_per_dimension(self, monkeypatch):
+        built = []
+        build = qd.LinearPanels._kernel_weights
+        monkeypatch.setattr(qd.LinearPanels, "_kernel_weights",
+                            lambda self, dim: built.append(dim) or build(self, dim))
+        layout = qd.LinearPanels(np.linspace(0.0, 2.0, 201))
+        ones = np.ones_like(layout.nodes)
+        for dim in (3, 5, 3, 3.0, 5):
+            qd.radial_kernel_at(ones, dim, layout.nodes, panels=layout)
+        assert built == [3, 5]
 
-    def test_apply_allocates_only_its_output(self, cache):
-        # the second multiply goes to this thread's scratch row, kept from
-        # the first call; the rest is the finiteness mask and check
-        xs = graded_grid()
-        w = (1.0 + xs) ** -2.0
-        first = qd.radial_kernel_at(w, 3, xs)
-        tracemalloc.start()
-        try:
-            again = qd.radial_kernel_at(w, 3, xs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(first, again)
-        assert peak <= 1.3 * xs.nbytes
+    def test_grid_layout_matches_a_call_without_one(self):
+        grid = qd.RadialGrid(20.0, 1e-3)
+        w = 6.0 / (1.0 + grid.nodes ** 2)
+        for _ in range(2):  # before and after the weights are kept
+            got = qd.radial_kernel_at(w, 3, grid.nodes, panels=grid.panels)
+            assert np.array_equal(got, qd.radial_kernel_at(w, 3, grid.nodes))
+            got = qd.prefix_trapezoid(w, grid.nodes, panels=grid.panels)
+            assert np.array_equal(got, qd.prefix_trapezoid(w, grid.nodes))
 
-    def test_default_probe_plan_storage(self, cache):
-        xs = graded_grid()
-        qd.radial_kernel_at(np.ones_like(xs), 3, xs)
-        (plan,) = cache._entries.values()
-        # the oracles' probe grid's own array, not a copy
-        assert plan.nodes is xs
-        # 11 rows for the first segment's blocks, one for all 24 segments
-        # after it (ten halving, 14 outer), applied as 12 blocks side by side
-        # and 23 that repeat the last row
-        assert [w.size for w in plan.weights] == [2048] * 3
-        assert [(r[0], r[1]) for r in plan.runs] == [(0, (1, 2048)), (2048, (23, 1024))]
-        assert len(plan.runs[0][5]) == 12
-        assert sum(w.nbytes for w in plan.weights) <= 0.05e6
+    @pytest.mark.parametrize("layout", ["linear", "chebyshev"])
+    @pytest.mark.parametrize("dim", [3.5, 0.5, 0, -3, True, np.nan, np.inf])
+    def test_rejects_a_dimension_that_is_not_whole(self, layout, dim):
+        # the Chebyshev path used to truncate 3.5 to 3 and return t/3,
+        # where the trapezoid path returned t/3.5
+        panels = (qd.LinearPanels(np.linspace(0.0, 2.0, 21)) if layout == "linear"
+                  else qd.PanelLayout(doubling_edges(), 4))
+        ones = np.ones_like(panels.nodes)
+        with pytest.raises(ValueError, match="dimension"):
+            qd.radial_kernel_at(ones, dim, panels.nodes, panels=panels)
+        assert np.array_equal(qd.radial_kernel_at(ones, 3.0, panels.nodes, panels=panels),
+                              qd.radial_kernel_at(ones, 3, panels.nodes, panels=panels))
 
     def test_rejects_unsorted_nodes(self):
         # used to return [0, 0.667, 0.333, ...] without complaint
         with pytest.raises(ValueError, match="strictly increasing"):
             qd.radial_kernel_at(np.ones(6), 3, np.array([0.0, 2.0, 1.0, 3.0, 4.0, 5.0]))
+
+    @pytest.mark.parametrize("nodes", [
+        [0.0, np.nan, 2.0], [0.0, np.inf, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0],
+        [0.0, 1.0, 1.0], [], [[0.0, 1.0]]])
+    def test_layout_rejects_bad_nodes(self, nodes):
+        with pytest.raises(ValueError, match="nodes must be"):
+            qd.LinearPanels(nodes)
+        if np.ndim(nodes) == 1 and len(nodes):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                qd.prefix_trapezoid(np.ones(len(nodes)), nodes)
+
+    def test_kernel_needs_nodes_from_zero(self):
+        # a prefix runs from any first node, as the growth budget's do
+        xs = np.linspace(1.0, 2.0, 11)
+        assert qd.prefix_trapezoid(np.ones(11), xs)[-1] == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(ValueError, match="start at 0"):
+            qd.radial_kernel_at(np.ones(11), 3, xs)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="differ in length"):
@@ -405,7 +381,7 @@ class TestPanelLayout:
 
     @pytest.mark.parametrize("dim, rtol", [(80, 1e-12), (120, 1e-12), (1100, 1e-10)])
     def test_high_dimension_stays_finite(self, dim, rtol):
-        # the trapezoid plan overflows from N of about 1025; the panels
+        # the trapezoid weights overflow from N of about 1025; the panels
         # carry (lo/t)^(N-1) <= 1 and store no larger power.  The accuracy
         # of the Gauss–Legendre points bounds the matrices at large N
         layout = criteria.probe_grid(qd.ProbeSchedule())[2]
