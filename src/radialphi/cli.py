@@ -23,7 +23,6 @@ mistake, from an unreadable file to a string where a number belongs, is a
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import itertools
 import json
@@ -266,19 +265,14 @@ def cmd_solve(cfg: dict) -> int:
     return 0
 
 
-def _classification_payload(cfg: dict):
+def _classification(cfg: dict):
+    """Assemble, probe and classify one config: (spec, numerics,
+    hypotheses, criteria report, classification)."""
     spec = model.assemble(model._get(cfg, "problem", "config"))
     num = _numerics(cfg)
     hyp = model.check_hypotheses(spec)
     report = criteria.build_report(spec, num["schedule"])
-    cls = classifier.classify(spec, report, hyp)
-    payload = {
-        "instance": _instance_echo(spec),
-        "hypotheses": hyp.to_dict(),
-        "criteria": report.to_dict(),
-        "classification": cls.to_dict(),
-    }
-    return spec, num, report, cls, payload
+    return spec, num, hyp, report, classifier.classify(spec, report, hyp)
 
 
 def cmd_classify(cfg: dict) -> int:
@@ -286,7 +280,13 @@ def cmd_classify(cfg: dict) -> int:
     if not isinstance(with_solve, bool):
         raise ConfigShapeError(f"classify.with_solve must be true or false, got {with_solve!r}")
     try:
-        spec, num, report, cls, payload = _classification_payload(cfg)
+        spec, num, hyp, report, cls = _classification(cfg)
+        payload = {
+            "instance": _instance_echo(spec),
+            "hypotheses": hyp.to_dict(),
+            "criteria": report.to_dict(),
+            "classification": cls.to_dict(),
+        }
         if with_solve:
             sol = iteration.solve(spec, num["grid"], num["conv_tol"], num["max_iter"])
             consistency = classifier.cross_check(spec, cls, sol)
@@ -378,14 +378,19 @@ def _sweep_axes(sweep: dict) -> list:
 
 def _set_path(cfg: dict, dotted: str, value, axis: str):
     """Set the value at a dotted path of ``cfg``, creating missing objects
-    on the way; a path through an existing non-object is a config error."""
+    on the way; a path through an existing non-object is a config error.
+    Every object below ``cfg`` on the path is replaced by a copy before it
+    is written, so the objects ``cfg`` shares with another config stay as
+    they are."""
     keys = dotted.split(".")
     node = cfg
     for depth, key in enumerate(keys[:-1]):
-        node = node.setdefault(key, {})
-        if not isinstance(node, dict):
+        child = node.get(key, {})
+        if not isinstance(child, dict):
             raise ConfigShapeError(f"sweep axis {axis!r}: path {dotted!r} runs through "
                                    f"{'.'.join(keys[:depth + 1])}, which is not an object")
+        node[key] = dict(child)
+        node = node[key]
     node[keys[-1]] = value
 
 
@@ -405,12 +410,13 @@ def cmd_sweep(cfg: dict) -> int:
     # every combination, the last axis fastest; no axes means no points,
     # not the one empty combination of an empty product
     for combo in itertools.product(*(ax["values"] for ax in axes)) if axes else ():
-        local = copy.deepcopy(cfg)
+        # a copy of the objects on the axis paths; the rest is shared
+        local = dict(cfg)
         for ax, value in zip(axes, combo):
             for path in ax["paths"]:
                 _set_path(local, path, value, ax["name"])
         try:
-            _, _, _, cls, _ = _classification_payload(local)
+            cls = _classification(local)[-1]
             outcome = [cls.verdict, cls.matched_rule]
         except NumericsError as exc:
             outcome = ["numeric_failure", type(exc).__name__]

@@ -90,7 +90,7 @@ def effective_lower_envelope(nl: Nonlinearity):
 
 
 def _finite_positive(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise CriteriaError(f"{what}: non-finite value")
     return arr
 
@@ -228,6 +228,8 @@ _BUDGET_VALUE_CAP = 1e18
 # one block of budget nodes per decade, as multiples of the block's start
 _BUDGET_BLOCK = np.logspace(0.0, 1.0, _BUDGET_NODES_PER_DECADE + 1)[1:]
 _BUDGET_BLOCK.flags.writeable = False
+# the factor from a decade's start to its last node
+_BUDGET_DECADE = float(_BUDGET_BLOCK[-1])
 
 
 def _budget_inputs(spec: ProblemSpec, pair: str, relaxed: bool,
@@ -268,50 +270,82 @@ class GrowthBudget:
          theta_own) = _budget_inputs(spec, pair, relaxed, acc_limit)
         self.pair = pair
 
-        def integrand(ts: np.ndarray) -> np.ndarray:
+        def denominator(ts: np.ndarray) -> np.ndarray:
             with np.errstate(over="ignore"):
                 inner = m_eff * np.asarray(theta_other(
                     np.asarray(f_other(ts), dtype=float)), dtype=float)
-                den = np.asarray(theta_own(
+                return np.asarray(theta_own(
                     np.asarray(outer(inner), dtype=float)), dtype=float)
-            bad = ~(np.isfinite(den) | np.isposinf(den)) | (den <= 0)
-            if np.any(bad):
-                k = int(np.argmax(bad))
-                raise CriteriaError(
-                    f"growth budget {pair}: degenerate integrand at t={ts[k]:.6g}")
-            with np.errstate(divide="ignore"):
-                out = 1.0 / den
-            return np.where(np.isposinf(den), 0.0, out)
 
-        self._integrand = integrand
+        self._denominator = denominator
         self.ts = np.array([self.anchor])
         self.hs = np.array([0.0])
-        self._extend_block()
+        self._extend(1)
 
-    def _extend_block(self):
-        t0 = self.ts[-1]
-        block = t0 * _BUDGET_BLOCK
-        ts = np.concatenate(([t0], block))
-        vals = self._integrand(ts)
-        hs = self.hs[-1] + prefix_trapezoid(vals, ts)[1:]
-        self.ts = np.concatenate((self.ts, block))
-        self.hs = np.concatenate((self.hs, hs))
+    def _extend(self, decades: int):
+        """Append ``decades`` decades of trapezoid nodes in one integrand
+        call.  Each decade's trapezoids are summed along its own row, then
+        the decades' carries are added in order, so every sum, and the
+        first failure, is that of one decade at a time."""
+        starts = [float(self.ts[-1])]
+        for _ in range(decades - 1):
+            starts.append(starts[-1] * _BUDGET_DECADE)
+        ts = np.concatenate((self.ts[-1:], np.multiply.outer(starts, _BUDGET_BLOCK).ravel()))
+        den = self._denominator(ts)
+        bad = ~(np.isfinite(den) | np.isposinf(den)) | (den <= 0)
+        with np.errstate(divide="ignore"):
+            vals = np.where(np.isposinf(den), 0.0, 1.0 / den)
+        if bad.any() or not (np.isfinite(vals).all() and np.isfinite(ts).all()
+                             and (ts[1:] > ts[:-1]).all()):
+            self._fail(ts, bad, vals)
+        half = np.diff(ts)
+        half *= 0.5
+        sums = np.add(vals[1:], vals[:-1])
+        sums *= half
+        rows = sums.reshape(decades, _BUDGET_NODES_PER_DECADE)
+        rows.cumsum(axis=1, out=rows)
+        carry = self.hs[-1]
+        for row in rows:
+            row += carry
+            carry = row[-1]
+        self.ts = np.concatenate((self.ts, ts[1:]))
+        self.hs = np.concatenate((self.hs, sums))
+
+    def _fail(self, ts: np.ndarray, bad: np.ndarray, vals: np.ndarray):
+        """Raise the error of the first decade that fails, as that decade
+        alone would: a degenerate integrand, then a non-finite value, then
+        nodes that are not finite and strictly increasing."""
+        width = _BUDGET_NODES_PER_DECADE
+        for top in range(0, ts.size - 1, width):
+            decade = slice(top, top + width + 1)
+            if bad[decade].any():
+                k = top + int(np.argmax(bad[decade]))
+                raise CriteriaError(
+                    f"growth budget {self.pair}: degenerate integrand at t={ts[k]:.6g}")
+            prefix_trapezoid(vals[decade], ts[decade])
 
     def ensure_radius(self, r: float):
-        while self.ts[-1] < r and self.ts[-1] < _BUDGET_VALUE_CAP:
-            self._extend_block()
+        # every decade that takes the last node to r, or past the cap
+        top, decades = float(self.ts[-1]), 0
+        while top < r and top < _BUDGET_VALUE_CAP:
+            top *= _BUDGET_DECADE
+            decades += 1
+        if decades:
+            self._extend(decades)
 
     def ensure_value(self, y: float):
         while self.hs[-1] < y and self.ts[-1] < _BUDGET_VALUE_CAP:
-            self._extend_block()
+            self._extend(1)
 
-    def value(self, r: float) -> float:
-        """H(r); 0 at and below the anchor."""
-        r = float(r)
-        if r <= self.anchor:
-            return 0.0
-        self.ensure_radius(r)
-        return float(np.interp(r, self.ts, self.hs))
+    def value(self, r):
+        """H(r), 0 at and below the anchor; a float for a scalar ``r``, an
+        array for an array of radii."""
+        arr = np.asarray(r, dtype=float)
+        top = float(np.max(arr, initial=self.anchor, where=arr > self.anchor))
+        if top > self.anchor:
+            self.ensure_radius(top)
+        out = np.where(arr <= self.anchor, 0.0, np.interp(arr, self.ts, self.hs))
+        return float(out) if arr.ndim == 0 else out
 
     def inverse(self, y):
         """H^-1(y); +inf where y exceeds the reachable range."""
@@ -337,7 +371,7 @@ def _budget_probes(spec: ProblemSpec, pair: str, radii: list, relaxed: bool = Fa
     operator envelopes and nonlinearities, so the points share these values."""
     def build():
         gb = GrowthBudget(spec, pair, relaxed=relaxed, acc_limit=acc_limit)
-        values = np.array([gb.value(r) for r in radii])
+        values = gb.value(radii)
         values.flags.writeable = False
         return values
 

@@ -21,6 +21,8 @@ from typing import Mapping, Union
 
 import numpy as np
 
+from ._memo import BoundedCache
+
 __all__ = [
     "Expr",
     "ExprError",
@@ -109,7 +111,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(source: str):
+def _tokenize(source: str) -> tuple:
     tokens = []
     pos = 0
     n = len(source)
@@ -128,7 +130,12 @@ def _tokenize(source: str):
             tokens.append(("op", m.group("op"), m.start("op")))
         pos = m.end()
     tokens.append(("eof", "", n))
-    return tokens
+    return tuple(tokens)
+
+
+# tokenizations by source: the points of a parameter sweep parse the same
+# sources, each binding its own parameter values into a fresh tree
+_TOKENS = BoundedCache(64)
 
 
 class _Parser:
@@ -241,7 +248,7 @@ def parse(source: str, params: Mapping[str, float] | None = None) -> "Expr":
     """
     if not isinstance(source, str) or source.strip() == "":
         raise SyntaxError_("empty expression", 0)
-    parser = _Parser(_tokenize(source), params or {})
+    parser = _Parser(_TOKENS.get(source, lambda: _tokenize(source)), params or {})
     root = parser.parse_expression()
     kind, text, pos = parser.peek()
     if kind != "eof":
@@ -253,7 +260,7 @@ def parse(source: str, params: Mapping[str, float] | None = None) -> "Expr":
 # Evaluation
 
 def _check_finite(value, what: str):
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise DomainError(f"{what} produced a non-finite value")
     return value
 

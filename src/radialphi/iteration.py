@@ -42,7 +42,9 @@ DEFAULT_CONV_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
 
 
-@dataclass(frozen=True)
+# the solver's records hold arrays, which == cannot reduce to one truth
+# value: they compare, and hash, by identity
+@dataclass(frozen=True, eq=False)
 class IterationState:
     m: int
     u: np.ndarray
@@ -53,7 +55,7 @@ class IterationState:
     sup_diff_history: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialSolution:
     grid: RadialGrid
     u: np.ndarray

@@ -84,9 +84,9 @@ class Weight:
             vals = np.asarray(self.fn(np.asarray(xs, dtype=float)), dtype=float)
         except exprlang.DomainError as exc:
             raise SpecError(f"weight {self.label}: {exc}") from exc
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise SpecError(f"weight {self.label}: non-finite value on the grid")
-        if np.any(vals < 0):
+        if (vals < 0).any():
             worst = float(np.min(vals))
             raise SpecError(
                 f"weight {self.label}: negative value {worst:.3g} violates nonnegativity")

@@ -331,16 +331,16 @@ def h_inverse(op: PhiOperator, s):
     the operator is reported unsuitable), the lower one halves.
     """
     arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValueError("flux inverse argument must be nonnegative")
     if op.analytic_h_inverse is not None:
         out = np.asarray(op.analytic_h_inverse(arr), dtype=float)
     else:
         pos = arr > 0
-        vals = arr if np.all(pos) else arr[pos]
+        vals = arr if pos.all() else arr[pos]
         out = t = _table_inverse(op, vals)
         miss = np.isnan(t)
-        if np.any(miss):
+        if miss.any():
             t[miss] = _bisect_inverse(op, vals[miss])
         if vals is not arr:
             out = np.zeros_like(arr)

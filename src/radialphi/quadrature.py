@@ -44,8 +44,9 @@ The trapezoid moments depend only on the nodes and N, so a
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,13 +73,12 @@ class NumericsError(RuntimeError):
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform grid 0 = r_0 < r_1 < ... < r_n = r_max; the nodes are
-    read-only, and ``panels`` is their ``LinearPanels`` layout."""
+    """Uniform grid 0 = r_0 < r_1 < ... < r_n = r_max.  ``panels``, the
+    ``LinearPanels`` layout of the read-only ``nodes``, is built on first
+    use, so a grid that no solve reads costs no node array."""
 
     r_max: float
     step: float
-    nodes: np.ndarray = field(repr=False, default=None)
-    panels: LinearPanels = field(repr=False, default=None, compare=False)
 
     def __post_init__(self):
         if not (0 < self.r_max < math.inf and 0 < self.step < math.inf):
@@ -86,12 +86,19 @@ class RadialGrid:
         if not math.isfinite(float(self.r_max) / float(self.step)):
             raise ValueError("r_max / step must be a finite node count")
         n = max(1, int(round(self.r_max / self.step)))
-        # the grid's own layout, so a solve builds its kernel weights once
-        # and they are freed with the grid
-        panels = LinearPanels(np.linspace(0.0, self.r_max, n + 1))
-        object.__setattr__(self, "nodes", panels.nodes)
-        object.__setattr__(self, "panels", panels)
         object.__setattr__(self, "step", self.r_max / n)
+
+    @functools.cached_property
+    def panels(self) -> LinearPanels:
+        """The grid's own layout, so a solve builds its kernel weights once
+        and they are freed with the grid; r_max / step rounds back to the
+        panel count."""
+        n = int(round(self.r_max / self.step))
+        return LinearPanels(np.linspace(0.0, self.r_max, n + 1))
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.panels.nodes
 
     def __len__(self):
         return len(self.nodes)
@@ -153,7 +160,7 @@ def radial_kernel_at(values: np.ndarray, dim: int, xs: np.ndarray, *,
         out = panels.kernel(values, int(dim))
     if isinstance(panels, PanelLayout) and values.min() >= 0.0:
         np.maximum(out, 0.0, out=out)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericsError("radial kernel overflowed (dimension too large for this range)")
     return out
 
@@ -163,7 +170,7 @@ def _samples(values, xs) -> tuple:
     xs = np.asarray(xs, dtype=float)
     if values.shape != xs.shape:
         raise ValueError("values and nodes differ in length")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("non-finite input sample")
     return values, xs
 
@@ -395,8 +402,10 @@ class PanelLayout:
     K(x_i) = (lo/x_i)^(N-1) K(lo) + hi * sum_j W_ij w_j, with
     W_ij = integral (s/x_i)^(N-1) l_j(s) ds over [lo, x_i] in units of hi;
     W depends only on (N, n, lo/hi), the ratios of a geometric layout
-    repeat, so one matrix per ratio serves all its panels, and no stored
-    power exceeds 1.  The matrices are built on first use and cached.
+    repeat, so one cached matrix per ratio serves all its panels, and no
+    stored power exceeds 1.  For each N the layout stacks its panels'
+    matrices and decays on first use and keeps them, so a kernel is one
+    batched product.
 
     Rejects, with ValueError, edges that do not start at 0 or are not
     finite and strictly increasing, and fewer than 2 points per segment.
@@ -407,14 +416,14 @@ class PanelLayout:
         if n < 2 or edges.size < 2 or edges[0] != 0.0:
             raise ValueError("panel edges must start at 0 and panels need >= 2 points")
         lo, hi = edges[:-1], edges[1:]
-        if not (np.all(np.isfinite(edges)) and np.all(hi > lo)):
+        if not (np.isfinite(edges).all() and (hi > lo).all()):
             raise ValueError("panel edges must be finite and strictly increasing")
         nodes = np.empty(lo.size * n + 1)
         nodes[0] = 0.0
         body = nodes[1:].reshape(lo.size, n)
         body[:] = lo[:, None] + (hi - lo)[:, None] * _lobatto(n)[1:]
         body[:, -1] = hi
-        if not np.all(nodes[1:] > nodes[:-1]):
+        if not (nodes[1:] > nodes[:-1]).all():
             raise ValueError("panel nodes must be strictly increasing")
         nodes.flags.writeable = False
         self.nodes = nodes
@@ -426,6 +435,7 @@ class PanelLayout:
         ratios = lo / hi
         self._groups = tuple((rho, np.flatnonzero(ratios == rho))
                              for rho in sorted(set(ratios.tolist())))
+        self._weights: dict = {}
 
     def _panels(self, values: np.ndarray) -> np.ndarray:
         """The samples of each panel as rows."""
@@ -442,18 +452,28 @@ class PanelLayout:
         matrix = _matrix(1, self.n, 0.0)[0]
         local = np.einsum("pj,ij->pi", self._panels(values), matrix)
         local *= self._widths
-        start = np.cumsum(local[:, -1])
-        start = np.concatenate(([0.0], start[:-1]))[:, None]
+        # each panel starts from the totals of the panels before it
+        start = np.empty((local.shape[0], 1))
+        start[0] = 0.0
+        np.cumsum(local[:-1, -1], out=start[1:, 0])
         return self._assemble(local, start)
+
+    def weights(self, dim: int) -> tuple:
+        """Read-only kernel matrices and decays of dimension ``dim``, one
+        per panel: shapes (panels, n, n + 1) and (panels, n)."""
+        if dim not in self._weights:
+            matrices = np.empty((self._index.shape[0], self.n, self.n + 1))
+            decay = np.empty(matrices.shape[:2])
+            for rho, panels in self._groups:
+                matrices[panels], decay[panels] = _matrix(dim, self.n, rho)
+            matrices.flags.writeable = decay.flags.writeable = False
+            self._weights[dim] = matrices, decay
+        return self._weights[dim]
 
     def kernel(self, values: np.ndarray, dim: int) -> np.ndarray:
         """K[w](t) = t^(1-dim) * integral_0^t s^(dim-1) w(s) ds at the nodes."""
-        rows = self._panels(values)
-        local = np.empty((rows.shape[0], self.n))
-        decay = np.empty_like(local)
-        for rho, panels in self._groups:
-            matrix, decay[panels] = _matrix(dim, self.n, rho)
-            local[panels] = np.einsum("pj,ij->pi", rows[panels], matrix)
+        matrices, decay = self.weights(dim)
+        local = np.einsum("pij,pj->pi", matrices, self._panels(values))
         local *= self._tops
         # K at each panel's bottom edge, carried panel by panel, and its
         # share (lo/x_i)^(N-1) K(lo) at the panel's nodes
@@ -461,8 +481,7 @@ class PanelLayout:
         for end, fade in zip(local[:, -1].tolist(), decay[:, -1].tolist()):
             start.append(carried)
             carried = fade * carried + end
-        decay *= np.array(start)[:, None]
-        return self._assemble(local, decay)
+        return self._assemble(local, decay * np.array(start)[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +526,13 @@ class ProbeSchedule:
     def radii(self) -> np.ndarray:
         return self.r0 * self.factor ** np.arange(self.count)
 
+    @functools.cached_property
+    def _radii(self) -> tuple:
+        return tuple(self.radii().tolist())
+
     def verdict(self, values) -> LimitVerdict:
         """Limit verdict of a functional from its values at ``radii()``."""
-        return verdict_from_trace(self.radii().tolist(), values,
-                                  self.tail_tol, self.blowup_threshold)
+        return verdict_from_trace(self._radii, values, self.tail_tol, self.blowup_threshold)
 
 
 @dataclass(frozen=True)
@@ -568,7 +590,7 @@ def verdict_from_trace(radii, values, tail_tol: float,
     indeterminate rather than guessed; a logarithmically divergent
     functional under a short schedule lands here on purpose.
     """
-    values = [float(v) for v in values]
+    values = np.asarray(values, dtype=float).tolist()
     trace = tuple(zip(radii, values))
     for k, v in enumerate(values):
         if not math.isfinite(v):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from radialphi import cli, iteration, model
+from radialphi import cli, criteria, iteration, model, quadrature
 from radialphi._memo import BoundedCache
 from radialphi.quadrature import RadialGrid, central_diff
 
@@ -182,6 +182,19 @@ class TestClassifyCommand:
         assert report["consistency"]["u_consistent"] is True
         assert report["consistency"]["v_consistent"] is True
 
+    @pytest.mark.parametrize("with_solve", [False, True])
+    def test_only_a_solve_builds_the_grid(self, tmp_path, monkeypatch, with_solve):
+        # classify used to build the solver's 2,001-node grid and its
+        # trapezoid layout at every call, solve or not
+        built = []
+        layout = quadrature.LinearPanels
+        for module in (quadrature, criteria):
+            monkeypatch.setattr(module, "LinearPanels",
+                                lambda nodes: built.append(len(nodes)) or layout(nodes))
+        cfg = manufactured_config(tmp_path, classify={"with_solve": with_solve})
+        assert cli.run_config("classify", cfg) == 0
+        assert (2001 in built) if with_solve else built == []
+
     @pytest.mark.parametrize("value", ["false", "true", 0.0, 1, None, {}])
     def test_with_solve_must_be_a_boolean(self, tmp_path, capsys, value):
         # "false" used to run the solve and exit 0, while 0.0 skipped it
@@ -190,6 +203,34 @@ class TestClassifyCommand:
         assert capsys.readouterr().err == (
             f"config error: classify.with_solve must be true or false, got {value!r}\n")
         assert not (tmp_path / "report.json").exists()
+
+
+CLASSIFY_REPORTS = Path(__file__).parent / "data" / "classify_reports.json"
+
+
+def classify_reports(golden: dict, work_dir) -> dict:
+    """The report of every problem in ``golden`` (entry -> {"problem",
+    "report"}), classified with the default numerics."""
+    out = {}
+    for entry, case in golden.items():
+        path = Path(work_dir) / "report.json"
+        cfg = {"problem": case["problem"], "outputs": {"report_json": str(path)}}
+        assert cli.run_config("classify", cfg) == 0, entry
+        out[entry] = {"problem": case["problem"],
+                      "report": json.loads(path.read_text(encoding="utf-8"))}
+    return out
+
+
+class TestGoldenReports:
+    def test_classify_reports_match_the_recorded_ones(self, tmp_path):
+        # whole reports of three benchmark classify entries with operators
+        # that have no closed-form inverse; a refactor that keeps the
+        # behaviour keeps every string and every float to 1e-12.  A change
+        # that moves floats by design re-records the file by running this
+        # module as a script
+        golden = json.loads(CLASSIFY_REPORTS.read_text(encoding="utf-8"))
+        assert len(golden) == 3
+        assert_same_report(classify_reports(golden, tmp_path), golden)
 
 
 class TestNumericsValidation:
@@ -313,7 +354,7 @@ class TestConfigErrors:
         (["problem.N", ""], "path '' has an empty segment"),
     ])
     def test_bad_sweep_path_names_it(self, tmp_path, capsys, monkeypatch, paths, name):
-        monkeypatch.setattr(cli, "_classification_payload",
+        monkeypatch.setattr(cli, "_classification",
                             lambda cfg: pytest.fail("a sweep point ran"))
         cfg = manufactured_config(tmp_path, sweep={
             "axes": [{"name": "sigma", "paths": paths, "values": [3]}]})
@@ -643,9 +684,9 @@ class TestSweepCommand:
             calls.append((threading.get_ident(),
                           cfg["problem"]["f1"]["gamma"], cfg["problem"]["f2"]["gamma"]))
             cls = SimpleNamespace(verdict="both_large", matched_rule="large_both")
-            return None, None, None, cls, None
+            return None, None, None, None, cls
 
-        monkeypatch.setattr(cli, "_classification_payload", record)
+        monkeypatch.setattr(cli, "_classification", record)
         cfg = manufactured_config(tmp_path, sweep={"axes": [
             {"name": "gamma1", "paths": ["problem.f1.gamma"], "values": [0.5, 1.0]},
             {"name": "gamma2", "paths": ["problem.f2.gamma"], "values": [0.5, 1.0, 2.0]},
@@ -654,12 +695,48 @@ class TestSweepCommand:
         assert calls == [(threading.get_ident(), g1, g2)
                          for g1 in (0.5, 1.0) for g2 in (0.5, 1.0, 2.0)]
 
+    def test_points_leave_the_callers_config_alone(self, tmp_path, monkeypatch):
+        # points used to run on a deep copy of the whole config; now only
+        # the objects on the axis paths are copied, so each point must
+        # still see its own combination and nothing of the point before
+        seen = []
+
+        def record(cfg):
+            seen.append(copy.deepcopy(cfg))
+            cls = SimpleNamespace(verdict="both_large", matched_rule="large_both")
+            return None, None, None, None, cls
+
+        monkeypatch.setattr(cli, "_classification", record)
+        cfg = manufactured_config(tmp_path, sweep={"axes": [
+            {"name": "sigma", "values": [3.0, 4.0],
+             "paths": ["problem.weight1.params.sigma", "problem.weight2.params.sigma"]},
+            # through objects the config does not have
+            {"name": "tag", "values": ["a", {"deep": 1}, "c"],
+             "paths": ["extra.inner.tag", "problem.weight1.params.tag"]},
+        ], "csv": str(tmp_path / "sweep.csv")})
+        for key in ("weight1", "weight2"):
+            cfg["problem"][key] = {"expr": "(1+r)^(-sigma)", "params": {"sigma": 0.0}}
+        before = copy.deepcopy(cfg)
+        assert cli.run_config("sweep", cfg) == 0
+        assert cfg == before
+
+        expected = []
+        for sigma in (3.0, 4.0):
+            for tag in ("a", {"deep": 1}, "c"):
+                point = copy.deepcopy(before)
+                for key in ("weight1", "weight2"):
+                    point["problem"][key]["params"]["sigma"] = sigma
+                point["problem"]["weight1"]["params"]["tag"] = tag
+                point["extra"] = {"inner": {"tag": tag}}
+                expected.append(point)
+        assert seen == expected
+
     @pytest.mark.parametrize("to_file", [False, True])
     def test_stdout_holds_only_the_csv(self, tmp_path, capsys, monkeypatch, to_file):
         # the summary line used to follow the rows on stdout
         cls = SimpleNamespace(verdict="both_large", matched_rule="large_both")
-        monkeypatch.setattr(cli, "_classification_payload",
-                            lambda cfg: (None, None, None, cls, None))
+        monkeypatch.setattr(cli, "_classification",
+                            lambda cfg: (None, None, None, None, cls))
         sweep = {"axes": [{"name": "alpha", "paths": ["problem.alpha"],
                            "values": [1.0, 2.0, 3.0]}]}
         if to_file:
@@ -899,3 +976,13 @@ class TestSolutionCsv:
         table = np.array([[0.0, 1.0, 1.0, -0.0, 2.5e-13]])
         assert cli._csv_rows(table) == b"0.000000000000e+00,1.000000000000e+00," \
             b"1.000000000000e+00,-0.000000000000e+00,2.500000000000e-13\n"
+
+
+if __name__ == "__main__":
+    # re-record tests/data/classify_reports.json from the problems it holds:
+    # PYTHONPATH=src python tests/test_cli.py
+    import tempfile
+    with tempfile.TemporaryDirectory() as work_dir:
+        recorded = classify_reports(
+            json.loads(CLASSIFY_REPORTS.read_text(encoding="utf-8")), work_dir)
+    CLASSIFY_REPORTS.write_text(json.dumps(recorded, indent=2) + "\n", encoding="utf-8")

@@ -58,11 +58,14 @@ class TestAccumulation:
 
     def test_desk_calls_keep_the_probe_matrices(self, lap, monkeypatch):
         # desk layouts share the probe grid's kernel matrices instead of
-        # pushing them out of the cache
+        # pushing them out of the cache; a probe layout keeps stacked
+        # copies of its matrices, so it is rebuilt here to fetch them
+        cr._probe_grid.cache_clear()
         monkeypatch.setattr(qd, "_PANEL_MATRICES", BoundedCache(16))
         spec = make_spec(lap, w1="1/(1+r)^2", w2="1/(1+r)^2")
         cr.build_report(spec)
         held = dict(qd._PANEL_MATRICES._entries)
+        assert (3, 16, 0.5) in held
         for t in np.linspace(1.0, 3.0, 10):
             cr.accumulation(spec, 1, "bar", t)
         assert qd._PANEL_MATRICES._entries.keys() == held.keys()
@@ -322,6 +325,114 @@ class TestBudgetProbes:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert built == ["21"] and all(g is got[0] for g in got)
+
+
+class DecadeBudget:
+    """The growth budget as it was before it appended several decades per
+    integrand call: one decade of trapezoids at a time."""
+
+    def __init__(self, spec, pair, relaxed=False, acc_limit=None):
+        (pair, self.anchor, m_eff, outer, f_other, theta_other,
+         theta_own) = cr._budget_inputs(spec, pair, relaxed, acc_limit)
+
+        def integrand(ts):
+            with np.errstate(over="ignore"):
+                inner = m_eff * np.asarray(theta_other(
+                    np.asarray(f_other(ts), dtype=float)), dtype=float)
+                den = np.asarray(theta_own(
+                    np.asarray(outer(inner), dtype=float)), dtype=float)
+            bad = ~(np.isfinite(den) | np.isposinf(den)) | (den <= 0)
+            if np.any(bad):
+                k = int(np.argmax(bad))
+                raise cr.CriteriaError(
+                    f"growth budget {pair}: degenerate integrand at t={ts[k]:.6g}")
+            with np.errstate(divide="ignore"):
+                out = 1.0 / den
+            return np.where(np.isposinf(den), 0.0, out)
+
+        self.integrand = integrand
+        self.ts, self.hs = np.array([self.anchor]), np.array([0.0])
+        self.extend()
+
+    def extend(self):
+        t0 = self.ts[-1]
+        block = t0 * cr._BUDGET_BLOCK
+        ts = np.concatenate(([t0], block))
+        hs = self.hs[-1] + qd.prefix_trapezoid(self.integrand(ts), ts)[1:]
+        self.ts, self.hs = np.concatenate((self.ts, block)), np.concatenate((self.hs, hs))
+
+    def value(self, r):
+        if r <= self.anchor:
+            return 0.0
+        while self.ts[-1] < r and self.ts[-1] < cr._BUDGET_VALUE_CAP:
+            self.extend()
+        return float(np.interp(r, self.ts, self.hs))
+
+    def ensure_value(self, y):
+        while self.hs[-1] < y and self.ts[-1] < cr._BUDGET_VALUE_CAP:
+            self.extend()
+
+
+class TestBudgetDecades:
+    """Several decades per integrand call, bit for bit against one decade
+    at a time."""
+
+    RADII = [0.5, 1.0, 1.3, 2.0, 7.7, 10.0, 16384.0, 2.5e5, 9.9e17, 1e18, 3e18, 1e25, np.inf]
+
+    @pytest.mark.parametrize("case", ["plain", "relaxed", "anchor", "plasma", "converging"])
+    def test_values_bitwise_as_one_decade_at_a_time(self, lap, case):
+        spec, relaxed = {
+            "plain": (make_spec(lap, g1=0.9, g2=1.2), False),
+            "relaxed": (make_spec(lap, g1=0.9, g2=1.2), True),
+            "anchor": (make_spec(lap, alpha=2.5, beta=0.3), False),
+            "plasma": (make_spec(lap, g1=0.9, g2=1.2, alpha=1.3, beta=0.7,
+                                 op2=ops.make_operator("plasma", p=2, q=3)), False),
+            "converging": (make_spec(lap, g1=2.0, g2=2.0), False)}[case]
+        limit = 0.37 if relaxed else None
+        old = DecadeBudget(spec, "12", relaxed, limit)
+        want = [old.value(r) for r in self.RADII]
+        new = cr.GrowthBudget(spec, "12", relaxed, limit)
+        got = new.value(self.RADII)
+        assert got.tolist() == want
+        assert np.array_equal(new.ts, old.ts) and np.array_equal(new.hs, old.hs)
+        # scalars one at a time, on a fresh budget, give the same floats
+        fresh = cr.GrowthBudget(spec, "12", relaxed, limit)
+        assert [fresh.value(r) for r in self.RADII] == want
+        for budget in (old, new):
+            budget.ensure_value(2.0 * float(old.hs[-1]) + 50.0)
+        assert np.array_equal(new.ts, old.ts) and np.array_equal(new.hs, old.hs)
+        assert new.value(self.RADII).tolist() == [old.value(r) for r in self.RADII]
+
+    def test_radii_below_the_anchor_build_nothing(self, lap):
+        gb = cr.GrowthBudget(make_spec(lap, alpha=2.5), "12")
+        size = gb.ts.size
+        assert gb.value([0.0, 1.0, 2.5]).tolist() == [0.0, 0.0, 0.0]
+        assert gb.value(2.5) == 0.0 and gb.ts.size == size == 1 + cr._BUDGET_NODES_PER_DECADE
+
+    def test_degenerate_later_decade_same_error(self, lap):
+        # theta_bar of side 1 is lost beyond 50: the integrand turns
+        # degenerate in the second decade, after a first decade that passed
+        lost = lambda s: np.where(np.asarray(s, dtype=float) < 50.0, s, np.nan)
+        env = identity_envelope()
+        spec = make_spec(lap, env1=ops.EnvelopeSet(
+            k_under=1.0, k_bar=1.0, theta_under=lost, theta_bar=lost,
+            psi_under=env.psi_under, psi_bar=env.psi_bar, description="lost"), env2=env)
+        with pytest.raises(cr.CriteriaError) as old:
+            DecadeBudget(spec, "12").value(1e4)
+        with pytest.raises(cr.CriteriaError) as new:
+            cr.GrowthBudget(spec, "12").value(1e4)
+        assert str(new.value) == str(old.value)
+        assert str(new.value).startswith("growth budget 12: degenerate integrand at t=50.")
+
+    def test_overflowing_nodes_same_error(self, lap):
+        # an anchor within a decade of the float range: the nodes overflow
+        spec = make_spec(lap, alpha=1e308)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError) as old:
+                DecadeBudget(spec, "12")
+            with pytest.raises(ValueError) as new:
+                cr.GrowthBudget(spec, "12")
+        assert str(new.value) == str(old.value) == "nodes must be finite and strictly increasing"
 
 
 class TestGrowthBudget:

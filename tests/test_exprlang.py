@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radialphi import exprlang as ex
+from radialphi._memo import BoundedCache
 
 
 def test_polynomial_arithmetic():
@@ -66,6 +67,23 @@ def test_arity_mismatch():
 def test_params_substituted_at_parse_time():
     e = ex.parse("(1+r)^(-sigma)", params={"sigma": 3})
     assert e(1.0) == pytest.approx(0.125)
+
+
+def test_tokens_kept_by_source_and_params_bound_per_parse(monkeypatch):
+    # the points of a sweep parse one source with their own params: the
+    # source is scanned once, and each parse binds its own values
+    monkeypatch.setattr(ex, "_TOKENS", BoundedCache(64))
+    scanned = []
+    tokenize = ex._tokenize
+    monkeypatch.setattr(ex, "_tokenize", lambda source: scanned.append(source) or tokenize(source))
+    curves = [ex.parse("(1+r)^(-sigma)", {"sigma": s}) for s in (1.0, 2.0, 3.0)]
+    assert scanned == ["(1+r)^(-sigma)"]
+    assert [f(1.0) for f in curves] == [0.5, 0.25, 0.125]
+    # a source that fails to scan is not kept
+    for _ in range(2):
+        with pytest.raises(ex.SyntaxError_):
+            ex.parse("r $ 2")
+    assert scanned[1:] == ["r $ 2", "r $ 2"]
 
 
 def test_unary_minus_binds_below_power():

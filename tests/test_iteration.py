@@ -134,6 +134,15 @@ class TestSolve:
         assert it.residual(spec, sol)[1] == sol.residual_v
         assert (sol.residual_v == 0.0) == (max_iter > 0)
 
+    def test_records_compare_by_identity(self, lap, grid):
+        # their array fields made == raise ValueError
+        spec = make_spec(lap, w1="1/(1+r^2)", w2="exp(-r)")
+        first, second = it.solve(spec, grid), it.solve(spec, grid)
+        assert first == first and first != second
+        state = it.init_state(spec, grid)
+        assert state == state and state != it.init_state(spec, grid)
+        assert len({first, second, state}) == 3
+
 
 class TestKernelWeights:
     def test_solve_builds_the_grid_weights_once(self, lap, monkeypatch):

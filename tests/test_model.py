@@ -366,19 +366,19 @@ ALPHA_SENSITIVE = dict(
 def sweep_hypotheses(tmp_path, monkeypatch, problem, axis, paths, values):
     """The hypotheses of every point of an in-process ``rps sweep``."""
     seen = []
-    payload = cli._classification_payload
+    classification = cli._classification
 
     def recording(cfg):
-        out = payload(cfg)
-        seen.append(out[-1]["hypotheses"])
+        out = classification(cfg)
+        seen.append(out[2].to_dict())
         return out
 
-    monkeypatch.setattr(cli, "_classification_payload", recording)
+    monkeypatch.setattr(cli, "_classification", recording)
     cfg = {"problem": problem, "sweep": {
         "axes": [{"name": axis, "paths": paths, "values": values}],
         "csv": str(tmp_path / "sweep.csv")}}
     assert cli.run_config("sweep", cfg) == 0
-    monkeypatch.setattr(cli, "_classification_payload", payload)
+    monkeypatch.setattr(cli, "_classification", classification)
     return seen
 
 

@@ -51,6 +51,26 @@ class TestRadialGrid:
             qd.RadialGrid(r_max, step)
 
 
+    def test_equal_grids_compare_and_hash(self):
+        # the nodes used to be a compared field: == raised ValueError and
+        # hash() raised TypeError
+        a, b = qd.RadialGrid(1.0, 0.1), qd.RadialGrid(1.0, 0.1)
+        assert a == b and hash(a) == hash(b)
+        assert a != qd.RadialGrid(1.0, 0.2)
+        assert len({a, b, qd.RadialGrid(2.0, 0.1)}) == 2
+
+    @pytest.mark.parametrize("r_max,step", [
+        (2.0, 1e-3), (20.0, 1e-3), (1.0, 0.3), (7.3, 0.013), (1e5, 0.7), (0.5, 2.0)])
+    def test_nodes_built_on_first_use(self, r_max, step):
+        # the panel count comes back from r_max / step after step is
+        # normalised
+        g = qd.RadialGrid(r_max, step)
+        assert "panels" not in vars(g)
+        n = max(1, int(round(r_max / step)))
+        assert np.array_equal(g.nodes, np.linspace(0.0, r_max, n + 1))
+        assert g.nodes is g.panels.nodes and len(g) == n + 1 and g.step == r_max / n
+
+
 class TestCumulativeIntegral:
     """Prefix trapezoid integration on RadialGrid nodes."""
 
@@ -435,6 +455,90 @@ class TestPanelLayout:
             qd.prefix_trapezoid(ones, other, panels=layout)
         with pytest.raises(ValueError, match="differ in length"):
             qd.radial_kernel_at(ones[1:], 3, layout.nodes, panels=layout)
+
+
+def grouped_kernel(layout, values, dim):
+    """The kernel as it was applied before the layout stacked its panel
+    matrices: one fancy-indexed product per panel ratio."""
+    rows = layout._panels(values)
+    local = np.empty((rows.shape[0], layout.n))
+    decay = np.empty_like(local)
+    for rho, panels in layout._groups:
+        matrix, decay[panels] = qd._matrix(dim, layout.n, rho)
+        local[panels] = np.einsum("pj,ij->pi", rows[panels], matrix)
+    local *= layout._tops
+    carried, start = 0.0, []
+    for end, fade in zip(local[:, -1].tolist(), decay[:, -1].tolist()):
+        start.append(carried)
+        carried = fade * carried + end
+    decay *= np.array(start)[:, None]
+    return layout._assemble(local, decay)
+
+
+def concatenated_prefix(layout, values):
+    """The prefix as it was before its panel starts were written in place."""
+    local = np.einsum("pj,ij->pi", layout._panels(values), qd._matrix(1, layout.n, 0.0)[0])
+    local *= layout._widths
+    start = np.cumsum(local[:, -1])
+    return layout._assemble(local, np.concatenate(([0.0], start[:-1]))[:, None])
+
+
+class TestStackedPanels:
+    """The stacked kernel and the in-place prefix, bit for bit against the
+    code they replaced."""
+
+    @pytest.fixture(params=["probe", "desk"])
+    def layout(self, request):
+        if request.param == "probe":
+            return criteria.probe_grid(qd.ProbeSchedule())[2]
+        return qd.PanelLayout(criteria._graded_edges([2.7]), 16)
+
+    @pytest.mark.parametrize("dim", [3, 10])
+    @pytest.mark.parametrize("weight", ["decay", "kink", "noise"])
+    def test_bitwise_as_grouped(self, layout, dim, weight):
+        x = layout.nodes
+        w = {"decay": lambda: (1.0 + x) ** -3.0,
+             "kink": lambda: np.maximum(3.0 - x, 0.0),
+             "noise": lambda: np.random.default_rng(dim).random(x.size)}[weight]()
+        assert np.array_equal(layout.kernel(w, dim), grouped_kernel(layout, w, dim))
+        assert np.array_equal(layout.prefix(w), concatenated_prefix(layout, w))
+
+    def test_threads_share_one_layout(self):
+        # threads that find a dimension unbuilt may each stack it; every
+        # kernel still comes out bit for bit
+        layout = qd.PanelLayout(criteria._graded_edges([1.0, 2.0, 4.0]), 16)
+        w = (1.0 + layout.nodes) ** -3.0
+        want = grouped_kernel(layout, w, 3)
+        barrier = threading.Barrier(4)
+        got = [None] * 4
+
+        def work(i):
+            barrier.wait(timeout=10)
+            got[i] = layout.kernel(w, 3)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(np.array_equal(g, want) for g in got)
+
+    def test_stack_kept_per_dimension_and_read_only(self):
+        layout = qd.PanelLayout(doubling_edges(), 6)
+        matrices, decay = layout.weights(3)
+        assert layout.weights(3)[0] is matrices and layout.weights(4)[0] is not matrices
+        assert matrices.shape == (34, 6, 7) and decay.shape == (34, 6)
+        assert not matrices.flags.writeable and not decay.flags.writeable
+        for rho, panels in layout._groups:
+            matrix, fade = qd._matrix(3, 6, rho)
+            assert np.array_equal(matrices[panels], np.broadcast_to(matrix, matrices[panels].shape))
+            assert np.array_equal(decay[panels], np.broadcast_to(fade, decay[panels].shape))
 
 
 class TestImproperLimitProbe:
