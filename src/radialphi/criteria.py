@@ -60,8 +60,6 @@ __all__ = [
     "GrowthBudget",
     "accumulation",
     "coupling",
-    "growth_budget",
-    "accumulation_limit",
     "effective_lower_envelope",
     "build_report",
     "probe_grid",
@@ -171,22 +169,31 @@ class CriteriaEvaluator:
 
     # -- coupling integrals -------------------------------------------------
 
-    def upper_coupling_values(self, pair: str) -> np.ndarray | None:
-        """Upper coupling: prefix of psi_bar_own(c_bar * K[a_own * xi_bar(1 + A_other)])."""
+    def _coupling(self, pair: str, name: str, bound: str, split, outer) -> np.ndarray | None:
+        """Prefix of outer(c * K[a_own * xi(1 + A_other)]) from the split
+        (c, xi) of the equation being bounded and the ``bound``
+        accumulation of the other; None without a split.  Failures name the
+        ``name`` coupling."""
         own, other = self.spec.pair(pair)
 
         def build():
-            nl = own.nl
-            if not nl.has_upper_split:
+            if split is None:
                 return None
+            c, xi = split
             inner = self.weight(own.index) * np.asarray(
-                nl.xi_bar(1.0 + self.accumulation_values(other.index, "bar")), dtype=float)
-            _finite_positive(inner, f"upper coupling inner weight ({pair})")
-            kern = self._kernel(inner)
-            outer = np.asarray(own.env.psi_bar(nl.c_bar * kern), dtype=float)
-            _finite_positive(outer, f"upper coupling integrand ({pair})")
-            return self._prefix(outer)
-        return self._get(("Pbar", pair), build)
+                xi(1.0 + self.accumulation_values(other.index, bound)), dtype=float)
+            _finite_positive(inner, f"{name} coupling inner weight ({pair})")
+            vals = np.asarray(outer(c * self._kernel(inner)), dtype=float)
+            _finite_positive(vals, f"{name} coupling integrand ({pair})")
+            return self._prefix(vals)
+        return self._get((name, pair), build)
+
+    def upper_coupling_values(self, pair: str) -> np.ndarray | None:
+        """Upper coupling: prefix of psi_bar_own(c_bar * K[a_own * xi_bar(1 + A_other)])."""
+        own = self.spec.pair(pair)[0]
+        nl = own.nl
+        split = (nl.c_bar, nl.xi_bar) if nl.has_upper_split else None
+        return self._coupling(pair, "upper", "bar", split, own.env.psi_bar)
 
     def upper_coupling_relaxed_values(self, pair: str) -> np.ndarray:
         """Simplified upper coupling used with a finite accumulation limit:
@@ -203,21 +210,10 @@ class CriteriaEvaluator:
 
     def lower_coupling_values(self, pair: str) -> np.ndarray | None:
         """Lower coupling: prefix of hinv_own(c_under * K[a_own * xi_under(1 + A_under_other)])."""
-        own, other = self.spec.pair(pair)
-
-        def build():
-            low = effective_lower_envelope(own.nl)
-            if low is None:
-                return None
-            c_under, xi_under, _auto = low
-            inner = self.weight(own.index) * np.asarray(
-                xi_under(1.0 + self.accumulation_values(other.index, "under")), dtype=float)
-            _finite_positive(inner, f"lower coupling inner weight ({pair})")
-            kern = self._kernel(inner)
-            outer = h_inverse(own.op, c_under * kern)
-            _finite_positive(outer, f"lower coupling integrand ({pair})")
-            return self._prefix(outer)
-        return self._get(("Punder", pair), build)
+        own = self.spec.pair(pair)[0]
+        low = effective_lower_envelope(own.nl)
+        return self._coupling(pair, "lower", "under", None if low is None else low[:2],
+                              lambda s: h_inverse(own.op, s))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +286,9 @@ class GrowthBudget:
         starts = [float(self.ts[-1])]
         for _ in range(decades - 1):
             starts.append(starts[-1] * _BUDGET_DECADE)
-        ts = np.concatenate((self.ts[-1:], np.multiply.outer(starts, _BUDGET_BLOCK).ravel()))
+        # nodes past the float range are inf, which ``_fail`` reports
+        with np.errstate(over="ignore"):
+            ts = np.concatenate((self.ts[-1:], np.multiply.outer(starts, _BUDGET_BLOCK).ravel()))
         den = self._denominator(ts)
         bad = ~(np.isfinite(den) | np.isposinf(den)) | (den <= 0)
         with np.errstate(divide="ignore"):
@@ -403,17 +401,6 @@ def coupling(spec: ProblemSpec, pair: str, bound: str, r: float) -> float:
     return float(vals[-1])
 
 
-def growth_budget(spec: ProblemSpec, pair: str, r: float) -> float:
-    return GrowthBudget(spec, pair).value(r)
-
-
-def accumulation_limit(spec: ProblemSpec, side: int,
-                       schedule: ProbeSchedule = ProbeSchedule()) -> LimitVerdict:
-    """Limit verdict for A_i(t) as t grows (the relaxation constant)."""
-    ev, idx = _probe_evaluator(spec, schedule)
-    return schedule.verdict(ev.accumulation_values(side, "bar")[idx])
-
-
 # ---------------------------------------------------------------------------
 # Probe grid and report
 
@@ -451,13 +438,6 @@ def _probe_grid(radii: tuple, segment_nodes: int):
     idx = segment_nodes * np.arange(_HEAD_HALVINGS + 1, len(edges))
     idx.flags.writeable = False
     return layout.nodes, idx, layout
-
-
-def _probe_evaluator(spec: ProblemSpec, schedule: ProbeSchedule):
-    """An evaluator on the probe panels and the probe indices.  The grid
-    comes through ``probe_grid``, where the benchmark counts probe nodes."""
-    xs, idx, layout = probe_grid(schedule)
-    return CriteriaEvaluator(spec, xs, panels=layout), idx
 
 
 @dataclass(frozen=True)
@@ -523,7 +503,8 @@ def build_report(spec: ProblemSpec,
     Relaxed variants are evaluated only when the matching accumulation limit
     is finite and positive, which is when the decision table may use them.
     """
-    ev, idx = _probe_evaluator(spec, schedule)
+    xs, idx, layout = probe_grid(schedule)
+    ev = CriteriaEvaluator(spec, xs, panels=layout)
     radii = schedule.radii().tolist()
 
     def probe(values_fn, *args):

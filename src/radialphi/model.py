@@ -19,8 +19,9 @@ sampling: that is documented as heuristic screening, not proof.
 A check that passed is kept by exactly what it reads: monotonicity by the
 function f, a split by f, its builder and the threshold or m the builder
 was given.  The points of a weight sweep share their nonlinearities, so
-each of these checks runs once per sweep; ``check_hypotheses`` reuses the
-weight screen of ``build_problem`` instead of sampling the weights again.
+each of these checks runs once per sweep.  A weight keeps its own screen
+(``Weight._screen``), so ``check_hypotheses`` reads the one that
+``build_problem`` ran instead of sampling the weight again.
 """
 
 from __future__ import annotations
@@ -91,6 +92,13 @@ class Weight:
             raise SpecError(
                 f"weight {self.label}: negative value {worst:.3g} violates nonnegativity")
         return vals
+
+    @cached_property
+    def _screen(self) -> str:
+        """The note of a passed screen on [0, _SCREEN_SPAN], which the
+        weight keeps; a failed screen raises SpecError and is not kept."""
+        self.sample(_SCREEN_GRID)
+        return f"sampled on [0, {_SCREEN_SPAN:g}]"
 
 
 def weight_from_expr(source: str, params: Mapping[str, float] | None = None,
@@ -282,8 +290,6 @@ class ProblemSpec:
     a2: Weight
     f1: Nonlinearity
     f2: Nonlinearity
-    # the weights that passed build_problem's screen on [0, _SCREEN_SPAN]
-    screened: tuple = field(default=(), repr=False, compare=False)
 
     @cached_property
     def sides(self) -> tuple[Side, Side]:
@@ -389,7 +395,7 @@ def build_problem(N: int, alpha: float, beta: float,
     _monotone(f1, "f1")
     _monotone(f2, "f2")
     for w in (a1, a2):
-        w.sample(_SCREEN_GRID)
+        w._screen  # raises SpecError on a failing weight
 
     f2_alpha = _scalar(f2.f, alpha)
     f1_beta = _scalar(f1.f, beta)
@@ -405,7 +411,7 @@ def build_problem(N: int, alpha: float, beta: float,
 
     return ProblemSpec(N=N, alpha=float(alpha), beta=float(beta),
                        op1=op1, op2=op2, env1=env1, env2=env2,
-                       a1=a1, a2=a2, f1=f1, f2=f2, screened=(a1, a2))
+                       a1=a1, a2=a2, f1=f1, f2=f2)
 
 
 def _finalize_side(nl: Nonlinearity, name: str, start_own: float,
@@ -694,10 +700,10 @@ def _sample_upper_split(nl: Nonlinearity) -> HypothesisCheck:
     name = "upper_split"
     if not nl.has_upper_split:
         return HypothesisCheck(name, False, note="no upper envelope data")
-    ts = nl.threshold * _SPLIT_TS
-    tv, wv = np.meshgrid(ts, _SPLIT_WS, indexing="ij")
-    # f(t*w) and its bound may both overflow: such a sample is a violation
+    # the grid at an extreme threshold, f(t*w) and its bound may overflow:
+    # such a sample is a violation
     with np.errstate(over="ignore", invalid="ignore"):
+        tv, wv = np.meshgrid(nl.threshold * _SPLIT_TS, _SPLIT_WS, indexing="ij")
         lhs = np.asarray(nl.f(tv * wv), dtype=float)
         rhs = nl.c_bar * np.asarray(nl.g(tv), dtype=float) * np.asarray(nl.xi_bar(wv), dtype=float)
         finite = np.isfinite(lhs) & np.isfinite(rhs)
@@ -705,7 +711,7 @@ def _sample_upper_split(nl: Nonlinearity) -> HypothesisCheck:
         viol = np.where(finite, (lhs - rhs) / scale, np.inf)
     worst = float(np.max(viol))
     return HypothesisCheck(name, worst <= 1e-9, max(worst, 0.0),
-                           note=f"sampled on {len(ts)}x{len(_SPLIT_WS)} (t, w) grid")
+                           note=f"sampled on {len(_SPLIT_TS)}x{len(_SPLIT_WS)} (t, w) grid")
 
 
 def _sample_lower_split(nl: Nonlinearity) -> HypothesisCheck:
@@ -722,16 +728,12 @@ def _sample_lower_split(nl: Nonlinearity) -> HypothesisCheck:
                            note=f"sampled at w in powers of 2 up to {ws[-1]:g}")
 
 
-def check_hypotheses(spec: ProblemSpec, span: float = _SCREEN_SPAN) -> HypothesisReport:
+def check_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     """Per-hypothesis pass/fail with worst sampled violation magnitudes."""
     checks = []
-    xs = _SCREEN_GRID if span == _SCREEN_SPAN else np.linspace(0.0, span, 513)
     for tag, w in (("weight_1", spec.a1), ("weight_2", spec.a2)):
         try:
-            # build_problem screened its weights on this very grid
-            if not (xs is _SCREEN_GRID and any(w is s for s in spec.screened)):
-                w.sample(xs)
-            checks.append(HypothesisCheck(tag, True, note=f"sampled on [0, {span:g}]"))
+            checks.append(HypothesisCheck(tag, True, note=w._screen))
         except SpecError as exc:
             checks.append(HypothesisCheck(tag, False, note=str(exc)))
     for tag, nl in (("monotone_f1", spec.f1), ("monotone_f2", spec.f2)):

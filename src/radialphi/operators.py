@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .exprlang import Expr
-from .quadrature import NumericsError
+from .quadrature import NumericsError, prefix_trapezoid
 
 __all__ = [
     "PhiOperator",
@@ -568,8 +568,7 @@ def derive_envelopes(op: PhiOperator) -> tuple[EnvelopeSet, GrowthExponents]:
     head_h = _h_raw(op, head_t)
     head = head_h[0] * head_t[0] / 2.0 + float(
         np.sum(np.diff(head_t) * (head_h[1:] + head_h[:-1]) * 0.5))
-    big_phi = head + np.concatenate(
-        ([0.0], np.cumsum(np.diff(tt) * (hh[1:] + hh[:-1]) * 0.5)))
+    big_phi = head + prefix_trapezoid(hh, tt)
     ratio = tt * hh / big_phi
     l = float(np.min(ratio))
     m = float(np.max(ratio))
@@ -615,10 +614,14 @@ def check_envelope(op: PhiOperator, env: EnvelopeSet,
     (s1, s2) in [s_min, 1e3]^2.  Zero means the sandwich held everywhere."""
     ss = np.logspace(np.log10(s_min), 3.0, n)
     s1 = np.repeat(ss, n)
-    s2 = np.tile(ss, n)
-    mid = h_inverse(op, s1 * s2)
-    lower = env.k_under * env.theta_under(s1) * env.psi_under(s2)
-    upper = env.k_bar * env.theta_bar(s1) * env.psi_bar(s2)
+    # each distinct argument is inverted once: the n*n products s1*s2
+    # repeat, and s2 runs over the n values of ss
+    products, slot = np.unique(s1 * np.tile(ss, n), return_inverse=True)
+    mid = h_inverse(op, products)[slot]
+    psi_under = np.tile(env.psi_under(ss), n)
+    psi_bar = psi_under if env.psi_bar is env.psi_under else np.tile(env.psi_bar(ss), n)
+    lower = env.k_under * env.theta_under(s1) * psi_under
+    upper = env.k_bar * env.theta_bar(s1) * psi_bar
     scale = np.maximum(np.abs(mid), 1e-300)
     viol_low = np.maximum(lower - mid, 0.0) / scale
     viol_up = np.maximum(mid - upper, 0.0) / scale

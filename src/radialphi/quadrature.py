@@ -60,7 +60,6 @@ __all__ = [
     "LinearPanels",
     "PanelLayout",
     "central_diff",
-    "half_widths",
     "prefix_trapezoid",
     "radial_kernel_at",
     "verdict_from_trace",
@@ -116,14 +115,6 @@ def prefix_trapezoid(values: np.ndarray, xs: np.ndarray, *,
     """
     values, xs = _samples(values, xs)
     return _layout(panels, xs).prefix(values)
-
-
-def half_widths(xs: np.ndarray) -> np.ndarray:
-    """Read-only half panel widths ``0.5 * np.diff(xs)`` of a node array."""
-    half = np.diff(xs)
-    half *= 0.5
-    half.flags.writeable = False
-    return half
 
 
 def central_diff(values: np.ndarray, step: float) -> np.ndarray:
@@ -230,7 +221,8 @@ class LinearPanels:
             raise ValueError("nodes must be finite and strictly increasing")
         nodes.flags.writeable = False
         self.nodes = nodes
-        self._half = half_widths(nodes)
+        self._half = np.diff(nodes) * 0.5
+        self._half.flags.writeable = False
         self._weights: dict = {}
 
     def prefix(self, values: np.ndarray) -> np.ndarray:

@@ -195,6 +195,35 @@ class TestClassifyCommand:
         assert cli.run_config("classify", cfg) == 0
         assert (2001 in built) if with_solve else built == []
 
+    @pytest.mark.parametrize("alpha,verdict,rule,budget_note", [
+        (1e-300, "both_large", "large_both", "increments not decaying"),
+        (1e300, "indeterminate", "none", "increments vanished"),
+        # the budget nodes of an anchor within a decade of the float range
+        # overflow, and the budget fails instead of warning
+        (1e308, "indeterminate", "none",
+         "evaluation failed: nodes must be finite and strictly increasing"),
+    ])
+    def test_extreme_anchor_writes_no_warning(self, tmp_path, capsys, alpha, verdict,
+                                              rule, budget_note):
+        cfg = manufactured_config(tmp_path)
+        cfg["problem"]["alpha"] = alpha
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.run_config("classify", cfg) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert (report["classification"]["verdict"],
+                report["classification"]["matched_rule"]) == (verdict, rule)
+        assert report["criteria"]["growth_budget_12"]["note"].startswith(budget_note)
+
+    def test_subnormal_anchor_is_a_config_error(self, tmp_path, capsys):
+        cfg = manufactured_config(tmp_path)
+        cfg["problem"]["alpha"] = 5e-324
+        assert cli.run_config("classify", cfg) == 1
+        assert capsys.readouterr().err == (
+            "config error: f1: enveloped coupling value is not positive\n")
+
     @pytest.mark.parametrize("value", ["false", "true", 0.0, 1, None, {}])
     def test_with_solve_must_be_a_boolean(self, tmp_path, capsys, value):
         # "false" used to run the solve and exit 0, while 0.0 skipped it

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -441,8 +442,9 @@ class TestGrowthBudget:
         env = identity_envelope()
         spec = make_spec(lap, env1=env, env2=env)
         assert spec.f1.M_big == 1.0
-        assert cr.growth_budget(spec, "12", math.e) == pytest.approx(1.0, abs=1e-6)
-        assert cr.growth_budget(spec, "12", math.e ** 2) == pytest.approx(2.0, abs=1e-5)
+        gb = cr.GrowthBudget(spec, "12")
+        assert gb.value(math.e) == pytest.approx(1.0, abs=1e-6)
+        assert gb.value(math.e ** 2) == pytest.approx(2.0, abs=1e-5)
 
     def test_budget_positive_increments(self, lap):
         spec = make_spec(lap, g1=0.9, g2=1.2)
@@ -480,19 +482,21 @@ class TestGrowthBudget:
 
 
 class TestAccumulationLimit:
+    # the limit of A_i is the report's accumulation_i verdict
     def test_unit_weight_diverges(self, lap):
         spec = make_spec(lap)
-        assert cr.accumulation_limit(spec, 2).divergent
+        assert cr.build_report(spec).verdicts["accumulation_2"].divergent
 
     def test_integrable_weight_finite(self, lap):
         spec = make_spec(lap, w2="(1+r)^(-4)")
-        v = cr.accumulation_limit(spec, 2, qd.ProbeSchedule(tail_tol=1e-3))
+        report = cr.build_report(spec, qd.ProbeSchedule(tail_tol=1e-3))
+        v = report.verdicts["accumulation_2"]
         assert v.finite
         assert v.value > 0
 
     def test_zero_weight_finite_zero(self, lap):
         spec = make_spec(lap, w2="0")
-        v = cr.accumulation_limit(spec, 2)
+        v = cr.build_report(spec).verdicts["accumulation_2"]
         assert v.finite and v.value == 0.0
 
 
@@ -608,10 +612,44 @@ class TestYangLimitIdentity:
         # identity envelope (psi = id, k = 1): the accumulation limit equals
         # the first weight moment over N-2 for integrable-tail weights
         spec = make_spec(lap, w1="(1+r^2)^(-2)")
-        v = cr.accumulation_limit(spec, 1, qd.ProbeSchedule(tail_tol=1e-3))
+        v = cr.build_report(spec, qd.ProbeSchedule(tail_tol=1e-3)).verdicts["accumulation_1"]
         assert v.finite
         # integral of r/(1+r^2)^2 is 1/2, N-2 = 1
         assert v.value == pytest.approx(0.5, rel=1e-4)
+
+
+def infinite(s):
+    return np.full(np.shape(s), np.inf)
+
+
+class TestCouplingFailures:
+    # a coupling whose inner weight or integrand turns non-finite reaches
+    # the report JSON as an indeterminate entry with the failure's note
+    @pytest.mark.parametrize("name,broken,note", [
+        ("upper_coupling_12",
+         lambda spec: replace(spec, f1=replace(spec.f1, xi_bar=infinite)),
+         "upper coupling inner weight (12)"),
+        ("lower_coupling_12",
+         lambda spec: replace(spec, f1=replace(spec.f1, xi_under=infinite)),
+         "lower coupling inner weight (12)"),
+        ("upper_coupling_12",
+         lambda spec: replace(spec, env1=replace(spec.env1, psi_bar=infinite)),
+         "upper coupling integrand (12)"),
+        ("lower_coupling_12",
+         lambda spec: replace(spec, op1=replace(spec.op1, analytic_h_inverse=infinite)),
+         "lower coupling integrand (12)"),
+    ])
+    def test_failure_note_in_report(self, lap, name, broken, note):
+        spec = broken(make_spec(lap))
+        entry = cr.build_report(spec).to_dict()[name]
+        assert entry["kind"] == "indeterminate"
+        assert entry["note"] == f"evaluation failed: {note}: non-finite value"
+
+    def test_other_pair_unaffected(self, lap):
+        spec = make_spec(lap)
+        spec = replace(spec, f1=replace(spec.f1, xi_bar=infinite, xi_under=infinite))
+        report = cr.build_report(spec)
+        assert report.upper_coupling_21.divergent and report.lower_coupling_21.divergent
 
 
 class TestReport:

@@ -197,14 +197,22 @@ class TestHypothesisChecks:
         assert not rep.ok("upper_split_f1")
         assert rep["upper_split_f1"].worst > 0.1
 
-    def test_weight_failure_flagged_on_wider_span(self, lap):
-        # positive on the assembly screening span, negative further out:
-        # the report flags it instead of raising
-        spec = unit_problem(lap, a1=model.weight_from_expr("100 - r"))
-        rep = model.check_hypotheses(spec, span=128.0)
-        assert not rep.ok("weight_1")
-        assert "negative" in rep["weight_1"].note
-        assert rep.ok("weight_2")
+    def test_weight_failure_flagged_without_assembly(self, lap):
+        # positive at 0, negative further out on the screening span, in a
+        # spec that build_problem never screened: the report flags it
+        # instead of raising, and a failed screen is not kept
+        env = ops.derive_envelopes(lap)[0]
+        spec = model.ProblemSpec(
+            N=3, alpha=1.0, beta=1.0, op1=lap, op2=lap, env1=env, env2=env,
+            a1=model.weight_from_expr("10 - r"), a2=model.weight_from_expr("1"),
+            f1=model.power_nonlinearity(1.0), f2=model.power_nonlinearity(1.0))
+        for _ in range(2):
+            rep = model.check_hypotheses(spec)
+            assert not rep.ok("weight_1")
+            assert "negative" in rep["weight_1"].note
+            assert rep.ok("weight_2")
+            assert rep["weight_2"].note == "sampled on [0, 64]"
+        assert "_screen" not in vars(spec.a1)
 
     def test_overflowing_upper_split_flagged_without_warning(self, lap):
         # f(t*w) and its bound both overflow for gamma = 50: a violation, not

@@ -194,6 +194,41 @@ class TestEnvelopes:
                               psi_under=ident, psi_bar=ident)
         assert ops.check_envelope(op, bad, n=16) > 0.0
 
+    @pytest.mark.parametrize("family,params", [TABULATED[0], CATALOG[0]])
+    def test_each_argument_inverted_once(self, family, params, monkeypatch):
+        # derive_envelopes inverts 1e7 and 1e-13; its check then inverts the
+        # 158 distinct products of the 24 x 24 grid and samples the one psi
+        # of both bounds at the 24 grid values, instead of 3 * 576 values
+        op = ops.make_operator(family, **params)
+        sizes = []
+        inverse = ops.h_inverse
+
+        def counting(op, s):
+            sizes.append(np.size(s))
+            return inverse(op, s)
+        monkeypatch.setattr(ops, "h_inverse", counting)
+        ops.derive_envelopes(op)
+        assert sizes == [1, 1, 158, 24]
+
+    @pytest.mark.parametrize("family,params", TABULATED[:2] + CATALOG[:2])
+    def test_check_matches_whole_grid(self, family, params):
+        # sampling each distinct argument once leaves every bit in place
+        op = ops.make_operator(family, **params)
+        env, _ = ops.derive_envelopes(op)
+        split = ops.EnvelopeSet(k_under=0.9, k_bar=1.0, theta_under=env.theta_under,
+                                theta_bar=env.theta_bar, psi_under=env.psi_under,
+                                psi_bar=lambda s: 0.99 * ops.h_inverse(op, s))
+        ss = np.logspace(-4.0, 3.0, 24)
+        s1, s2 = np.repeat(ss, 24), np.tile(ss, 24)
+        mid = ops.h_inverse(op, s1 * s2)
+        scale = np.maximum(np.abs(mid), 1e-300)
+        for case in (env, split):
+            lower = case.k_under * case.theta_under(s1) * case.psi_under(s2)
+            upper = case.k_bar * case.theta_bar(s1) * case.psi_bar(s2)
+            want = float(max(np.max(np.maximum(lower - mid, 0.0) / scale),
+                             np.max(np.maximum(mid - upper, 0.0) / scale)))
+            assert ops.check_envelope(op, case, n=24, s_min=1e-4) == want
+
 
 class TestTableInverse:
     def test_agrees_with_bisection(self, tabulated):

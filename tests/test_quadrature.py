@@ -139,7 +139,7 @@ class TestInPlacePrefix:
         assert np.array_equal(qd.prefix_trapezoid(values, xs), ref)
 
     def test_half_widths_read_only(self):
-        half = qd.half_widths(np.linspace(0.0, 1.0, 11))
+        half = qd.LinearPanels(np.linspace(0.0, 1.0, 11))._half
         assert np.allclose(half, 0.05)
         with pytest.raises(ValueError):
             half[0] = 1.0
