@@ -17,8 +17,7 @@ from .classifier import (BOTH_BOUNDED, BOTH_LARGE, EXISTS_UNCLASSIFIED,
                          Classification, ConsistencyReport, classify,
                          converse_advisory, cross_check)
 from .criteria import (CriteriaError, CriteriaEvaluator, CriteriaReport,
-                       GrowthBudget, accumulation, build_report, coupling,
-                       solution_bounds)
+                       GrowthBudget, build_report, solution_bounds)
 from .exprlang import Expr, ExprError, parse
 from .iteration import (IterationState, RadialSolution, init_state, residual,
                         solve, step)

@@ -301,11 +301,11 @@ def cross_check(spec: ProblemSpec, classification: Classification,
     outer half of the grid; a component called bounded must show
     flattening increments and stay below its enveloped ceiling.
     """
-    nodes = solution.grid.nodes
-    n = len(nodes)
+    n = len(solution.grid)
     i_half, i_quarter = (n - 1) // 2, (n - 1) // 4
     expect_u, expect_v = _LARGENESS[classification.verdict]
-    bounds = solution_bounds(spec, nodes)
+    # on the solve's own layout, whose kernel weights the solve built
+    bounds = solution_bounds(spec, solution.grid.panels)
 
     details = []
 

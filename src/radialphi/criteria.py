@@ -16,15 +16,17 @@ between bounded and unbounded components:
   H_12(u_m(r)) <= k_bar_1 * P_upper_12(r), so H^-1 of the coupling is a
   pointwise ceiling.
 
-Evaluation is prefix-sum based on one shared node array.  The probes and
-the desk functions run on Chebyshev–Lobatto panels (``quadrature.PanelLayout``)
-over graded segments: 30 halving segments grade the head below the first
-radius, where the enveloped kernel behaves like a fractional power of t,
-and, for probes, one segment per later radius reaches radii in the tens of
-thousands; on smooth integrands their values are exact to roundoff.  An
-evaluator on caller-given nodes (``solution_bounds``) uses the trapezoid
-rules of a ``quadrature.LinearPanels`` layout of those nodes instead.
-Every probe consumer takes one ``ProbeSchedule`` with all probe settings.
+Evaluation is prefix-sum based on one layout, which the caller holds and
+hands to ``CriteriaEvaluator``: whoever owns the nodes decides how they
+are integrated.  The probes run on the Chebyshev–Lobatto panels
+(``quadrature.PanelLayout``) of ``probe_grid``, over graded segments: 30
+halving segments grade the head below the first radius, where the
+enveloped kernel behaves like a fractional power of t, and one segment per
+later radius reaches radii in the tens of thousands; on smooth integrands
+their values are exact to roundoff.  ``solution_bounds`` runs on the
+trapezoid rules of a solve grid's ``quadrature.LinearPanels``, so the
+bounds reuse the kernel weights the solve built.  Every probe consumer
+takes one ``ProbeSchedule`` with all probe settings.
 The arrays an evaluator keeps (weights, kernels, accumulations, coupling
 prefixes) are read-only, because one may serve several consumers: both
 sides share one kernel when their weights are equal.
@@ -58,8 +60,6 @@ __all__ = [
     "CriteriaReport",
     "CriteriaEvaluator",
     "GrowthBudget",
-    "accumulation",
-    "coupling",
     "effective_lower_envelope",
     "build_report",
     "probe_grid",
@@ -94,19 +94,16 @@ def _finite_positive(arr: np.ndarray, what: str) -> np.ndarray:
 
 
 class CriteriaEvaluator:
-    """Memoized prefix arrays for all criteria functionals on one node set.
+    """Memoized prefix arrays for all criteria functionals on one layout.
 
-    ``xs`` must be increasing and start at 0.  Kernels and prefixes run on
-    ``panels``, the layout whose nodes ``xs`` are, or, without one, on the
-    piecewise-linear panels of ``xs``.  Every array it returns is
-    read-only.
+    Kernels and prefixes run on ``panels``, whose nodes ``xs`` must start
+    at 0.  Every array it returns is read-only.
     """
 
-    def __init__(self, spec: ProblemSpec, xs: np.ndarray,
-                 panels: LinearPanels | PanelLayout | None = None):
+    def __init__(self, spec: ProblemSpec, panels: LinearPanels | PanelLayout):
         self.spec = spec
-        self.panels = LinearPanels(xs) if panels is None else panels
-        self.xs = self.panels.nodes if panels is None else np.asarray(xs, dtype=float)
+        self.panels = panels
+        self.xs = panels.nodes
         if self.xs[0] != 0.0:
             raise ValueError("criteria grid must start at 0")
         self._cache: dict = {}
@@ -378,30 +375,6 @@ def _budget_probes(spec: ProblemSpec, pair: str, radii: list, relaxed: bool = Fa
 
 
 # ---------------------------------------------------------------------------
-# Desk-level evaluation (graded panels up to the radius of each call)
-
-def _desk_evaluator(spec: ProblemSpec, r: float) -> CriteriaEvaluator:
-    layout = PanelLayout(_graded_edges([float(r)]), ProbeSchedule.segment_nodes)
-    return CriteriaEvaluator(spec, layout.nodes, panels=layout)
-
-
-def accumulation(spec: ProblemSpec, side: int, bound: str, t: float) -> float:
-    """A_i(t) with bound 'bar' or 'under'."""
-    ev = _desk_evaluator(spec, t)
-    return float(ev.accumulation_values(side, bound)[-1])
-
-
-def coupling(spec: ProblemSpec, pair: str, bound: str, r: float) -> float:
-    """P_pair(r) with bound 'bar' or 'under'."""
-    ev = _desk_evaluator(spec, r)
-    vals = (ev.upper_coupling_values(pair) if bound == "bar"
-            else ev.lower_coupling_values(pair))
-    if vals is None:
-        raise CriteriaError(f"coupling {pair}/{bound}: required envelope data missing")
-    return float(vals[-1])
-
-
-# ---------------------------------------------------------------------------
 # Probe grid and report
 
 # halvings of the first probe radius that grade the head of the probe grid
@@ -503,8 +476,8 @@ def build_report(spec: ProblemSpec,
     Relaxed variants are evaluated only when the matching accumulation limit
     is finite and positive, which is when the decision table may use them.
     """
-    xs, idx, layout = probe_grid(schedule)
-    ev = CriteriaEvaluator(spec, xs, panels=layout)
+    _, idx, layout = probe_grid(schedule)
+    ev = CriteriaEvaluator(spec, layout)
     radii = schedule.radii().tolist()
 
     def probe(values_fn, *args):
@@ -551,15 +524,16 @@ def build_report(spec: ProblemSpec,
 # ---------------------------------------------------------------------------
 # Pointwise solution bounds
 
-def solution_bounds(spec: ProblemSpec, xs: np.ndarray) -> dict:
-    """Pointwise ceilings/floors for solutions on the nodes ``xs``.
+def solution_bounds(spec: ProblemSpec, panels: LinearPanels) -> dict:
+    """Pointwise ceilings/floors for solutions on the nodes of ``panels``,
+    the layout of the solve grid (``RadialGrid.panels``).
 
     u_upper = H_12^-1(k_bar_1 * P_upper_12(r)) and u_lower = alpha +
     P_lower_12(r); entries are None when the needed envelope data is
     missing.  These are the bounds every iterate (ceiling) and the converged
     solution (floor) must respect.
     """
-    ev = CriteriaEvaluator(spec, xs)
+    ev = CriteriaEvaluator(spec, panels)
     out: dict = {"u_upper": None, "v_upper": None, "u_lower": None, "v_lower": None}
     for pair, name in zip(PAIRS, "uv"):
         own = spec.pair(pair)[0]

@@ -38,22 +38,24 @@ class ExprError(ValueError):
     """Base class for expression-language failures."""
 
 
-class SyntaxError_(ExprError):
+class _LocatedError(ExprError):
+    """A failure at a character offset of the source, kept as ``position``."""
+
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at offset {position}")
         self.position = position
 
 
-class NameError_(ExprError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} at offset {position}")
-        self.position = position
+class SyntaxError_(_LocatedError):
+    """Source that does not parse."""
 
 
-class ArityError(ExprError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} at offset {position}")
-        self.position = position
+class NameError_(_LocatedError):
+    """An identifier after the free variable is bound to another."""
+
+
+class ArityError(_LocatedError):
+    """A function called with the wrong number of arguments."""
 
 
 class DomainError(ExprError):

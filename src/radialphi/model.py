@@ -345,9 +345,10 @@ def _check_monotone(nl: Nonlinearity, name: str):
         raise SpecError(f"{name} ({nl.label}): vanishes at a positive argument")
 
 
-# the checks that passed, each kept by exactly what it reads; a sweep point
-# has two nonlinearities, and points that share a nonlinearity section share
-# its functions and split builders (see _from_section)
+# hypothesis checks, each kept by exactly what it reads: monotonicity when
+# it passed, split checks whatever their outcome; a sweep point has two
+# nonlinearities, and points that share a nonlinearity section share its
+# functions and split builders (see _from_section)
 _MONOTONE = BoundedCache(2)
 _UPPER_SPLITS = BoundedCache(2)
 _LOWER_SPLITS = BoundedCache(2)
@@ -673,27 +674,14 @@ class HypothesisReport:
         return {c.name: c.to_dict() for c in self.checks}
 
 
-class _Failed(Exception):
-    """Carries a failed check out of a cache build, so it is not kept."""
-
-
 def _split(cache: BoundedCache, sample: Callable, nl: Nonlinearity,
            builder: Callable | None, at: float | None) -> HypothesisCheck:
-    """``sample(nl)``; a passed check is kept in ``cache`` by ``(f, builder,
-    at)``, because the builder makes the split's constant and functions
-    from ``at`` alone.  A failed check is not kept."""
+    """``sample(nl)``, kept in ``cache`` by ``(f, builder, at)`` whether it
+    passed or failed: the builder makes the split's constant and functions
+    from ``at`` alone, and the caller names the check after the lookup."""
     if builder is None:
         return sample(nl)
-
-    def build():
-        check = sample(nl)
-        if not check.ok:
-            raise _Failed(check)
-        return check
-    try:
-        return cache.get((nl.f, builder, at), build)
-    except _Failed as failed:
-        return failed.args[0]
+    return cache.get((nl.f, builder, at), lambda: sample(nl))
 
 
 def _sample_upper_split(nl: Nonlinearity) -> HypothesisCheck:

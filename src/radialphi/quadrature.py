@@ -20,12 +20,13 @@ and ``radial_kernel_at``:
   on smooth samples; a kink inside a panel costs that panel its spectral
   accuracy.
 * **Trapezoid** (``LinearPanels``, built for the call when no layout is
-  passed) on any node array, for the solver, the oracles and evaluators
-  on caller-given nodes: a running trapezoid sum, and a kernel that
-  integrates s^(N-1) times the piecewise-linear interpolant of the samples
-  exactly on each panel (closed-form moments of s^(N-1)), so constant and
-  linear integrands are reproduced to roundoff.  Plain trapezoid applied
-  to the product s^(N-1) w(s) would lose several digits near the origin.
+  passed) on any node array, for the solver, the oracles and the
+  solution bounds on a solve grid: a running trapezoid sum, and a kernel
+  that integrates s^(N-1) times the piecewise-linear interpolant of the
+  samples exactly on each panel (closed-form moments of s^(N-1)), so
+  constant and linear integrands are reproduced to roundoff.  Plain
+  trapezoid applied to the product s^(N-1) w(s) would lose several digits
+  near the origin.
 
 The trapezoid moments depend only on the nodes and N, so a
 ``LinearPanels`` layout builds them once per N on first use and keeps them:

@@ -112,7 +112,7 @@ def test_criterion_2_sandwich_bounds(instance_runs):
     worst_lower = -np.inf
     for spec, grid, iterates, converged in runs:
         assert converged, "instance failed to converge; bounds check needs the fixed point"
-        bounds = cr.solution_bounds(spec, grid.nodes)
+        bounds = cr.solution_bounds(spec, grid.panels)
         for u_m, v_m in iterates[1:]:
             worst_upper = max(worst_upper,
                               float(np.max(u_m - bounds["u_upper"])),

@@ -195,6 +195,26 @@ class TestClassifyCommand:
         assert cli.run_config("classify", cfg) == 0
         assert (2001 in built) if with_solve else built == []
 
+    def test_with_solve_builds_the_kernel_weights_once(self, tmp_path, monkeypatch):
+        # the cross-check's bounds run on the solve grid's own layout; they
+        # used to build a second layout of the same nodes, and its weights
+        built, solved = [], []
+        weights = quadrature.LinearPanels._kernel_weights
+        monkeypatch.setattr(quadrature.LinearPanels, "_kernel_weights",
+                            lambda self, dim: built.append(self.nodes.size) or weights(self, dim))
+        solve = iteration.solve
+        monkeypatch.setattr(iteration, "solve", lambda spec, grid, *args: (
+            solved.append((spec, grid)) or solve(spec, grid, *args)))
+        cfg = manufactured_config(tmp_path, classify={"with_solve": True})
+        assert cli.run_config("classify", cfg) == 0
+        assert built == [2001]
+        [(spec, grid)] = solved
+        held = criteria.solution_bounds(spec, grid.panels)
+        fresh = criteria.solution_bounds(spec, quadrature.LinearPanels(grid.nodes))
+        assert held.keys() == fresh.keys()
+        for key, want in fresh.items():
+            assert want is not None and held[key].tobytes() == want.tobytes(), key
+
     @pytest.mark.parametrize("alpha,verdict,rule,budget_note", [
         (1e-300, "both_large", "large_both", "increments not decaying"),
         (1e300, "indeterminate", "none", "increments vanished"),

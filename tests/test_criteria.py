@@ -37,16 +37,28 @@ def identity_envelope():
                            description="identity")
 
 
+def up_to(spec, t):
+    """An evaluator on the graded probe layout of the one radius ``t``: 31
+    head segments below t, 16 nodes each; its last values are at t."""
+    return cr.CriteriaEvaluator(spec, cr.probe_grid(qd.ProbeSchedule(r0=t, count=1))[2])
+
+
+def linear(spec, xs):
+    """An evaluator on the trapezoid panels of the nodes ``xs``."""
+    return cr.CriteriaEvaluator(spec, qd.LinearPanels(xs))
+
+
 class TestAccumulation:
     def test_unit_weight_quadratic(self, lap):
         # identity inverse flux, unit weight: A(t) = t^2/6, so A(3) = 1.5
         spec = make_spec(lap)
-        assert cr.accumulation(spec, 1, "bar", 3.0) == pytest.approx(1.5, rel=1e-9)
+        assert up_to(spec, 3.0).accumulation_values(1, "bar")[-1] == pytest.approx(1.5, rel=1e-9)
 
     def test_desk_calls_keep_matrix_cache_bounded(self, lap, monkeypatch):
-        # every desk radius is a new panel layout, but its panels have the
-        # ratios 0 and 1/2 of every other desk layout: two kernel matrices
-        # and the integration matrix serve all 50 calls
+        # every single-radius probe layout is a new panel layout, but its
+        # panels have the ratios 0 and 1/2 of every other one: two kernel
+        # matrices and the integration matrix serve all 50 radii
+        cr._probe_grid.cache_clear()
         built = []
         matrix = qd._panel_matrix
         monkeypatch.setattr(qd, "_PANEL_MATRICES", BoundedCache(16))
@@ -54,13 +66,14 @@ class TestAccumulation:
                             lambda *key: built.append(key) or matrix(*key))
         spec = make_spec(lap)
         for t in np.linspace(1.0, 3.0, 50):
-            assert cr.accumulation(spec, 1, "bar", t) == pytest.approx(t * t / 6, rel=1e-9)
+            got = up_to(spec, t).accumulation_values(1, "bar")[-1]
+            assert got == pytest.approx(t * t / 6, rel=1e-9)
         assert sorted(built) == [(1, 16, 0.0), (3, 16, 0.0), (3, 16, 0.5)]
 
     def test_desk_calls_keep_the_probe_matrices(self, lap, monkeypatch):
-        # desk layouts share the probe grid's kernel matrices instead of
-        # pushing them out of the cache; a probe layout keeps stacked
-        # copies of its matrices, so it is rebuilt here to fetch them
+        # single-radius layouts share the probe grid's kernel matrices
+        # instead of pushing them out of the cache; a probe layout keeps
+        # stacked copies of its matrices, so it is rebuilt here to fetch them
         cr._probe_grid.cache_clear()
         monkeypatch.setattr(qd, "_PANEL_MATRICES", BoundedCache(16))
         spec = make_spec(lap, w1="1/(1+r)^2", w2="1/(1+r)^2")
@@ -68,31 +81,33 @@ class TestAccumulation:
         held = dict(qd._PANEL_MATRICES._entries)
         assert (3, 16, 0.5) in held
         for t in np.linspace(1.0, 3.0, 10):
-            cr.accumulation(spec, 1, "bar", t)
+            up_to(spec, t).accumulation_values(1, "bar")
         assert qd._PANEL_MATRICES._entries.keys() == held.keys()
         assert all(qd._PANEL_MATRICES._entries[k] is v for k, v in held.items())
 
     def test_desk_call_builds_no_kernel_plan(self, lap, monkeypatch):
-        # a desk call used to build a 4097-node grid and its trapezoid
-        # kernel weights; it runs on Chebyshev–Lobatto panels alone
+        # values up to one radius used to need a 4097-node grid and its
+        # trapezoid kernel weights; they run on Chebyshev–Lobatto panels alone
         def refuse(*args):
             raise AssertionError("trapezoid layout built")
         for module in (qd, cr):
             monkeypatch.setattr(module, "LinearPanels", refuse)
         spec = make_spec(lap)
-        assert cr.accumulation(spec, 1, "bar", 3.0) == pytest.approx(1.5, rel=1e-12)
-        assert cr.coupling(spec, "12", "bar", 1.0) == pytest.approx(0.175, rel=1e-12)
-        assert cr.coupling(spec, "21", "under", 1.0) > 0.0
+        assert up_to(spec, 3.0).accumulation_values(1, "bar")[-1] == pytest.approx(1.5, rel=1e-12)
+        ev = up_to(spec, 1.0)
+        assert ev.upper_coupling_values("12")[-1] == pytest.approx(0.175, rel=1e-12)
+        assert ev.lower_coupling_values("21")[-1] > 0.0
 
     def test_zero_weight(self, lap):
         spec = make_spec(lap, w1="0")
-        assert cr.accumulation(spec, 1, "bar", 5.0) == 0.0
+        assert up_to(spec, 5.0).accumulation_values(1, "bar")[-1] == 0.0
 
     def test_under_at_most_bar(self, lap):
         spec = make_spec(lap, w1="1/(1+r^2)", op2=ops.make_operator("plasma", p=2, q=3))
         for t in (0.5, 1.0, 4.0):
-            under = cr.accumulation(spec, 2, "under", t)
-            bar = cr.accumulation(spec, 2, "bar", t)
+            ev = up_to(spec, t)
+            under = ev.accumulation_values(2, "under")[-1]
+            bar = ev.accumulation_values(2, "bar")[-1]
             assert under <= bar + 1e-12
 
     def test_shared_envelope_inverts_once(self, lap, monkeypatch):
@@ -104,7 +119,7 @@ class TestAccumulation:
         inverse = ops.h_inverse
         monkeypatch.setattr(ops, "h_inverse",
                             lambda op, s: calls.append(op) or inverse(op, s))
-        ev = cr.CriteriaEvaluator(spec, np.linspace(0.0, 4.0, 401))
+        ev = linear(spec, np.linspace(0.0, 4.0, 401))
         assert ev.accumulation_values(2, "under") is ev.accumulation_values(2, "bar")
         assert len(calls) == 1
 
@@ -115,7 +130,7 @@ class TestAccumulation:
         psi_under = (lambda s: 0.5 * np.asarray(s, dtype=float)) if halve_psi else ident
         env = ops.EnvelopeSet(k_under=k_under, k_bar=1.0, theta_under=ident,
                               theta_bar=ident, psi_under=psi_under, psi_bar=ident)
-        ev = cr.CriteriaEvaluator(make_spec(lap, env1=env), np.linspace(0.0, 3.0, 301))
+        ev = linear(make_spec(lap, env1=env), np.linspace(0.0, 3.0, 301))
         assert ev.accumulation_values(1, "bar")[-1] == pytest.approx(1.5, rel=1e-9)
         assert ev.accumulation_values(1, "under")[-1] == pytest.approx(0.75, rel=1e-9)
 
@@ -133,7 +148,7 @@ class TestEvaluatorArrays:
         sample = model.Weight.sample
         monkeypatch.setattr(model.Weight, "sample",
                             lambda w, xs: sampled.append(w.label) or sample(w, xs))
-        ev = cr.CriteriaEvaluator(spec, np.linspace(0.0, 4.0, 401))
+        ev = linear(spec, np.linspace(0.0, 4.0, 401))
         k1, k2 = ev.kernel(1), ev.kernel(2)
         assert len(sampled) == samples and len(calls) == kernels
         assert (k2 is k1) == (kernels == 1)
@@ -159,7 +174,7 @@ class TestEvaluatorArrays:
         # K may serve both sides, so a write by one consumer must raise
         # instead of changing what the other reads
         xs = np.linspace(0.0, 4.0, 401)
-        ev = cr.CriteriaEvaluator(make_spec(lap, w1="r", w2="r"), xs)
+        ev = linear(make_spec(lap, w1="r", w2="r"), xs)
         arrays = [ev.weight(1), ev.weight(2), ev.kernel(1), ev.kernel(2),
                   ev.accumulation_values(1, "bar"), ev.accumulation_values(2, "under"),
                   ev.upper_coupling_values("12"), ev.lower_coupling_values("21"),
@@ -170,7 +185,7 @@ class TestEvaluatorArrays:
             with pytest.raises(ValueError):
                 arr *= 2.0
         assert ev.kernel(2) is ev.kernel(1)
-        # the caller's grid stays writable, even where a weight returns it
+        # the caller's array stays writable; the layout holds its own copy
         assert xs.flags.writeable
 
     def test_allocation_guard(self):
@@ -193,16 +208,16 @@ class TestEvaluatorArrays:
 
 class TestCoupling:
     def test_zero_weights_all_couplings_vanish(self, lap):
-        spec = make_spec(lap, w1="0", w2="0")
+        ev = up_to(make_spec(lap, w1="0", w2="0"), 3.0)
         for pair in ("12", "21"):
-            for bound in ("bar", "under"):
-                assert cr.coupling(spec, pair, bound, 3.0) == 0.0
+            assert ev.upper_coupling_values(pair)[-1] == 0.0
+            assert ev.lower_coupling_values(pair)[-1] == 0.0
 
     def test_nested_polynomial_value(self, lap):
         # unit data: inner accumulation t^2/6, kernel y/3 + y^3/30,
         # integral r^2/6 + r^4/120, so 0.175 at r=1
-        spec = make_spec(lap)
-        assert cr.coupling(spec, "12", "bar", 1.0) == pytest.approx(0.175, abs=1e-8)
+        ev = up_to(make_spec(lap), 1.0)
+        assert ev.upper_coupling_values("12")[-1] == pytest.approx(0.175, abs=1e-8)
 
     def test_bar_and_under_coincide_with_matched_data(self, lap):
         # start values >= 2 push the lower scaling constant to 1, making the
@@ -211,16 +226,18 @@ class TestCoupling:
         spec = make_spec(lap, w1="1/(1+r)", w2="1/(1+r)", alpha=4.0, beta=4.0)
         assert spec.f1.m_small >= 1.0
         for r in (0.5, 1.0, 2.0):
-            bar = cr.coupling(spec, "12", "bar", r)
-            under = cr.coupling(spec, "12", "under", r)
+            ev = up_to(spec, r)
+            bar = ev.upper_coupling_values("12")[-1]
+            under = ev.lower_coupling_values("12")[-1]
             assert under == pytest.approx(bar, rel=1e-9)
 
     def test_under_at_most_bar_generally(self, lap):
         spec = make_spec(lap, w1="1", w2="1/(1+r^2)", g1=0.8, g2=1.1)
         for pair in ("12", "21"):
             for r in (0.5, 1.5, 3.0):
-                assert (cr.coupling(spec, pair, "under", r)
-                        <= cr.coupling(spec, pair, "bar", r) + 1e-12)
+                ev = up_to(spec, r)
+                assert (ev.lower_coupling_values(pair)[-1]
+                        <= ev.upper_coupling_values(pair)[-1] + 1e-12)
 
     def test_missing_lower_data_reported(self, lap):
         spec_no_c2 = model.build_problem(
@@ -228,8 +245,8 @@ class TestCoupling:
             a1=model.weight_from_expr("1"), a2=model.weight_from_expr("1"),
             f1=model.exp_minus_one_nonlinearity(),
             f2=model.power_nonlinearity(1.0))
-        with pytest.raises(cr.CriteriaError, match="missing"):
-            cr.coupling(spec_no_c2, "12", "bar", 1.0)
+        # no upper split: the coupling is unavailable, not defaulted
+        assert up_to(spec_no_c2, 1.0).upper_coupling_values("12") is None
 
 
 def sweep_config(sigma, f1=None):
@@ -470,9 +487,10 @@ class TestGrowthBudget:
         spec = make_spec(lap)
         with pytest.raises(ValueError, match="pair"):
             cr.GrowthBudget(spec, "13")
-        for bound in ("bar", "under"):
+        ev = up_to(spec, 1.0)
+        for values in (ev.upper_coupling_values, ev.lower_coupling_values):
             with pytest.raises(ValueError, match="pair"):
-                cr.coupling(spec, "13", bound, 1.0)
+                values("13")
 
     def test_anchor_maps_to_zero(self, lap):
         spec = make_spec(lap, alpha=2.5)
@@ -530,7 +548,7 @@ class TestProbeAccuracy:
         edges = [radii[0] / 2.0 ** k for k in range(halvings, 0, -1)] + list(radii)
         xs = np.concatenate([np.linspace(0.0, edges[0], panels + 1)] + [
             np.linspace(lo, hi, panels + 1)[1:] for lo, hi in zip(edges, edges[1:])])
-        return xs, panels * np.arange(halvings + 1, len(edges) + 1)
+        return xs, panels * np.arange(halvings + 1, len(edges) + 1), qd.LinearPanels(xs)
 
     @staticmethod
     def graded_panels(halvings, n, radii):
@@ -540,8 +558,10 @@ class TestProbeAccuracy:
         return layout.nodes, n * np.arange(halvings + 1, len(edges)), layout
 
     @staticmethod
-    def probe_values(spec, xs, idx, panels=None):
-        ev = cr.CriteriaEvaluator(spec, xs, panels=panels)
+    def probe_values(spec, grid):
+        """The six probe values on ``grid``, a (nodes, indices, layout) triple."""
+        _, idx, layout = grid
+        ev = cr.CriteriaEvaluator(spec, layout)
         values = [ev.accumulation_values(1, "bar"), ev.accumulation_values(2, "bar")]
         for pair in ("12", "21"):
             values += [ev.upper_coupling_values(pair), ev.lower_coupling_values(pair)]
@@ -556,8 +576,8 @@ class TestProbeAccuracy:
             a1=model.weight_from_expr("(1+r)^-2"), a2=model.weight_from_expr("(1+r)^-2"),
             f1=model.power_nonlinearity(1.0), f2=model.power_nonlinearity(0.5))
         schedule = qd.ProbeSchedule()
-        got = self.probe_values(spec, *cr.probe_grid(schedule))
-        want = self.probe_values(spec, *self.graded_grid(20, 4096, schedule.radii().tolist()))
+        got = self.probe_values(spec, cr.probe_grid(schedule))
+        want = self.probe_values(spec, self.graded_grid(20, 4096, schedule.radii().tolist()))
         worst = max(float(np.max(np.abs(g - w) / w)) for g, w in zip(got, want))
         assert worst <= 1e-6
 
@@ -567,8 +587,8 @@ class TestProbeAccuracy:
         # panels read about 5e-16
         spec = self.p3_spec(lap)
         schedule = qd.ProbeSchedule()
-        got = self.probe_values(spec, *cr.probe_grid(schedule))
-        want = self.probe_values(spec, *self.graded_panels(40, 32, schedule.radii().tolist()))
+        got = self.probe_values(spec, cr.probe_grid(schedule))
+        want = self.probe_values(spec, self.graded_panels(40, 32, schedule.radii().tolist()))
         worst = max(float(np.max(np.abs(g - w) / w)) for g, w in zip(got, want))
         assert worst <= 1e-12
 
@@ -580,15 +600,15 @@ class TestProbeAccuracy:
         spec = make_spec(lap, w1="max(3-r, 0)", w2="(1+r)^-3", g1=0.5, g2=1.0)
         schedule = qd.ProbeSchedule(tail_tol=1e-2)
         xs, idx, layout = cr.probe_grid(schedule)
-        ev = cr.CriteriaEvaluator(spec, xs, panels=layout)
+        ev = cr.CriteriaEvaluator(spec, layout)
         kernels = [ev.kernel(1), ev.kernel(2)]
         for pair in ("12", "21"):
             own, other = spec.pair(pair)
             inner = ev.weight(own.index) * (1.0 + ev.accumulation_values(other.index, "bar"))
             kernels.append(qd.radial_kernel_at(inner, spec.N, xs, panels=layout))
         assert all(np.all(np.isfinite(k)) and np.all(k >= 0.0) for k in kernels)
-        trapezoid = self.probe_values(spec, *oracle._oracle_grid(schedule))
-        panels = self.probe_values(spec, xs, idx, layout)
+        trapezoid = self.probe_values(spec, oracle._oracle_grid(schedule))
+        panels = self.probe_values(spec, (xs, idx, layout))
         for got, want in zip(panels, trapezoid):
             assert schedule.verdict(got).kind == schedule.verdict(want).kind
         report = cr.build_report(spec, schedule)
@@ -676,8 +696,7 @@ class TestReport:
 
     def test_all_functionals_nondecreasing(self, lap):
         spec = make_spec(lap, w1="1/(1+r)", w2="exp(-r)", g1=0.8, g2=1.1)
-        xs = np.linspace(0.0, 8.0, 4001)
-        ev = cr.CriteriaEvaluator(spec, xs)
+        ev = linear(spec, np.linspace(0.0, 8.0, 4001))
         for vals in (ev.accumulation_values(1, "bar"),
                      ev.accumulation_values(2, "under"),
                      ev.upper_coupling_values("12"),

@@ -163,7 +163,7 @@ class TestEnvelopedBounds:
         # mixed operators stress the envelope index conventions
         spec = make_spec(lap, w1="1/(1+r)", w2="2", g1=0.7, g2=1.2, beta=1.5,
                          op2=ops.make_operator("plasma", p=2, q=3))
-        bounds = criteria.solution_bounds(spec, grid.nodes)
+        bounds = criteria.solution_bounds(spec, grid.panels)
         st = it.init_state(spec, grid)
         for _ in range(10):
             st = it.step(st, spec)

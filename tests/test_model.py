@@ -472,6 +472,20 @@ class TestCheckCache:
         # a spec made without build_problem has its weights sampled
         assert rep.ok("weight_1")
 
+    def test_failed_split_check_kept(self, monkeypatch):
+        # a split check depends on its key alone and is returned, not
+        # raised, so a failed one is kept like a passed one
+        cold_caches(monkeypatch)
+        runs = []
+        upper = model._sample_upper_split
+        monkeypatch.setattr(model, "_sample_upper_split",
+                            lambda nl: runs.append(nl.f) or upper(nl))
+        spec = model.assemble(decay_config(alpha=0.1, **ALPHA_SENSITIVE))
+        first, again = (model.check_hypotheses(spec) for _ in range(2))
+        assert not first.ok("upper_split_f1")
+        assert again.to_dict() == first.to_dict()
+        assert runs.count(spec.f1.f) == 1
+
     def test_replaced_weight_sampled_again(self, lap):
         spec = replace(unit_problem(lap), a1=model.weight_from_expr("0 - 1"))
         rep = model.check_hypotheses(spec)
