@@ -265,12 +265,16 @@ def cmd_solve(cfg: dict) -> int:
     return 0
 
 
+def _checked(cfg: dict):
+    """Assemble and check one config: (spec, numerics, hypotheses)."""
+    spec = model.assemble(model._get(cfg, "problem", "config"))
+    return spec, _numerics(cfg), model.check_hypotheses(spec)
+
+
 def _classification(cfg: dict):
     """Assemble, probe and classify one config: (spec, numerics,
     hypotheses, criteria report, classification)."""
-    spec = model.assemble(model._get(cfg, "problem", "config"))
-    num = _numerics(cfg)
-    hyp = model.check_hypotheses(spec)
+    spec, num, hyp = _checked(cfg)
     report = criteria.build_report(spec, num["schedule"])
     return spec, num, hyp, report, classifier.classify(spec, report, hyp)
 
@@ -402,25 +406,45 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
+def _attempt(fn, *args):
+    """``fn(*args)``, or the sweep row cells of the numeric failure it raises."""
+    try:
+        return fn(*args)
+    except NumericsError as exc:
+        return ["numeric_failure", type(exc).__name__]
+
+
 def cmd_sweep(cfg: dict) -> int:
     sweep = _section(cfg, "sweep")
     axes = _sweep_axes(sweep)
     out_path = _output(cfg, "csv", "sweep") or _output(cfg, "sweep_csv")
-    rows = []
     # every combination, the last axis fastest; no axes means no points,
     # not the one empty combination of an empty product
-    for combo in itertools.product(*(ax["values"] for ax in axes)) if axes else ():
+    combos = list(itertools.product(*(ax["values"] for ax in axes))) if axes else []
+    configs = []
+    for combo in combos:
         # a copy of the objects on the axis paths; the rest is shared
         local = dict(cfg)
         for ax, value in zip(axes, combo):
             for path in ax["paths"]:
                 _set_path(local, path, value, ax["name"])
-        try:
-            cls = _classification(local)[-1]
-            outcome = [cls.verdict, cls.matched_rule]
-        except NumericsError as exc:
-            outcome = ["numeric_failure", type(exc).__name__]
-        rows.append([_fmt_cell(value) for value in combo] + outcome)
+        configs.append(local)
+    if all(path.split(".")[:2] in (["problem", "weight1"], ["problem", "weight2"])
+           for ax in axes for path in ax["paths"]):
+        # points that differ only in their weights: each is assembled and
+        # checked alone, and their criteria are probed in one batch
+        outcomes = [_attempt(_checked, local) for local in configs]
+        ready = [k for k, point in enumerate(outcomes) if isinstance(point, tuple)]
+        reports = criteria.build_reports([outcomes[k][0] for k in ready],
+                                         outcomes[ready[0]][1]["schedule"]) if ready else []
+        for k, report in zip(ready, reports):
+            spec, _, hyp = outcomes[k]
+            outcomes[k] = _attempt(classifier.classify, spec, report, hyp)
+    else:
+        outcomes = [_attempt(lambda: _classification(local)[-1]) for local in configs]
+    rows = [[_fmt_cell(value) for value in combo]
+            + (cls if isinstance(cls, list) else [cls.verdict, cls.matched_rule])
+            for combo, cls in zip(combos, outcomes)]
 
     table = [[ax["name"] for ax in axes] + ["verdict", "matched_rule"]] + rows
     if out_path:

@@ -29,7 +29,9 @@ bounds reuse the kernel weights the solve built.  Every probe consumer
 takes one ``ProbeSchedule`` with all probe settings.
 The arrays an evaluator keeps (weights, kernels, accumulations, coupling
 prefixes) are read-only, because one may serve several consumers: both
-sides share one kernel when their weights are equal.
+sides share one kernel when their weights are equal.  An evaluator of
+problems that differ only in their weights gives each array a leading axis
+of one row per problem, so a weight sweep's points run as one batch.
 
 Index conventions: the outer envelope of a coupling integral belongs to the
 equation being bounded (psi_bar_1 for P_12, psi_bar_2 for P_21), matching
@@ -38,8 +40,9 @@ accumulation always carries the index of the weight inside it.  Every
 pair-indexed functional reads its own and other side from
 ``ProblemSpec.pair``.
 
-``build_report`` collects the probe verdicts in one ordered mapping keyed
-by the report's JSON names (``accumulation_1`` ... ``growth_budget_21_relaxed``).
+``build_reports`` probes such a batch and ``build_report`` a batch of one;
+a report holds the verdicts in one ordered mapping keyed by the JSON names
+(``accumulation_1`` ... ``growth_budget_21_relaxed``).
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ __all__ = [
     "GrowthBudget",
     "effective_lower_envelope",
     "build_report",
+    "build_reports",
     "probe_grid",
     "solution_bounds",
 ]
@@ -93,15 +97,25 @@ def _finite_positive(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
+def _flat(fn, arr: np.ndarray) -> np.ndarray:
+    """``fn`` of ``arr``, called once on its values as 1-d samples."""
+    return np.asarray(fn(arr.ravel()), dtype=float).reshape(arr.shape)
+
+
 class CriteriaEvaluator:
     """Memoized prefix arrays for all criteria functionals on one layout.
 
-    Kernels and prefixes run on ``panels``, whose nodes ``xs`` must start
-    at 0.  Every array it returns is read-only.
+    ``spec`` is a problem, or problems that differ only in their weights,
+    one row each of a leading axis of every array.  Kernels and prefixes
+    run on ``panels``, whose nodes ``xs`` must start at 0.  Every array it
+    returns is read-only.
     """
 
-    def __init__(self, spec: ProblemSpec, panels: LinearPanels | PanelLayout):
-        self.spec = spec
+    def __init__(self, spec: ProblemSpec | list, panels: LinearPanels | PanelLayout):
+        single = isinstance(spec, ProblemSpec)
+        self.specs = (spec,) if single else tuple(spec)
+        self.spec = self.specs[0]
+        self._rows = (lambda rows: rows[0]) if single else np.array
         self.panels = panels
         self.xs = panels.nodes
         if self.xs[0] != 0.0:
@@ -127,15 +141,13 @@ class CriteriaEvaluator:
     # -- primitive layers ---------------------------------------------------
 
     def weight(self, side: int) -> np.ndarray:
-        """a_i at the nodes; a side whose weight function equals the other
+        """a_i at the nodes; a side whose weight functions equal the other
         side's takes the other side's array once that one is sampled."""
-        w = self.spec.sides[side - 1].weight
-
         def build():
-            other = self.spec.sides[2 - side].weight
-            if other.fn == w.fn and ("w", 3 - side) in self._cache:
+            if (("w", 3 - side) in self._cache
+                    and all(s.sides[0].weight.fn == s.sides[1].weight.fn for s in self.specs)):
                 return self._cache[("w", 3 - side)]
-            return w.sample(self.xs)
+            return self._rows([s.sides[side - 1].weight.sample(self.xs) for s in self.specs])
         return self._get(("w", side), build)
 
     def kernel(self, side: int) -> np.ndarray:
@@ -156,7 +168,7 @@ class CriteriaEvaluator:
                   else (env.k_under, env.psi_under))
 
         def build():
-            vals = k * np.asarray(psi(self.kernel(side)), dtype=float)
+            vals = k * _flat(psi, self.kernel(side))
             _finite_positive(vals, f"accumulation integrand (weight {side})")
             return self._prefix(vals)
         # keyed on the envelope factors, not the bound: a derived envelope
@@ -177,10 +189,10 @@ class CriteriaEvaluator:
             if split is None:
                 return None
             c, xi = split
-            inner = self.weight(own.index) * np.asarray(
-                xi(1.0 + self.accumulation_values(other.index, bound)), dtype=float)
+            inner = self.weight(own.index) * _flat(
+                xi, 1.0 + self.accumulation_values(other.index, bound))
             _finite_positive(inner, f"{name} coupling inner weight ({pair})")
-            vals = np.asarray(outer(c * self._kernel(inner)), dtype=float)
+            vals = _flat(outer, c * self._kernel(inner))
             _finite_positive(vals, f"{name} coupling integrand ({pair})")
             return self._prefix(vals)
         return self._get((name, pair), build)
@@ -200,7 +212,7 @@ class CriteriaEvaluator:
         def build():
             nl = own.nl
             c = float(nl.c_bar) if nl.has_upper_split else 1.0
-            outer = np.asarray(own.env.psi_bar(c * self.kernel(own.index)), dtype=float)
+            outer = _flat(own.env.psi_bar, c * self.kernel(own.index))
             _finite_positive(outer, f"relaxed upper coupling integrand ({pair})")
             return self._prefix(outer)
         return self._get(("Pbar_relaxed", pair), build)
@@ -456,12 +468,12 @@ class CriteriaReport:
         return out
 
 
-def _guarded(builder, schedule: ProbeSchedule) -> LimitVerdict | None:
-    """Run one functional builder; numeric and input failures become
-    indeterminate verdicts instead of aborting the remaining entries, while
-    any other error (a programming error) surfaces."""
+def _guarded(schedule: ProbeSchedule, builder, *args) -> LimitVerdict | None:
+    """Run one functional builder on ``args``; numeric and input failures
+    become indeterminate verdicts instead of aborting the remaining
+    entries, while any other error (a programming error) surfaces."""
     try:
-        vals = builder()
+        vals = builder(*args)
     except (NumericsError, ValueError) as exc:
         return LimitVerdict("indeterminate", note=f"evaluation failed: {exc}")
     if vals is None:
@@ -471,54 +483,71 @@ def _guarded(builder, schedule: ProbeSchedule) -> LimitVerdict | None:
 
 def build_report(spec: ProblemSpec,
                  schedule: ProbeSchedule = ProbeSchedule()) -> CriteriaReport:
-    """Probe every criteria functional and assemble the report.
+    """The report of one problem: the batch of one of ``build_reports``."""
+    return build_reports([spec], schedule)[0]
 
-    Relaxed variants are evaluated only when the matching accumulation limit
-    is finite and positive, which is when the decision table may use them.
-    """
+
+def build_reports(specs, schedule: ProbeSchedule = ProbeSchedule()) -> list:
+    """The report of each of ``specs``, problems that differ only in their
+    weights.  Each functional is evaluated for all of them at once, and a
+    row equals, bit for bit, its problem alone; when the batch fails, each
+    problem runs alone, so a failing one gets its own note.  Relaxed
+    variants are evaluated only where the matching accumulation limit is
+    finite and positive, which is when the decision table may use them.
+    Overflow and invalid operations raise no warning: the non-finite
+    values they leave fail the evaluation, with a note."""
+    specs = list(specs)
     _, idx, layout = probe_grid(schedule)
-    ev = CriteriaEvaluator(spec, layout)
     radii = schedule.radii().tolist()
+    batch = CriteriaEvaluator(specs, layout)
+    verdicts = [dict.fromkeys(CriteriaReport._FIELDS) for _ in specs]
 
-    def probe(values_fn, *args):
-        def build():
-            vals = values_fn(*args)
-            return None if vals is None else vals[idx]
-        return _guarded(build, schedule)
+    def alone(p, method, *args):
+        """One functional's probe values for problem p evaluated alone."""
+        return getattr(CriteriaEvaluator(specs[p:p + 1], layout), method)(*args)[0, idx]
 
-    def budget_probe(pair, relaxed=False, acc_limit=None):
-        return _guarded(lambda: _budget_probes(spec, pair, radii, relaxed, acc_limit),
-                        schedule)
+    def probe(name, rows, method, *args):
+        """One functional's verdicts for ``rows``; the others stay None."""
+        try:
+            vals = getattr(batch, method)(*args) if rows else None
+        except (NumericsError, ValueError):
+            for p in rows:
+                verdicts[p][name] = _guarded(schedule, alone, p, method, *args)
+            return
+        for p in rows if vals is not None else ():
+            verdicts[p][name] = schedule.verdict(vals[p, idx])
 
-    verdicts: dict = {}
-    for side in spec.sides:
-        verdicts[f"accumulation_{side.index}"] = probe(
-            ev.accumulation_values, side.index, "bar")
-    for pair in PAIRS:
-        verdicts[f"upper_coupling_{pair}"] = probe(ev.upper_coupling_values, pair)
-    for pair in PAIRS:
-        verdicts[f"lower_coupling_{pair}"] = probe(ev.lower_coupling_values, pair)
-    for pair in PAIRS:
-        verdicts[f"growth_budget_{pair}"] = (
-            budget_probe(pair) if spec.pair(pair)[0].nl.has_upper_split else None)
+    def budget(name, rows, pair, limits=None):
+        for p in rows:
+            verdicts[p][name] = _guarded(schedule, _budget_probes, specs[p], pair, radii,
+                                         limits is not None, limits and limits[p])
 
-    # the accumulation limit of the other weight relaxes a pair's upper split
-    relax_limit = {}
-    for pair in PAIRS:
-        acc = verdicts[f"accumulation_{spec.pair(pair)[1].index}"]
-        relax_limit[pair] = acc.value if acc.finite and acc.value > 0.0 else None
-    for pair in PAIRS:
-        verdicts[f"upper_coupling_{pair}_relaxed"] = (
-            probe(ev.upper_coupling_relaxed_values, pair) if relax_limit[pair] else None)
-    for pair in PAIRS:
-        verdicts[f"growth_budget_{pair}_relaxed"] = (
-            budget_probe(pair, relaxed=True, acc_limit=relax_limit[pair])
-            if relax_limit[pair] else None)
+    every = range(len(specs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for side in (1, 2):
+            probe(f"accumulation_{side}", every, "accumulation_values", side, "bar")
+        for kind in ("upper", "lower"):
+            for pair in PAIRS:
+                probe(f"{kind}_coupling_{pair}", every, f"{kind}_coupling_values", pair)
+        for pair in PAIRS:
+            budget(f"growth_budget_{pair}",
+                   every if batch.spec.pair(pair)[0].nl.has_upper_split else (), pair)
+        # the accumulation limit of the other weight relaxes a pair's upper split
+        limits = {}
+        for pair in PAIRS:
+            accs = [out[f"accumulation_{batch.spec.pair(pair)[1].index}"] for out in verdicts]
+            limits[pair] = [acc.value if acc.finite and acc.value > 0.0 else None for acc in accs]
+        for pair in PAIRS:
+            probe(f"upper_coupling_{pair}_relaxed", [p for p in every if limits[pair][p]],
+                  "upper_coupling_relaxed_values", pair)
+        for pair in PAIRS:
+            budget(f"growth_budget_{pair}_relaxed", [p for p in every if limits[pair][p]],
+                   pair, limits[pair])
 
-    lows = {pair: effective_lower_envelope(spec.pair(pair)[0].nl) for pair in PAIRS}
-    return CriteriaReport(
-        a_anchor=spec.alpha, b_anchor=spec.beta, verdicts=verdicts,
-        lower_auto={pair: bool(low and low[2]) for pair, low in lows.items()})
+    lows = {pair: effective_lower_envelope(batch.spec.pair(pair)[0].nl) for pair in PAIRS}
+    return [CriteriaReport(a_anchor=spec.alpha, b_anchor=spec.beta, verdicts=out,
+                           lower_auto={pair: bool(low and low[2]) for pair, low in lows.items()})
+            for spec, out in zip(specs, verdicts)]
 
 
 # ---------------------------------------------------------------------------

@@ -106,8 +106,8 @@ class RadialGrid:
 
 def prefix_trapezoid(values: np.ndarray, xs: np.ndarray, *,
                      panels: LinearPanels | PanelLayout | None = None) -> np.ndarray:
-    """Running integral of samples ``values`` at nodes ``xs``; the first
-    entry is 0.
+    """Running integral of samples ``values`` at nodes ``xs``, each row of
+    any leading axes as it would be alone; the first entry is 0.
 
     ``panels`` is the layout whose nodes ``xs`` are: a ``LinearPanels``
     sums trapezoids, a ``PanelLayout`` integrates on its Chebyshev–Lobatto
@@ -133,7 +133,8 @@ def central_diff(values: np.ndarray, step: float) -> np.ndarray:
 
 def radial_kernel_at(values: np.ndarray, dim: int, xs: np.ndarray, *,
                      panels: LinearPanels | PanelLayout | None = None) -> np.ndarray:
-    """K[w](t) = t^(1-dim) * integral_0^t s^(dim-1) w(s) ds at nodes ``xs``.
+    """K[w](t) = t^(1-dim) * integral_0^t s^(dim-1) w(s) ds at nodes ``xs``,
+    each row of any leading axes of ``values`` as it would be alone.
 
     ``xs`` must start at 0, where K is 0 by the integrand limit, and be
     strictly increasing; ``panels`` is the layout whose nodes ``xs`` are,
@@ -141,8 +142,8 @@ def radial_kernel_at(values: np.ndarray, dim: int, xs: np.ndarray, *,
     call.  A dimension that is not a whole number >= 1, a non-finite input
     sample or a length mismatch raises ValueError; a kernel that overflows
     on finite input raises NumericsError.  On Chebyshev–Lobatto panels an
-    interpolant can undershoot next to a kink, so there K of nonnegative
-    samples is clipped at 0, which it cannot be below.
+    interpolant can undershoot next to a kink, so there K of a row of
+    nonnegative samples is clipped at 0, which it cannot be below.
     """
     if isinstance(dim, (bool, np.bool_)) or not (dim >= 1 and float(dim).is_integer()):
         raise ValueError(f"dimension must be a whole number >= 1, not {dim!r}")
@@ -150,8 +151,8 @@ def radial_kernel_at(values: np.ndarray, dim: int, xs: np.ndarray, *,
     panels = _layout(panels, xs)
     with np.errstate(over="ignore", invalid="ignore"):
         out = panels.kernel(values, int(dim))
-    if isinstance(panels, PanelLayout) and values.min() >= 0.0:
-        np.maximum(out, 0.0, out=out)
+    if isinstance(panels, PanelLayout):
+        np.maximum(out, 0.0, out=out, where=np.minimum.reduce(values, -1, keepdims=True) >= 0.0)
     if not np.isfinite(out).all():
         raise NumericsError("radial kernel overflowed (dimension too large for this range)")
     return out
@@ -160,7 +161,7 @@ def radial_kernel_at(values: np.ndarray, dim: int, xs: np.ndarray, *,
 def _samples(values, xs) -> tuple:
     values = np.asarray(values, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    if values.shape != xs.shape:
+    if values.shape[-1:] != xs.shape:
         raise ValueError("values and nodes differ in length")
     if not np.isfinite(values).all():
         raise ValueError("non-finite input sample")
@@ -233,11 +234,11 @@ class LinearPanels:
         ``np.diff(xs) * (v[1:] + v[:-1]) * 0.5`` bit for bit, since halving
         is exact."""
         out = np.empty_like(values)
-        out[0] = 0.0
-        body = out[1:]
-        np.add(values[1:], values[:-1], out=body)
+        out[..., 0] = 0.0
+        body = out[..., 1:]
+        np.add(values[..., 1:], values[..., :-1], out=body)
         body *= self._half
-        body.cumsum(out=body)
+        body.cumsum(axis=-1, out=body)
         return out
 
     def weights(self, dim: int) -> tuple:
@@ -277,15 +278,16 @@ class LinearPanels:
         running sum, then the output factors and t."""
         c0, c1, scale, blocks = self.weights(dim)
         out = np.empty_like(values)
-        out[0] = 0.0
-        body = out[1:]
-        np.multiply(c0, values[:-1], out=body)
-        body += c1 * values[1:]
-        carried = 0.0
+        out[..., 0] = 0.0
+        body = out[..., 1:]
+        np.multiply(c0, values[..., :-1], out=body)
+        body += c1 * values[..., 1:]
+        # nodes first, so on 1-d samples a block's first entry is a number
+        carried, nodes = 0.0, body.T
         for begin, end, carry in blocks:
-            block = body[begin:end]
+            block = nodes[begin:end]
             block[0] += carry * carried
-            block.cumsum(out=block)
+            block.cumsum(axis=0, out=block)
             carried = block[-1]
         body *= scale
         body *= self.nodes[1:]
@@ -431,24 +433,27 @@ class PanelLayout:
         self._weights: dict = {}
 
     def _panels(self, values: np.ndarray) -> np.ndarray:
-        """The samples of each panel as rows."""
-        return values[self._index]
+        """The samples of each panel as rows, after any leading axes, in C
+        order: einsum would sum a row of the strided ``values[:, index]``
+        in another order than the row alone."""
+        return values.take(self._index, axis=-1)
 
     def _assemble(self, local: np.ndarray, start: np.ndarray) -> np.ndarray:
-        out = np.empty(self.nodes.size)
-        out[0] = 0.0
-        np.add(local, start, out=out[1:].reshape(local.shape))
+        out = np.empty(local.shape[:-2] + (self.nodes.size,))
+        out[..., 0] = 0.0
+        # splitting the last axis of out[..., 1:] gives a view
+        np.add(local, start, out=out[..., 1:].reshape(local.shape))
         return out
 
     def prefix(self, values: np.ndarray) -> np.ndarray:
         """Running integral of the samples ``values`` from 0."""
         matrix = _matrix(1, self.n, 0.0)[0]
-        local = np.einsum("pj,ij->pi", self._panels(values), matrix)
+        local = np.einsum("...pj,ij->...pi", self._panels(values), matrix)
         local *= self._widths
         # each panel starts from the totals of the panels before it
-        start = np.empty((local.shape[0], 1))
-        start[0] = 0.0
-        np.cumsum(local[:-1, -1], out=start[1:, 0])
+        start = np.empty(local.shape[:-1] + (1,))
+        start[..., 0, 0] = 0.0
+        np.cumsum(local[..., :-1, -1], axis=-1, out=start[..., 1:, 0])
         return self._assemble(local, start)
 
     def weights(self, dim: int) -> tuple:
@@ -466,15 +471,17 @@ class PanelLayout:
     def kernel(self, values: np.ndarray, dim: int) -> np.ndarray:
         """K[w](t) = t^(1-dim) * integral_0^t s^(dim-1) w(s) ds at the nodes."""
         matrices, decay = self.weights(dim)
-        local = np.einsum("pij,pj->pi", matrices, self._panels(values))
+        local = np.einsum("pij,...pj->...pi", matrices, self._panels(values))
         local *= self._tops
-        # K at each panel's bottom edge, carried panel by panel, and its
-        # share (lo/x_i)^(N-1) K(lo) at the panel's nodes
-        carried, start = 0.0, []
-        for end, fade in zip(local[:, -1].tolist(), decay[:, -1].tolist()):
-            start.append(carried)
-            carried = fade * carried + end
-        return self._assemble(local, decay * np.array(start)[:, None])
+        # K at each panel's bottom edge, carried panel by panel in each
+        # row, and its share (lo/x_i)^(N-1) K(lo) at the panel's nodes
+        fades, starts = decay[:, -1].tolist(), []
+        for ends in local[..., -1].reshape(-1, len(fades)).tolist():
+            start = [0.0]
+            for end, fade in zip(ends[:-1], fades):
+                start.append(fade * start[-1] + end)
+            starts.append(start)
+        return self._assemble(local, decay * np.array(starts).reshape(local.shape[:-1] + (1,)))
 
 
 # ---------------------------------------------------------------------------

@@ -715,6 +715,28 @@ class TestSweepCommand:
         assert all(verdicts[s] == "both_large" for s in (0, 1, 2))
         assert all(verdicts[s] == "both_bounded" for s in (3, 4, 5))
 
+    def test_overflowing_point_writes_no_warning(self, tmp_path, capsys):
+        # the c = 1e300 point overflows in the analytic inverse flux and in
+        # a coupling's inner weight; its report already says so in notes,
+        # but the RuntimeWarnings used to escape, and under an error filter
+        # (the suite's) they ended the sweep
+        weight = {"expr": "c*(1+r)^(-3)", "params": {"c": 1}}
+        cfg = manufactured_config(tmp_path, sweep={
+            "axes": [{"name": "c", "values": [1, 1e300, 2],
+                      "paths": ["problem.weight1.params.c", "problem.weight2.params.c"]}],
+            "csv": str(tmp_path / "sweep.csv")})
+        cfg["problem"].update(operator1={"family": "p_laplacian", "p": 1.5},
+                              weight1=weight, weight2=weight,
+                              f2={"family": "power", "gamma": 0.5})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["sweep", "--config", str(write_config(tmp_path, cfg))]) == 0
+        assert capsys.readouterr() == ("sweep: 3 points\n", "")
+        assert (tmp_path / "sweep.csv").read_text().splitlines()[1:] == [
+            "1,indeterminate,bounded_both",
+            "1.000000000000e+300,indeterminate,large_both",
+            "2,indeterminate,bounded_both"]
+
     def test_empty_axes_empty_csv(self, tmp_path):
         cfg = manufactured_config(tmp_path)
         cfg["sweep"] = {"axes": [], "csv": str(tmp_path / "sweep.csv")}

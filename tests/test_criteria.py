@@ -1,13 +1,20 @@
+import copy
+import importlib.util
+import itertools
+import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from radialphi import classifier as cl
+from radialphi import cli
 from radialphi import criteria as cr
 from radialphi import model
 from radialphi import operators as ops
@@ -774,3 +781,83 @@ class TestReport:
         rep = cr.build_report(spec)
         assert rep.lower_coupling_12 is None
         assert rep.to_dict()["lower_coupling_12"] == "unavailable"
+
+
+ROOT = Path(__file__).parents[1]
+
+
+def sweep_points(cfg) -> tuple:
+    """The problems of every point of a sweep config, assembled as ``rps
+    sweep`` assembles them, and the sweep's probe schedule."""
+    axes = cli._sweep_axes(cfg["sweep"])
+    specs, schedules = [], set()
+    for combo in itertools.product(*(ax["values"] for ax in axes)):
+        local = dict(cfg)
+        for ax, value in zip(axes, combo):
+            for path in ax["paths"]:
+                cli._set_path(local, path, value, ax["name"])
+        spec, num, _ = cli._checked(local)
+        specs.append(spec)
+        schedules.add(num["schedule"])
+    assert len(schedules) == 1
+    return specs, schedules.pop()
+
+
+def weight_sweeps() -> dict:
+    """The sweeps of the benchmark's ``sweep_analytic`` menu and the
+    README's example sweep, by name."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    sweeps = dict(workloads.menu("sweep_analytic"))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sweeps["README"] = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    return sweeps
+
+
+def overflow_config(cs=(1, 1e300, 2)) -> dict:
+    """A weight sweep whose c = 1e300 point overflows inside the couplings."""
+    weight = {"expr": "c*(1+r)^(-3)", "params": {"c": 1}}
+    return {"problem": {
+        "N": 3, "alpha": 1.0, "beta": 1.0,
+        "operator1": {"family": "p_laplacian", "p": 1.5}, "operator2": {"family": "laplacian"},
+        "weight1": weight, "weight2": weight,
+        "f1": {"family": "power", "gamma": 1.0}, "f2": {"family": "power", "gamma": 0.5}},
+        "sweep": {"axes": [{"name": "c", "values": list(cs),
+                            "paths": ["problem.weight1.params.c", "problem.weight2.params.c"]}]}}
+
+
+class TestBatchReports:
+    """``build_reports`` on problems that differ only in their weights."""
+
+    @pytest.mark.parametrize("name,cfg", weight_sweeps().items())
+    def test_rows_as_alone(self, name, cfg):
+        # dict equality compares every float by ==
+        specs, schedule = sweep_points(copy.deepcopy(cfg))
+        batch = cr.build_reports(specs, schedule)
+        assert len(batch) == len(specs) == (6 if name == "README" else 8)
+        for spec, report in zip(specs, batch):
+            assert report.to_dict() == cr.build_report(spec, schedule).to_dict()
+
+    def test_failing_row_gets_its_own_notes(self, monkeypatch):
+        specs, schedule = sweep_points(overflow_config())
+        calls = []
+        coupling = cr.CriteriaEvaluator.lower_coupling_values
+
+        def counting(self, pair):
+            calls.append(len(self.specs))
+            return coupling(self, pair)
+
+        monkeypatch.setattr(cr.CriteriaEvaluator, "lower_coupling_values", counting)
+        batch = [r.to_dict() for r in cr.build_reports(specs, schedule)]
+        # the batch fails, then each of the three points runs alone
+        assert calls[:4] == [3, 1, 1, 1]
+        alone = [cr.build_report(spec, schedule).to_dict() for spec in specs]
+        assert batch == alone
+        failed = [[name for name, entry in report.items()
+                   if isinstance(entry, dict) and "evaluation failed" in entry.get("note", "")]
+                  for report in batch]
+        assert failed[0] == failed[2] == [] and failed[1]
+        # the rows beside it read as they do in a batch without it
+        pair = [r.to_dict() for r in cr.build_reports([specs[0], specs[2]], schedule)]
+        assert pair == [batch[0], batch[2]]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from radialphi import cli, model
+from radialphi import criteria as cr
 from radialphi import operators as ops
 from radialphi._memo import BoundedCache
 
@@ -372,22 +373,29 @@ ALPHA_SENSITIVE = dict(
 
 
 def sweep_hypotheses(tmp_path, monkeypatch, problem, axis, paths, values):
-    """The hypotheses of every point of an in-process ``rps sweep``."""
-    seen = []
-    classification = cli._classification
+    """The hypotheses of every point of an in-process ``rps sweep``, and
+    the number of problems of each ``criteria.build_reports`` call."""
+    seen, batches = [], []
+    check, build_reports = model.check_hypotheses, cr.build_reports
 
-    def recording(cfg):
-        out = classification(cfg)
-        seen.append(out[2].to_dict())
+    def recording(spec):
+        out = check(spec)
+        seen.append(out.to_dict())
         return out
 
-    monkeypatch.setattr(cli, "_classification", recording)
+    def counting(specs, schedule):
+        batches.append(len(specs))
+        return build_reports(specs, schedule)
+
+    monkeypatch.setattr(model, "check_hypotheses", recording)
+    monkeypatch.setattr(cr, "build_reports", counting)
     cfg = {"problem": problem, "sweep": {
         "axes": [{"name": axis, "paths": paths, "values": values}],
         "csv": str(tmp_path / "sweep.csv")}}
     assert cli.run_config("sweep", cfg) == 0
-    monkeypatch.setattr(cli, "_classification", classification)
-    return seen
+    monkeypatch.setattr(model, "check_hypotheses", check)
+    monkeypatch.setattr(cr, "build_reports", build_reports)
+    return seen, batches
 
 
 def cold_hypotheses(tmp_path, monkeypatch, problem) -> dict:
@@ -423,10 +431,12 @@ class TestCheckCache:
         monkeypatch.setattr(model.Weight, "sample", lambda w, xs: (
             screens.append(w) if xs is model._SCREEN_GRID else None) or sample(w, xs))
         sigmas = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]
-        hyps = sweep_hypotheses(tmp_path, monkeypatch, decay_config(), "sigma",
-                                ["problem.weight1.params.sigma",
-                                 "problem.weight2.params.sigma"], sigmas)
+        hyps, batches = sweep_hypotheses(tmp_path, monkeypatch, decay_config(), "sigma",
+                                         ["problem.weight1.params.sigma",
+                                          "problem.weight2.params.sigma"], sigmas)
         assert len(hyps) == 8 and all(all(c["ok"] for c in h.values()) for h in hyps)
+        # a sweep of weights alone probes its points as one batch
+        assert batches == [8]
         for kind, counts in runs.items():
             assert len(counts) == 2 and set(counts.values()) == {1}, kind
         # each weight is screened once, by assembly; the report reuses that
@@ -439,7 +449,9 @@ class TestCheckCache:
     def test_sweep_points_match_cold_classifies(self, tmp_path, monkeypatch,
                                                 problem, axis, path, values):
         cold_caches(monkeypatch)
-        hyps = sweep_hypotheses(tmp_path, monkeypatch, problem, axis, [path], values)
+        hyps, batches = sweep_hypotheses(tmp_path, monkeypatch, problem, axis, [path], values)
+        # any other sweep probes each point alone
+        assert batches == [1] * len(values)
         key = path.split(".")[1:]
         cold = []
         for value in values:

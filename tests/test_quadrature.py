@@ -541,6 +541,48 @@ class TestStackedPanels:
             assert np.array_equal(decay[panels], np.broadcast_to(fade, decay[panels].shape))
 
 
+class TestRowBatches:
+    """Samples with a leading axis of rows: each row comes out bit for bit
+    as it does alone, on both layouts."""
+
+    @pytest.fixture(params=["panels", "trapezoid"])
+    def layout(self, request):
+        if request.param == "panels":
+            return criteria.probe_grid(qd.ProbeSchedule())[2]
+        return qd.LinearPanels(graded_grid())
+
+    @staticmethod
+    def rows(x):
+        kink = np.maximum(x - 2.9, 0.0)
+        dipped = kink.copy()
+        dipped[5] = -1e-3
+        return np.stack([kink, dipped, (1.0 + x) ** -3.0,
+                         np.random.default_rng(0).random(x.size)])
+
+    @pytest.mark.parametrize("dim", [3, 10])
+    def test_rows_as_alone(self, layout, dim):
+        x = layout.nodes
+        batch = self.rows(x)
+        kernels = qd.radial_kernel_at(batch, dim, x, panels=layout)
+        prefixes = qd.prefix_trapezoid(batch, x, panels=layout)
+        assert kernels.shape == prefixes.shape == batch.shape
+        for row, kernel, prefix in zip(batch, kernels, prefixes):
+            assert np.array_equal(kernel, qd.radial_kernel_at(row, dim, x, panels=layout))
+            assert np.array_equal(prefix, qd.prefix_trapezoid(row, x, panels=layout))
+
+    def test_clip_is_per_row(self):
+        # the kink's interpolant undershoots below 0 on the panels; the
+        # row of nonnegative samples is clipped, the row with one negative
+        # sample beside it is not
+        layout = criteria.probe_grid(qd.ProbeSchedule())[2]
+        x = layout.nodes
+        kink, dipped = self.rows(x)[:2]
+        assert layout.kernel(kink, 3).min() < 0.0
+        kernels = qd.radial_kernel_at(np.stack([kink, dipped]), 3, x, panels=layout)
+        assert kernels[0].min() == 0.0 and kernels[1].min() < 0.0
+        assert np.array_equal(kernels[1], layout.kernel(dipped, 3))
+
+
 class TestImproperLimitProbe:
     """verdict_from_trace on a functional sampled at the schedule radii."""
 
