@@ -431,15 +431,18 @@ def cmd_sweep(cfg: dict) -> int:
         configs.append(local)
     if all(path.split(".")[:2] in (["problem", "weight1"], ["problem", "weight2"])
            for ax in axes for path in ax["paths"]):
-        # points that differ only in their weights: each is assembled and
-        # checked alone, and their criteria are probed in one batch
-        outcomes = [_attempt(_checked, local) for local in configs]
+        # weight-only points: each after the first that assembles is that one
+        # reweighted, with its numerics and hypotheses; all are probed at once
+        outcomes = []
+        for local in configs:
+            first = next((point for point in outcomes if isinstance(point, tuple)), None)
+            outcomes.append(_attempt(_checked, local) if first is None else
+                            (model.reweight(first[0], local["problem"]), *first[1:]))
         ready = [k for k, point in enumerate(outcomes) if isinstance(point, tuple)]
         reports = criteria.build_reports([outcomes[k][0] for k in ready],
                                          outcomes[ready[0]][1]["schedule"]) if ready else []
         for k, report in zip(ready, reports):
-            spec, _, hyp = outcomes[k]
-            outcomes[k] = _attempt(classifier.classify, spec, report, hyp)
+            outcomes[k] = _attempt(classifier.classify, outcomes[k][0], report, outcomes[k][2])
     else:
         outcomes = [_attempt(lambda: _classification(local)[-1]) for local in configs]
     rows = [[_fmt_cell(value) for value in combo]

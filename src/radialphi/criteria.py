@@ -514,8 +514,9 @@ def build_reports(specs, schedule: ProbeSchedule = ProbeSchedule()) -> list:
             for p in rows:
                 verdicts[p][name] = _guarded(schedule, alone, p, method, *args)
             return
+        probes = vals[:, idx].tolist() if vals is not None else ()
         for p in rows if vals is not None else ():
-            verdicts[p][name] = schedule.verdict(vals[p, idx])
+            verdicts[p][name] = schedule.verdict(probes[p])
 
     def budget(name, rows, pair, limits=None):
         for p in rows:

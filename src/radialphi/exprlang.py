@@ -3,9 +3,9 @@
 Weights, custom nonlinearities and custom operator profiles are given in
 config files as strings like ``"6/(1+r^2)"`` or ``"c*min(r, 4)"``.  An
 expression has exactly one free variable (any identifier that is not a
-function name and not a bound parameter); named parameters are substituted
-as literals at parse time, so a parsed expression is a closed function of
-its variable.
+function name and not a bound parameter).  A named parameter is a slot in
+the tree, and its value is part of the ``Expr``, so the points of a
+parameter sweep share one tree and each binds its own values.
 
 Evaluation is strict about domains: any operation that would produce a
 non-finite or complex value (division by zero, ln of a nonpositive number,
@@ -71,6 +71,11 @@ class Num:
 
 
 @dataclass(frozen=True)
+class Param:
+    name: str
+
+
+@dataclass(frozen=True)
 class Var:
     pass
 
@@ -93,7 +98,7 @@ class Call:
     args: tuple
 
 
-Node = Union[Num, Var, Neg, BinOp, Call]
+Node = Union[Num, Param, Var, Neg, BinOp, Call]
 
 _FUNCTIONS = {
     "exp": 1,
@@ -124,27 +129,18 @@ def _tokenize(source: str) -> tuple:
             if source[pos:].strip() == "":
                 break
             raise SyntaxError_(f"unexpected character {source[pos:].lstrip()[0]!r}", pos)
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        # the kind is the name of the one group that matched
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()
     tokens.append(("eof", "", n))
     return tuple(tokens)
 
 
-# tokenizations by source: the points of a parameter sweep parse the same
-# sources, each binding its own parameter values into a fresh tree
-_TOKENS = BoundedCache(64)
-
-
 class _Parser:
-    def __init__(self, tokens, params: Mapping[str, float]):
+    def __init__(self, tokens, names: tuple):
         self.tokens = tokens
         self.i = 0
-        self.params = params
+        self.names = names
         self.variable = None
 
     def peek(self):
@@ -211,8 +207,8 @@ class _Parser:
         if kind == "ident":
             if text in _FUNCTIONS:
                 return self.parse_call(text, pos)
-            if text in self.params:
-                return Num(float(self.params[text]))
+            if text in self.names:
+                return Param(text)
             if self.variable is None:
                 self.variable = text
                 return Var()
@@ -241,21 +237,30 @@ class _Parser:
         return Call(name, tuple(args))
 
 
+# (root, variable name) by source and parameter names, shared by the points
+# of a sweep
+_TREES = BoundedCache(64)
+
+
 def parse(source: str, params: Mapping[str, float] | None = None) -> "Expr":
     """Parse ``source`` into an Expr.
 
-    params are substituted as numeric literals.  The free variable is the
-    first identifier that is neither a function nor a parameter; a second
-    distinct identifier is an error.
+    Each name of ``params`` is a slot, bound to its value in the Expr.  The
+    free variable is the first identifier that is neither a function nor a
+    parameter; a second distinct identifier is an error.
     """
     if not isinstance(source, str) or source.strip() == "":
         raise SyntaxError_("empty expression", 0)
-    parser = _Parser(_TOKENS.get(source, lambda: _tokenize(source)), params or {})
-    root = parser.parse_expression()
-    kind, text, pos = parser.peek()
-    if kind != "eof":
-        raise SyntaxError_(f"unexpected trailing {text!r}", pos)
-    return Expr(root, parser.variable or "r", source)
+    names = tuple(sorted(params or ()))
+    def tree():
+        parser = _Parser(_tokenize(source), names)
+        root = parser.parse_expression()
+        kind, text, pos = parser.peek()
+        if kind != "eof":
+            raise SyntaxError_(f"unexpected trailing {text!r}", pos)
+        return root, parser.variable or "r"
+    root, variable = _TREES.get((source, names), tree)
+    return Expr(root, variable, source, tuple((name, float(params[name])) for name in names))
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +272,18 @@ def _check_finite(value, what: str):
     return value
 
 
-def _eval_node(node: Node, x):
+def _eval_node(node: Node, x, values: dict):
     if isinstance(node, Num):
         return node.value
+    if isinstance(node, Param):
+        return values[node.name]
     if isinstance(node, Var):
         return x
     if isinstance(node, Neg):
-        return -_eval_node(node.operand, x)
+        return -_eval_node(node.operand, x, values)
     if isinstance(node, BinOp):
-        a = _eval_node(node.left, x)
-        b = _eval_node(node.right, x)
+        a = _eval_node(node.left, x, values)
+        b = _eval_node(node.right, x, values)
         if node.op == "+":
             return _check_finite(np.add(a, b), "addition")
         if node.op == "-":
@@ -291,7 +298,7 @@ def _eval_node(node: Node, x):
             return _eval_power(a, b)
         raise AssertionError(node.op)
     if isinstance(node, Call):
-        args = [_eval_node(arg, x) for arg in node.args]
+        args = [_eval_node(arg, x, values) for arg in node.args]
         return _eval_call(node.name, args)
     raise AssertionError(type(node))
 
@@ -336,34 +343,36 @@ def _eval_call(name: str, args):
     raise AssertionError(name)
 
 
-def _pretty(node: Node, var_name: str) -> str:
+def _pretty(node: Node, leaves: dict) -> str:
     # fully parenthesized where structure matters; reparses identically
     if isinstance(node, Num):
         return repr(node.value)
-    if isinstance(node, Var):
-        return var_name
+    if isinstance(node, (Param, Var)):
+        return leaves[node]
     if isinstance(node, Neg):
-        return f"(-{_pretty(node.operand, var_name)})"
+        return f"(-{_pretty(node.operand, leaves)})"
     if isinstance(node, BinOp):
-        return f"({_pretty(node.left, var_name)} {node.op} {_pretty(node.right, var_name)})"
+        return f"({_pretty(node.left, leaves)} {node.op} {_pretty(node.right, leaves)})"
     if isinstance(node, Call):
-        inner = ", ".join(_pretty(a, var_name) for a in node.args)
+        inner = ", ".join(_pretty(a, leaves) for a in node.args)
         return f"{node.name}({inner})"
     raise AssertionError(type(node))
 
 
 @dataclass(frozen=True)
 class Expr:
-    """A parsed, parameter-free expression of a single variable."""
+    """A parsed expression of a single variable and its sorted (name, value)
+    parameter pairs."""
 
     root: Node
     var_name: str
     source: str
+    params: tuple = ()
 
     def __call__(self, x):
         """Evaluate at ``x`` (scalar or ndarray); scalar in, float out."""
         arr = np.asarray(x, dtype=float)
-        out = np.asarray(_eval_node(self.root, arr), dtype=float)
+        out = np.asarray(_eval_node(self.root, arr, dict(self.params)), dtype=float)
         if arr.ndim == 0:
             return float(out)
         if out.shape == arr.shape:
@@ -371,5 +380,7 @@ class Expr:
         return np.full(arr.shape, float(out))
 
     def pretty(self) -> str:
-        """Unambiguous text form; parse(pretty()) rebuilds the same tree."""
-        return _pretty(self.root, self.var_name)
+        """Unambiguous text form, each parameter as its value in parentheses
+        (-2.0 ^ 2 negates the power); parse(pretty()) evaluates the same."""
+        slots = {Param(name): f"({value!r})" for name, value in self.params}
+        return _pretty(self.root, {Var(): self.var_name, **slots})

@@ -18,10 +18,9 @@ sampling: that is documented as heuristic screening, not proof.
 
 A check that passed is kept by exactly what it reads: monotonicity by the
 function f, a split by f, its builder and the threshold or m the builder
-was given.  The points of a weight sweep share their nonlinearities, so
-each of these checks runs once per sweep.  A weight keeps its own screen
-(``Weight._screen``), so ``check_hypotheses`` reads the one that
-``build_problem`` ran instead of sampling the weight again.
+was given, a weight's screen by its function.  Besides the screens,
+nothing that assembly checks or finalizes reads a weight, so the points
+of a weight sweep are one problem with its weights replaced (``reweight``).
 """
 
 from __future__ import annotations
@@ -58,6 +57,7 @@ __all__ = [
     "weight_from_expr",
     "build_problem",
     "assemble",
+    "reweight",
     "check_hypotheses",
 ]
 
@@ -93,12 +93,14 @@ class Weight:
                 f"weight {self.label}: negative value {worst:.3g} violates nonnegativity")
         return vals
 
-    @cached_property
     def _screen(self) -> str:
-        """The note of a passed screen on [0, _SCREEN_SPAN], which the
-        weight keeps; a failed screen raises SpecError and is not kept."""
-        self.sample(_SCREEN_GRID)
+        """The note of a passed screen on [0, _SCREEN_SPAN], whose samples
+        are kept by the function; a failing screen raises SpecError."""
+        _SCREENS.get(self.fn, lambda: self.sample(_SCREEN_GRID))
         return f"sampled on [0, {_SCREEN_SPAN:g}]"
+
+
+_SCREENS = BoundedCache(2)  # passed screens; a point has two weights
 
 
 def weight_from_expr(source: str, params: Mapping[str, float] | None = None,
@@ -396,7 +398,7 @@ def build_problem(N: int, alpha: float, beta: float,
     _monotone(f1, "f1")
     _monotone(f2, "f2")
     for w in (a1, a2):
-        w._screen  # raises SpecError on a failing weight
+        w._screen()
 
     f2_alpha = _scalar(f2.f, alpha)
     f1_beta = _scalar(f1.f, beta)
@@ -529,11 +531,13 @@ def _text(value, where: str) -> str:
     return value
 
 
-def _weight_from_config(cfg, where: str, label: str) -> Weight:
-    if isinstance(cfg, str):
-        return weight_from_expr(cfg, label=label + ": " + cfg.strip())
+def _weight(problem, side: int) -> Weight:
+    """The weight a1 or a2 of a ``problem`` section."""
+    where = f"problem.weight{side}"
+    cfg = _get(problem, f"weight{side}", "problem")
+    cfg = {"expr": cfg} if isinstance(cfg, str) else cfg
     expr = _text(_get(cfg, "expr", where), where + ".expr")
-    return weight_from_expr(expr, _params(cfg, where), label=label + ": " + expr.strip())
+    return weight_from_expr(expr, _params(cfg, where), label=f"a{side}: " + expr.strip())
 
 
 def _nonlinearity_from_config(cfg, where: str) -> Nonlinearity:
@@ -631,8 +635,8 @@ def assemble(problem: Mapping) -> ProblemSpec:
         alpha=_num(get("alpha"), "problem.alpha"),
         beta=_num(get("beta"), "problem.beta"),
         op1=op1, op2=op2,
-        a1=_weight_from_config(get("weight1"), "problem.weight1", "a1"),
-        a2=_weight_from_config(get("weight2"), "problem.weight2", "a2"),
+        a1=_weight(problem, 1),
+        a2=_weight(problem, 2),
         f1=shared(_NONLINEARITIES, _nonlinearity_from_config, "f1"),
         f2=shared(_NONLINEARITIES, _nonlinearity_from_config, "f2"),
         env1=_envelope_from_config(get("envelope1", None), op1, "problem.envelope1"),
@@ -640,6 +644,15 @@ def assemble(problem: Mapping) -> ProblemSpec:
         **{key: _num_or_none(get(key, None), "problem." + key)
            for key in ("M1", "M2", "m1", "m2")},
     )
+
+
+def reweight(spec: ProblemSpec, problem: Mapping) -> ProblemSpec:
+    """``assemble(problem)`` for a section that differs from that of ``spec``
+    in its weights alone: the weights read and screened as there, in order."""
+    a1, a2 = _weight(problem, 1), _weight(problem, 2)
+    for w in (a1, a2):
+        w._screen()
+    return replace(spec, a1=a1, a2=a2)
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +697,12 @@ def _split(cache: BoundedCache, sample: Callable, nl: Nonlinearity,
     return cache.get((nl.f, builder, at), lambda: sample(nl))
 
 
+def _beyond_roundoff(big: np.ndarray, small: np.ndarray) -> np.ndarray:
+    """``big - small``, 0.0 within 4 ulps of the larger side: roundoff."""
+    ulps = np.spacing(np.maximum(np.abs(big), np.abs(small)))
+    return np.where(np.abs(big - small) <= 4 * ulps, 0.0, big - small)
+
+
 def _sample_upper_split(nl: Nonlinearity) -> HypothesisCheck:
     name = "upper_split"
     if not nl.has_upper_split:
@@ -696,7 +715,7 @@ def _sample_upper_split(nl: Nonlinearity) -> HypothesisCheck:
         rhs = nl.c_bar * np.asarray(nl.g(tv), dtype=float) * np.asarray(nl.xi_bar(wv), dtype=float)
         finite = np.isfinite(lhs) & np.isfinite(rhs)
         scale = np.maximum(np.abs(rhs), 1.0)
-        viol = np.where(finite, (lhs - rhs) / scale, np.inf)
+        viol = np.where(finite, _beyond_roundoff(lhs, rhs) / scale, np.inf)
     worst = float(np.max(viol))
     return HypothesisCheck(name, worst <= 1e-9, max(worst, 0.0),
                            note=f"sampled on {len(_SPLIT_TS)}x{len(_SPLIT_WS)} (t, w) grid")
@@ -710,7 +729,7 @@ def _sample_lower_split(nl: Nonlinearity) -> HypothesisCheck:
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = np.asarray(nl.f(nl.m_small * ws), dtype=float)
         rhs = nl.c_under * np.asarray(nl.xi_under(ws), dtype=float)
-        viol = (rhs - lhs) / np.maximum(np.abs(rhs), 1.0)
+        viol = _beyond_roundoff(rhs, lhs) / np.maximum(np.abs(rhs), 1.0)
     worst = float(np.max(viol))
     return HypothesisCheck(name, worst <= 1e-9, max(worst, 0.0),
                            note=f"sampled at w in powers of 2 up to {ws[-1]:g}")
@@ -721,7 +740,7 @@ def check_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     checks = []
     for tag, w in (("weight_1", spec.a1), ("weight_2", spec.a2)):
         try:
-            checks.append(HypothesisCheck(tag, True, note=w._screen))
+            checks.append(HypothesisCheck(tag, True, note=w._screen()))
         except SpecError as exc:
             checks.append(HypothesisCheck(tag, False, note=str(exc)))
     for tag, nl in (("monotone_f1", spec.f1), ("monotone_f2", spec.f2)):

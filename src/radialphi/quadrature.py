@@ -578,6 +578,11 @@ _DECAY_RATIO = 0.9
 _DECAY_WINDOW = 4
 
 
+def _rounded(ratios: list) -> list:
+    """``np.round(ratios, 3).tolist()`` of nonnegative or infinite ratios."""
+    return [(round(y) if math.isfinite(y) else y) / 1000.0 for y in (r * 1000.0 for r in ratios)]
+
+
 def verdict_from_trace(radii, values, tail_tol: float,
                        blowup_threshold: float) -> LimitVerdict:
     """Classify the limit of a nondecreasing functional F(R) from its values
@@ -590,7 +595,7 @@ def verdict_from_trace(radii, values, tail_tol: float,
     indeterminate rather than guessed; a logarithmically divergent
     functional under a short schedule lands here on purpose.
     """
-    values = np.asarray(values, dtype=float).tolist()
+    values = values if isinstance(values, list) else np.asarray(values, dtype=float).tolist()
     trace = tuple(zip(radii, values))
     for k, v in enumerate(values):
         if not math.isfinite(v):
@@ -618,7 +623,7 @@ def verdict_from_trace(radii, values, tail_tol: float,
 
     if window[-1] > 0 and min(ratios) >= _DECAY_RATIO:
         return LimitVerdict("divergent",
-                            note=f"increments not decaying (last ratios {np.round(ratios, 3).tolist()})",
+                            note=f"increments not decaying (last ratios {_rounded(ratios)})",
                             probes=trace)
 
     # an increment still growing near the end of the schedule rules out a

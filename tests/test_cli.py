@@ -272,13 +272,13 @@ def classify_reports(golden: dict, work_dir) -> dict:
 
 class TestGoldenReports:
     def test_classify_reports_match_the_recorded_ones(self, tmp_path):
-        # whole reports of three benchmark classify entries with operators
+        # whole reports of four benchmark classify entries with operators
         # that have no closed-form inverse; a refactor that keeps the
         # behaviour keeps every string and every float to 1e-12.  A change
         # that moves floats by design re-records the file by running this
         # module as a script
         golden = json.loads(CLASSIFY_REPORTS.read_text(encoding="utf-8"))
-        assert len(golden) == 3
+        assert len(golden) == 4
         assert_same_report(classify_reports(golden, tmp_path), golden)
 
 
@@ -736,6 +736,54 @@ class TestSweepCommand:
             "1,indeterminate,bounded_both",
             "1.000000000000e+300,indeterminate,large_both",
             "2,indeterminate,bounded_both"]
+
+    @pytest.mark.parametrize("axis,weight1,message", [
+        ({"name": "c", "paths": ["problem.weight1.params.c"], "values": [100, 200, 10, 300]},
+         {"expr": "c - r", "params": {"c": 100}},
+         "weight a1: c - r: negative value -54 violates nonnegativity"),
+        ({"name": "w", "paths": ["problem.weight2"], "values": ["1", "1 +", "r $"]},
+         {"expr": "c - r", "params": {"c": 100}}, "expected a value at offset 3"),
+        # the second point's a1 fails its screen and its a2 fails to parse:
+        # the parse comes first, as in assembly
+        ({"name": "w", "paths": ["problem.weight1.expr", "problem.weight2"],
+          "values": ["c*0 + 1", "c - r"]},
+         {"expr": "c", "params": {"c": 10}},
+         "unknown identifier 'r' (variable already bound to 'c') at offset 4"),
+    ], ids=["screen", "parse", "order"])
+    def test_later_weight_point_fails_as_assembled_alone(self, tmp_path, capsys,
+                                                         axis, weight1, message):
+        # only the first point of a weight sweep is assembled in full; a
+        # later one that fails ends the sweep with the error of its assembly
+        cfg = manufactured_config(tmp_path, sweep={"axes": [axis],
+                                                   "csv": str(tmp_path / "sweep.csv")})
+        cfg["problem"]["weight1"] = weight1
+        assert cli.run_config("sweep", cfg) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_numeric_failure_in_assembly_keeps_its_row(self, tmp_path, monkeypatch):
+        # the point after it is assembled in full, and the rest share that
+        checked = []
+        check = model.check_hypotheses
+
+        def failing_once(spec):
+            checked.append(spec)
+            if len(checked) == 1:
+                raise quadrature.NumericsError("stub")
+            return check(spec)
+
+        cfg = manufactured_config(tmp_path, sweep={
+            "axes": [{"name": "sigma", "values": [1, 2, 4],
+                      "paths": ["problem.weight1.params.sigma"]}],
+            "csv": str(tmp_path / "sweep.csv")})
+        cfg["problem"]["weight1"] = {"expr": "(1+r)^(-sigma)", "params": {"sigma": 0}}
+        assert cli.run_config("sweep", cfg) == 0
+        want = (tmp_path / "sweep.csv").read_text().splitlines()
+        monkeypatch.setattr(model, "check_hypotheses", failing_once)
+        assert cli.run_config("sweep", cfg) == 0
+        got = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert got == want[:1] + ["1,numeric_failure,NumericsError"] + want[2:]
+        assert len(checked) == 2
 
     def test_empty_axes_empty_csv(self, tmp_path):
         cfg = manufactured_config(tmp_path)

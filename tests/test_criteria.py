@@ -786,16 +786,24 @@ class TestReport:
 ROOT = Path(__file__).parents[1]
 
 
-def sweep_points(cfg) -> tuple:
-    """The problems of every point of a sweep config, assembled as ``rps
-    sweep`` assembles them, and the sweep's probe schedule."""
+def point_configs(cfg) -> list:
+    """The config of every point of a sweep config, in sweep order."""
     axes = cli._sweep_axes(cfg["sweep"])
-    specs, schedules = [], set()
+    points = []
     for combo in itertools.product(*(ax["values"] for ax in axes)):
         local = dict(cfg)
         for ax, value in zip(axes, combo):
             for path in ax["paths"]:
                 cli._set_path(local, path, value, ax["name"])
+        points.append(local)
+    return points
+
+
+def sweep_points(cfg) -> tuple:
+    """The problems of every point of a sweep config, each assembled
+    alone, and the sweep's probe schedule."""
+    specs, schedules = [], set()
+    for local in point_configs(cfg):
         spec, num, _ = cli._checked(local)
         specs.append(spec)
         schedules.add(num["schedule"])
@@ -838,6 +846,34 @@ class TestBatchReports:
         assert len(batch) == len(specs) == (6 if name == "README" else 8)
         for spec, report in zip(specs, batch):
             assert report.to_dict() == cr.build_report(spec, schedule).to_dict()
+
+    @pytest.mark.parametrize("name,cfg", weight_sweeps().items())
+    def test_sweep_points_as_assembled_alone(self, name, cfg, tmp_path, monkeypatch):
+        # rps sweep assembles its first point and gives every later one its
+        # own weights (model.reweight), sharing the rest; each point's
+        # instance, hypotheses, report and classification are those of its
+        # config assembled alone, every float compared by ==
+        cfg = copy.deepcopy(cfg)
+        cfg["sweep"]["csv"] = str(tmp_path / "sweep.csv")
+        seen = []
+        classify = cl.classify
+        monkeypatch.setattr(cl, "classify", lambda spec, report, hyp: (
+            seen.append((spec, report, hyp)) or classify(spec, report, hyp)))
+        assert cli.run_config("sweep", cfg) == 0
+        monkeypatch.setattr(cl, "classify", classify)
+        points = point_configs(cfg)
+        assert len(seen) == len(points) == (6 if name == "README" else 8)
+        assert all(spec.f1 is seen[0][0].f1 and spec.env2 is seen[0][0].env2
+                   for spec, _, _ in seen)
+        for (spec, report, hyp), local in zip(seen, points):
+            alone = model.assemble(local["problem"])
+            alone_hyp = model.check_hypotheses(alone)
+            alone_report = cr.build_report(alone, cli._numerics(local)["schedule"])
+            assert cli._instance_echo(spec) == cli._instance_echo(alone)
+            assert hyp.to_dict() == alone_hyp.to_dict()
+            assert report.to_dict() == alone_report.to_dict()
+            assert (classify(spec, report, hyp).to_dict()
+                    == classify(alone, alone_report, alone_hyp).to_dict())
 
     def test_failing_row_gets_its_own_notes(self, monkeypatch):
         specs, schedule = sweep_points(overflow_config())

@@ -69,21 +69,68 @@ def test_params_substituted_at_parse_time():
     assert e(1.0) == pytest.approx(0.125)
 
 
-def test_tokens_kept_by_source_and_params_bound_per_parse(monkeypatch):
+def test_trees_kept_by_source_and_param_names(monkeypatch):
     # the points of a sweep parse one source with their own params: the
-    # source is scanned once, and each parse binds its own values
-    monkeypatch.setattr(ex, "_TOKENS", BoundedCache(64))
-    scanned = []
+    # source is parsed once, and each Expr binds its own values
+    monkeypatch.setattr(ex, "_TREES", BoundedCache(64))
+    parsed = []
     tokenize = ex._tokenize
-    monkeypatch.setattr(ex, "_tokenize", lambda source: scanned.append(source) or tokenize(source))
+    monkeypatch.setattr(ex, "_tokenize", lambda source: parsed.append(source) or tokenize(source))
     curves = [ex.parse("(1+r)^(-sigma)", {"sigma": s}) for s in (1.0, 2.0, 3.0)]
-    assert scanned == ["(1+r)^(-sigma)"]
+    assert parsed == ["(1+r)^(-sigma)"]
+    assert curves[0].root is curves[2].root
     assert [f(1.0) for f in curves] == [0.5, 0.25, 0.125]
-    # a source that fails to scan is not kept
+    # the values tell the expressions apart
+    assert len(set(curves)) == 3
+    assert curves[1] == ex.parse("(1+r)^(-sigma)", {"sigma": 2})
+    assert curves[1].params == (("sigma", 2.0),)
+    # other names make another tree: without params, sigma is the variable
+    with pytest.raises(ex.NameError_):
+        ex.parse("(1+r)^(-sigma)")
+    # a source that fails to parse is not kept
     for _ in range(2):
         with pytest.raises(ex.SyntaxError_):
             ex.parse("r $ 2")
-    assert scanned[1:] == ["r $ 2", "r $ 2"]
+    assert parsed[1:] == ["(1+r)^(-sigma)", "r $ 2", "r $ 2"]
+
+
+def literal(node, values):
+    """``node`` with every parameter slot replaced by its value as a
+    literal: the tree that parsing with substituted parameters made."""
+    if isinstance(node, ex.Param):
+        return ex.Num(values[node.name])
+    if isinstance(node, ex.Neg):
+        return ex.Neg(literal(node.operand, values))
+    if isinstance(node, ex.BinOp):
+        return ex.BinOp(node.op, literal(node.left, values), literal(node.right, values))
+    if isinstance(node, ex.Call):
+        return ex.Call(node.name, tuple(literal(a, values) for a in node.args))
+    return node
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("source,params", [
+    *[("(1+r)^(-sigma)", {"sigma": s}) for s in (0, 0.5, 1, 2, -1)],
+    ("c*min(r, k)", {"c": 2.5, "k": 4}),
+    ("exp(-a*r)", {"a": 0.3}),
+    # a negative value is written in parentheses: -2.0 ^ 2.0 reads as -4
+    ("c^2 + r", {"c": -2}),
+])
+def test_slots_evaluate_as_literals(source, params):
+    # the same float scalars enter the same numpy calls, so numpy's scalar
+    # fast paths (a power of 0, 0.5, 1, 2 or -1) are taken as before
+    expr = ex.parse(source, params)
+    lit = ex.Expr(literal(expr.root, dict(expr.params)), expr.var_name, source)
+    again = ex.parse(expr.pretty())
+    xs = np.concatenate((np.linspace(0.0, 64.0, 513), np.logspace(-6, 6, 241)))
+    for x in (xs, xs[::-7].copy(), 0.0, 1.0, 3.7):
+        assert same_bits(expr(x), lit(x))
+        assert same_bits(again(x), expr(x))
+    assert type(expr(1.0)) is float
 
 
 def test_unary_minus_binds_below_power():

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from radialphi import cli, model
+from radialphi import cli, exprlang, model
 from radialphi import criteria as cr
 from radialphi import operators as ops
 from radialphi._memo import BoundedCache
@@ -149,7 +149,30 @@ class TestAssembly:
             })
 
 
+def nudged(ulps: int):
+    """The identity moved up by ``ulps`` ulps."""
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        for _ in range(ulps):
+            x = np.nextafter(x, np.inf)
+        return x
+    return fn
+
+
 class TestHypothesisChecks:
+    @pytest.mark.parametrize("ulps", [1, 4, 5, 16])
+    def test_split_sides_within_roundoff_agree(self, ulps):
+        # a split that holds with equality still rounds: sides within 4 ulps
+        # of the larger one read no violation, and a wider gap still does
+        ident = nudged(0)
+        upper = model.Nonlinearity(f=nudged(ulps), label="t", family="custom", c_bar=1.0,
+                                   g=ident, xi_bar=ident, threshold=1.0)
+        lower = model.Nonlinearity(f=ident, label="t", family="custom", c_under=1.0,
+                                   xi_under=nudged(ulps), m_small=1.0)
+        for check in (model._sample_upper_split(upper), model._sample_lower_split(lower)):
+            assert check.ok
+            assert (check.worst == 0.0) if ulps <= 4 else (0.0 < check.worst < 1e-14)
+
     def test_power_case_exact_factorization(self, lap):
         # f(t) = t^gamma with power envelopes: the upper split holds with
         # equality, so the sampled check passes with zero violation
@@ -342,7 +365,7 @@ class TestOperatorCache:
         assert built == ["elasticity"] and derived == ["elasticity(p=1)"]
 
 
-_CHECK_CACHES = ("_MONOTONE", "_UPPER_SPLITS", "_LOWER_SPLITS")
+_CHECK_CACHES = ("_MONOTONE", "_UPPER_SPLITS", "_LOWER_SPLITS", "_SCREENS")
 
 
 def cold_caches(monkeypatch):
@@ -410,8 +433,14 @@ def cold_hypotheses(tmp_path, monkeypatch, problem) -> dict:
 class TestCheckCache:
     def test_sigma_sweep_runs_each_check_once_per_key(self, tmp_path, monkeypatch):
         cold_caches(monkeypatch)
+        monkeypatch.setattr(exprlang, "_TREES", BoundedCache(64))
         runs = {"monotone": Counter(), "upper": Counter(), "lower": Counter()}
-        screens = []
+        screens, parsed, assembled = [], [], []
+        tokenize, assemble = exprlang._tokenize, model.assemble
+        monkeypatch.setattr(exprlang, "_tokenize", lambda source: (
+            parsed.append(source) or tokenize(source)))
+        monkeypatch.setattr(model, "assemble", lambda problem: (
+            assembled.append(problem) or assemble(problem)))
         monotone, upper, lower = (model._check_monotone, model._sample_upper_split,
                                   model._sample_lower_split)
         sample = model.Weight.sample
@@ -434,13 +463,18 @@ class TestCheckCache:
         hyps, batches = sweep_hypotheses(tmp_path, monkeypatch, decay_config(), "sigma",
                                          ["problem.weight1.params.sigma",
                                           "problem.weight2.params.sigma"], sigmas)
-        assert len(hyps) == 8 and all(all(c["ok"] for c in h.values()) for h in hyps)
-        # a sweep of weights alone probes its points as one batch
+        # a sweep of weights alone assembles and checks its first point,
+        # gives every later one its own weights, and probes them in one batch
+        assert len(assembled) == 1 and len(hyps) == 1
+        assert all(c["ok"] for c in hyps[0].values())
         assert batches == [8]
+        # the weight source is parsed once: sigma is a slot of the tree
+        assert parsed == ["(1+r)^(-sigma)"]
         for kind, counts in runs.items():
             assert len(counts) == 2 and set(counts.values()) == {1}, kind
-        # each weight is screened once, by assembly; the report reuses that
-        assert len(screens) == 16 and len(set(map(id, screens))) == 16
+        # a point's a1 and a2 are one function, screened once, by assembly
+        # or reweighting; the report reuses that
+        assert len(screens) == 8 and len({w.fn for w in screens}) == 8
 
     @pytest.mark.parametrize("problem,axis,path,values", [
         (decay_config(), "gamma", "problem.f1.gamma", [1.0, 50.0, 2.0, 0.5, 50.0]),

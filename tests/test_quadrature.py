@@ -637,6 +637,9 @@ class TestImproperLimitProbe:
          ("divergent", None, None, "increments not decaying (last ratios [1.0, 1.0, 1.0])")),
         ([0.0] * 12 + [1.0, 2.0, 3.0],
          ("divergent", None, None, "increments not decaying (last ratios [inf, 1.0, 1.0])")),
+        # a ratio of 1e306 overflows when scaled by 1000, which used to warn
+        ([0.0] * 11 + [1e-300, 1e6, 2e6, 3e6],
+         ("divergent", None, None, "increments not decaying (last ratios [inf, 1.0, 1.0])")),
         ([0.0] * 11 + [1.0, 1.5, 2.3, 2.5],
          ("indeterminate", None, None, "increments still growing")),
         ([3.0] * 15, ("finite", 3.0, 0.0, "increments vanished")),
@@ -649,14 +652,27 @@ class TestImproperLimitProbe:
         ([0.0] * 11 + [1.0, 1.5, 2.0, 2.5],
          ("indeterminate", None, None, "no usable decay pattern")),
     ], ids=["non_finite", "blow_up", "too_short", "decreased", "not_decaying",
-            "not_decaying_after_flat", "still_growing", "vanished", "noise_clipped",
-            "geometric", "tail_above_tol", "no_pattern"])
+            "not_decaying_after_flat", "not_decaying_overflowing", "still_growing",
+            "vanished", "noise_clipped", "geometric", "tail_above_tol", "no_pattern"])
     def test_every_branch_pinned(self, values, expected):
         # the notes land in the byte-stable report JSON
         radii = qd.ProbeSchedule().radii().tolist()[:len(values)]
         v = qd.verdict_from_trace(radii, values, 1e-6, 1e8)
         assert (v.kind, v.value, v.error, v.note) == expected
         assert v.probes == tuple(zip(radii, values))
+
+    def test_note_ratios_rounded_as_numpy_rounds(self):
+        # the ratios of a not-decaying note, rounded in plain floats
+        rng = np.random.default_rng(27)
+        ratios = np.concatenate((
+            rng.exponential(2.0, 10**4),
+            np.arange(3000) / 1000 + 0.0005,  # halfway cases
+            1.8e305 * np.linspace(0.99, 1.01, 101),  # x1000 overflows from 1.8e305 up
+            [np.inf, 0.0, np.finfo(float).max])).tolist()
+        with np.errstate(over="ignore"):
+            want = np.round(ratios, 3).tolist()
+        assert qd._rounded(ratios) == want
+        assert all(type(x) is float for x in qd._rounded(ratios))
 
     def test_blowup_threshold(self):
         v = probe(lambda r: r ** 2, qd.ProbeSchedule())
