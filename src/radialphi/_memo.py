@@ -1,11 +1,10 @@
 """The one cache policy of the package: a bounded map of values built once.
 
-Panel matrices, growth-budget probe values, the operators, nonlinearities
-and envelopes that config assembly builds, the hypothesis checks and
-weight screens that passed and expression trees are all kept this way:
-least recently used out first, each value built under the lock so that
-threads share one build, and nothing kept from a build that raises.  The lock is not
-reentrant: a build must not look up its own cache.
+Panel matrices, growth-budget probe values, operators, their derived
+envelopes and expression trees are kept this way, each for the traffic
+README lists: least recently used out first, each value built under the
+lock so that threads share one build, and nothing kept from a build that
+raises.  The lock is not reentrant: a build must not look up its own cache.
 """
 
 from __future__ import annotations

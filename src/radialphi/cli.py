@@ -271,20 +271,14 @@ def _checked(cfg: dict):
     return spec, _numerics(cfg), model.check_hypotheses(spec)
 
 
-def _classification(cfg: dict):
-    """Assemble, probe and classify one config: (spec, numerics,
-    hypotheses, criteria report, classification)."""
-    spec, num, hyp = _checked(cfg)
-    report = criteria.build_report(spec, num["schedule"])
-    return spec, num, hyp, report, classifier.classify(spec, report, hyp)
-
-
 def cmd_classify(cfg: dict) -> int:
     with_solve = _section(cfg, "classify").get("with_solve", False)
     if not isinstance(with_solve, bool):
         raise ConfigShapeError(f"classify.with_solve must be true or false, got {with_solve!r}")
     try:
-        spec, num, hyp, report, cls = _classification(cfg)
+        spec, num, hyp = _checked(cfg)
+        report = criteria.build_report(spec, num["schedule"])
+        cls = classifier.classify(spec, report, hyp)
         payload = {
             "instance": _instance_echo(spec),
             "hypotheses": hyp.to_dict(),
@@ -414,6 +408,23 @@ def _attempt(fn, *args):
         return ["numeric_failure", type(exc).__name__]
 
 
+def _classify_batch(configs: list) -> list:
+    """Each point's classification, or the row cells of its numeric failure.
+    The points differ in their weights alone: each after the first that
+    assembles is that one reweighted, and all are probed as one batch."""
+    points = []
+    for local in configs:
+        first = next((point for point in points if isinstance(point, tuple)), None)
+        points.append(_attempt(_checked, local) if first is None else
+                      (model.reweight(first[0], local["problem"]), *first[1:]))
+    ready = [k for k, point in enumerate(points) if isinstance(point, tuple)]
+    reports = criteria.build_reports([points[k][0] for k in ready],
+                                     points[ready[0]][1]["schedule"]) if ready else []
+    for k, report in zip(ready, reports):
+        points[k] = _attempt(classifier.classify, points[k][0], report, points[k][2])
+    return points
+
+
 def cmd_sweep(cfg: dict) -> int:
     sweep = _section(cfg, "sweep")
     axes = _sweep_axes(sweep)
@@ -429,22 +440,11 @@ def cmd_sweep(cfg: dict) -> int:
             for path in ax["paths"]:
                 _set_path(local, path, value, ax["name"])
         configs.append(local)
-    if all(path.split(".")[:2] in (["problem", "weight1"], ["problem", "weight2"])
-           for ax in axes for path in ax["paths"]):
-        # weight-only points: each after the first that assembles is that one
-        # reweighted, with its numerics and hypotheses; all are probed at once
-        outcomes = []
-        for local in configs:
-            first = next((point for point in outcomes if isinstance(point, tuple)), None)
-            outcomes.append(_attempt(_checked, local) if first is None else
-                            (model.reweight(first[0], local["problem"]), *first[1:]))
-        ready = [k for k, point in enumerate(outcomes) if isinstance(point, tuple)]
-        reports = criteria.build_reports([outcomes[k][0] for k in ready],
-                                         outcomes[ready[0]][1]["schedule"]) if ready else []
-        for k, report in zip(ready, reports):
-            outcomes[k] = _attempt(classifier.classify, outcomes[k][0], report, outcomes[k][2])
-    else:
-        outcomes = [_attempt(lambda: _classification(local)[-1]) for local in configs]
+    # weight-only points share one assembly and one batch; others run alone
+    weights_only = all(path.split(".")[:2] in (["problem", "weight1"], ["problem", "weight2"])
+                       for ax in axes for path in ax["paths"])
+    batches = [configs] if weights_only else [[local] for local in configs]
+    outcomes = [cls for batch in batches for cls in _classify_batch(batch)]
     rows = [[_fmt_cell(value) for value in combo]
             + (cls if isinstance(cls, list) else [cls.verdict, cls.matched_rule])
             for combo, cls in zip(combos, outcomes)]

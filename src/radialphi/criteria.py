@@ -373,9 +373,8 @@ _BUDGETS = BoundedCache(8)
 def _budget_probes(spec: ProblemSpec, pair: str, radii: list, relaxed: bool = False,
                    acc_limit: float | None = None) -> np.ndarray:
     """Growth-budget values at probe radii, read-only and kept by the
-    budget's inputs and the radii.  A weight sweep leaves every input of
-    the plain budgets as it is: config assembly hands each point the same
-    operator envelopes and nonlinearities, so the points share these values."""
+    budget's inputs and the radii.  The reweighted points of a weight sweep
+    share every input of the plain budgets, so they share these values."""
     def build():
         gb = GrowthBudget(spec, pair, relaxed=relaxed, acc_limit=acc_limit)
         values = gb.value(radii)

@@ -15,6 +15,7 @@ instead of silently returning nan/inf.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, Union
@@ -29,6 +30,7 @@ __all__ = [
     "SyntaxError_",
     "NameError_",
     "ArityError",
+    "NumberError",
     "DomainError",
     "parse",
 ]
@@ -56,6 +58,10 @@ class NameError_(_LocatedError):
 
 class ArityError(_LocatedError):
     """A function called with the wrong number of arguments."""
+
+
+class NumberError(_LocatedError):
+    """A number literal or a parameter value that is not finite."""
 
 
 class DomainError(ExprError):
@@ -199,7 +205,9 @@ class _Parser:
     def parse_primary(self) -> Node:
         kind, text, pos = self.advance()
         if kind == "num":
-            return Num(float(text))
+            if math.isinf(value := float(text)):
+                raise NumberError(f"number {text} overflows a float", pos)
+            return Num(value)
         if kind == "op" and text == "(":
             node = self.parse_expression()
             self.expect_op(")")
@@ -260,7 +268,12 @@ def parse(source: str, params: Mapping[str, float] | None = None) -> "Expr":
             raise SyntaxError_(f"unexpected trailing {text!r}", pos)
         return root, parser.variable or "r"
     root, variable = _TREES.get((source, names), tree)
-    return Expr(root, variable, source, tuple((name, float(params[name])) for name in names))
+    values = tuple((name, float(params[name])) for name in names)
+    for name, value in values:
+        if not math.isfinite(value):  # located at its first use
+            pos = next((p for k, t, p in _tokenize(source) if (k, t) == ("ident", name)), 0)
+            raise NumberError(f"parameter {name!r} is {value!r}, not a finite number", pos)
+    return Expr(root, variable, source, values)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,10 @@ Built-in nonlinearity families carry exact envelope data; custom expression
 nonlinearities may supply their own.  Quantified hypotheses are validated by
 sampling: that is documented as heuristic screening, not proof.
 
-A check that passed is kept by exactly what it reads: monotonicity by the
-function f, a split by f, its builder and the threshold or m the builder
-was given, a weight's screen by its function.  Besides the screens,
-nothing that assembly checks or finalizes reads a weight, so the points
-of a weight sweep are one problem with its weights replaced (``reweight``).
+Operators and their derived envelopes are kept between assemblies;
+nonlinearities and checks are made anew by each.  Nothing that assembly
+checks or finalizes reads a weight besides its screen, so the points of a
+weight sweep are one problem with its weights replaced (``reweight``).
 """
 
 from __future__ import annotations
@@ -93,15 +92,6 @@ class Weight:
                 f"weight {self.label}: negative value {worst:.3g} violates nonnegativity")
         return vals
 
-    def _screen(self) -> str:
-        """The note of a passed screen on [0, _SCREEN_SPAN], whose samples
-        are kept by the function; a failing screen raises SpecError."""
-        _SCREENS.get(self.fn, lambda: self.sample(_SCREEN_GRID))
-        return f"sampled on [0, {_SCREEN_SPAN:g}]"
-
-
-_SCREENS = BoundedCache(2)  # passed screens; a point has two weights
-
 
 def weight_from_expr(source: str, params: Mapping[str, float] | None = None,
                      label: str | None = None) -> Weight:
@@ -156,6 +146,8 @@ def _power_fn(gamma: float) -> Callable:
 
 def power_nonlinearity(gamma: float) -> Nonlinearity:
     """f(t) = t**gamma.  The product split is exact: f(t*w) = g(t)*xi(w)."""
+    if not math.isfinite(gamma):
+        raise SpecError(f"power nonlinearity: gamma {gamma!r} is not finite")
     if not gamma > 0:
         raise SpecError("power nonlinearity requires a positive exponent")
     f = _power_fn(gamma)
@@ -172,6 +164,9 @@ def power_combination_nonlinearity(coeffs, exponents) -> Nonlinearity:
     exponents = [float(g) for g in exponents]
     if len(coeffs) != len(exponents) or not coeffs:
         raise SpecError("power combination needs matching nonempty coefficient lists")
+    if not all(map(math.isfinite, coeffs + exponents)):
+        raise SpecError(f"power combination: coeffs {coeffs} and exponents "
+                        f"{exponents} must be finite")
     if any(c <= 0 for c in coeffs) or any(g <= 0 for g in exponents):
         raise SpecError("power combination requires positive coefficients and exponents")
 
@@ -251,10 +246,6 @@ def custom_nonlinearity(source: str, params: Mapping[str, float] | None = None,
         lower_split_builder = lambda m: (float(c_under), xiu_fn)
     return Nonlinearity(f=f, label=source.strip(), family="custom",
                         upper_split_builder=upper_split_builder, lower_split_builder=lower_split_builder)
-
-
-NONLINEARITY_FAMILIES = ("power", "power_combination", "exp_minus_one",
-                         "log1p", "custom")
 
 
 # ---------------------------------------------------------------------------
@@ -347,19 +338,10 @@ def _check_monotone(nl: Nonlinearity, name: str):
         raise SpecError(f"{name} ({nl.label}): vanishes at a positive argument")
 
 
-# hypothesis checks, each kept by exactly what it reads: monotonicity when
-# it passed, split checks whatever their outcome; a sweep point has two
-# nonlinearities, and points that share a nonlinearity section share its
-# functions and split builders (see _from_section)
-_MONOTONE = BoundedCache(2)
-_UPPER_SPLITS = BoundedCache(2)
-_LOWER_SPLITS = BoundedCache(2)
-
-
-def _monotone(nl: Nonlinearity, name: str):
-    """``_check_monotone(nl, name)``, run once per function f while its pass
-    is kept; a failure raises, is not kept, and names this caller's ``name``."""
-    _MONOTONE.get(nl.f, lambda: _check_monotone(nl, name))
+def _screen(a1: Weight, a2: Weight):
+    """Sample a1, and a2 unless it is a1's function, on [0, _SCREEN_SPAN]."""
+    for w in (a1,) if a2.fn == a1.fn else (a1, a2):
+        w.sample(_SCREEN_GRID)
 
 
 def build_problem(N: int, alpha: float, beta: float,
@@ -395,10 +377,9 @@ def build_problem(N: int, alpha: float, beta: float,
         envs.append(env)
     env1, env2 = envs
 
-    _monotone(f1, "f1")
-    _monotone(f2, "f2")
-    for w in (a1, a2):
-        w._screen()
+    _check_monotone(f1, "f1")
+    _check_monotone(f2, "f2")
+    _screen(a1, a2)
 
     f2_alpha = _scalar(f2.f, alpha)
     f1_beta = _scalar(f1.f, beta)
@@ -573,25 +554,22 @@ def _operator_from_config(cfg, where: str) -> PhiOperator:
     return make_operator(family, **{k: v for k, v in cfg.items() if k != "family"})
 
 
-# a sweep point assembles two operators and two nonlinearities; more
-# entries would keep more flux tables alive between runs than a sweep reuses
+# a problem has two operators; more entries would keep more flux tables
+# alive between runs than consecutive configs reuse
 _OPERATORS = BoundedCache(2)
-_NONLINEARITIES = BoundedCache(2)
 # envelopes derived from an operator, by the operator; a refusal is not kept
 _ENVELOPES = BoundedCache(2)
 
 
-def _from_section(cache: BoundedCache, build: Callable, cfg, where: str):
-    """``build(cfg, where)``, kept in ``cache`` by the section's canonical
-    JSON, so sweep points that share a section share its object: an
-    operator with its flux tables and derived envelopes, a nonlinearity
-    with the functions that the criteria key their growth budgets on.  A
-    section that is not plain JSON is built afresh every time."""
+def _from_section(cfg, where: str) -> PhiOperator:
+    """The operator of a config section, kept in ``_OPERATORS`` by its
+    canonical JSON with its flux tables and derived envelopes; a section
+    that is not plain JSON is built afresh every time."""
     try:
         key = json.dumps(cfg, sort_keys=True)
     except (TypeError, ValueError):
-        return build(cfg, where)
-    return cache.get(key, lambda: build(cfg, where))
+        return _operator_from_config(cfg, where)
+    return _OPERATORS.get(key, lambda: _operator_from_config(cfg, where))
 
 
 def _envelope_from_config(cfg, op: PhiOperator, where: str) -> EnvelopeSet | None:
@@ -625,11 +603,8 @@ def assemble(problem: Mapping) -> ProblemSpec:
     def get(key, default=_REQUIRED):
         return _get(problem, key, "problem", default)
 
-    def shared(cache, build, key):
-        return _from_section(cache, build, get(key), "problem." + key)
-
-    op1 = shared(_OPERATORS, _operator_from_config, "operator1")
-    op2 = shared(_OPERATORS, _operator_from_config, "operator2")
+    op1 = _from_section(get("operator1"), "problem.operator1")
+    op2 = _from_section(get("operator2"), "problem.operator2")
     return build_problem(
         N=_whole(get("N"), "problem.N"),
         alpha=_num(get("alpha"), "problem.alpha"),
@@ -637,8 +612,8 @@ def assemble(problem: Mapping) -> ProblemSpec:
         op1=op1, op2=op2,
         a1=_weight(problem, 1),
         a2=_weight(problem, 2),
-        f1=shared(_NONLINEARITIES, _nonlinearity_from_config, "f1"),
-        f2=shared(_NONLINEARITIES, _nonlinearity_from_config, "f2"),
+        f1=_nonlinearity_from_config(get("f1"), "problem.f1"),
+        f2=_nonlinearity_from_config(get("f2"), "problem.f2"),
         env1=_envelope_from_config(get("envelope1", None), op1, "problem.envelope1"),
         env2=_envelope_from_config(get("envelope2", None), op2, "problem.envelope2"),
         **{key: _num_or_none(get(key, None), "problem." + key)
@@ -650,8 +625,7 @@ def reweight(spec: ProblemSpec, problem: Mapping) -> ProblemSpec:
     """``assemble(problem)`` for a section that differs from that of ``spec``
     in its weights alone: the weights read and screened as there, in order."""
     a1, a2 = _weight(problem, 1), _weight(problem, 2)
-    for w in (a1, a2):
-        w._screen()
+    _screen(a1, a2)
     return replace(spec, a1=a1, a2=a2)
 
 
@@ -687,24 +661,13 @@ class HypothesisReport:
         return {c.name: c.to_dict() for c in self.checks}
 
 
-def _split(cache: BoundedCache, sample: Callable, nl: Nonlinearity,
-           builder: Callable | None, at: float | None) -> HypothesisCheck:
-    """``sample(nl)``, kept in ``cache`` by ``(f, builder, at)`` whether it
-    passed or failed: the builder makes the split's constant and functions
-    from ``at`` alone, and the caller names the check after the lookup."""
-    if builder is None:
-        return sample(nl)
-    return cache.get((nl.f, builder, at), lambda: sample(nl))
-
-
 def _beyond_roundoff(big: np.ndarray, small: np.ndarray) -> np.ndarray:
     """``big - small``, 0.0 within 4 ulps of the larger side: roundoff."""
     ulps = np.spacing(np.maximum(np.abs(big), np.abs(small)))
     return np.where(np.abs(big - small) <= 4 * ulps, 0.0, big - small)
 
 
-def _sample_upper_split(nl: Nonlinearity) -> HypothesisCheck:
-    name = "upper_split"
+def _sample_upper_split(nl: Nonlinearity, name: str) -> HypothesisCheck:
     if not nl.has_upper_split:
         return HypothesisCheck(name, False, note="no upper envelope data")
     # the grid at an extreme threshold, f(t*w) and its bound may overflow:
@@ -721,8 +684,7 @@ def _sample_upper_split(nl: Nonlinearity) -> HypothesisCheck:
                            note=f"sampled on {len(_SPLIT_TS)}x{len(_SPLIT_WS)} (t, w) grid")
 
 
-def _sample_lower_split(nl: Nonlinearity) -> HypothesisCheck:
-    name = "lower_split"
+def _sample_lower_split(nl: Nonlinearity, name: str) -> HypothesisCheck:
     if not nl.has_lower_split:
         return HypothesisCheck(name, False, note="no lower envelope data")
     ws = _SPLIT_WS
@@ -740,21 +702,17 @@ def check_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     checks = []
     for tag, w in (("weight_1", spec.a1), ("weight_2", spec.a2)):
         try:
-            checks.append(HypothesisCheck(tag, True, note=w._screen()))
+            w.sample(_SCREEN_GRID)
+            checks.append(HypothesisCheck(tag, True, note=f"sampled on [0, {_SCREEN_SPAN:g}]"))
         except SpecError as exc:
             checks.append(HypothesisCheck(tag, False, note=str(exc)))
     for tag, nl in (("monotone_f1", spec.f1), ("monotone_f2", spec.f2)):
         try:
-            _monotone(nl, tag)
+            _check_monotone(nl, tag)
             checks.append(HypothesisCheck(tag, True))
         except SpecError as exc:
             checks.append(HypothesisCheck(tag, False, note=str(exc)))
-    for tag, nl in (("f1", spec.f1), ("f2", spec.f2)):
-        check = _split(_UPPER_SPLITS, _sample_upper_split, nl,
-                       nl.upper_split_builder, nl.threshold)
-        checks.append(replace(check, name=f"upper_split_{tag}"))
-    for tag, nl in (("f1", spec.f1), ("f2", spec.f2)):
-        check = _split(_LOWER_SPLITS, _sample_lower_split, nl,
-                       nl.lower_split_builder, nl.m_small)
-        checks.append(replace(check, name=f"lower_split_{tag}"))
+    for kind, sample in (("upper", _sample_upper_split), ("lower", _sample_lower_split)):
+        for tag, nl in (("f1", spec.f1), ("f2", spec.f2)):
+            checks.append(sample(nl, f"{kind}_split_{tag}"))
     return HypothesisReport(checks=tuple(checks))

@@ -2,7 +2,10 @@ import copy
 import csv
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 import warnings
 from pathlib import Path
@@ -403,8 +406,8 @@ class TestConfigErrors:
         (["problem.N", ""], "path '' has an empty segment"),
     ])
     def test_bad_sweep_path_names_it(self, tmp_path, capsys, monkeypatch, paths, name):
-        monkeypatch.setattr(cli, "_classification",
-                            lambda cfg: pytest.fail("a sweep point ran"))
+        monkeypatch.setattr(cli, "_classify_batch",
+                            lambda configs: pytest.fail("a sweep point ran"))
         cfg = manufactured_config(tmp_path, sweep={
             "axes": [{"name": "sigma", "paths": paths, "values": [3]}]})
         assert cli.run_config("sweep", cfg) == 1
@@ -520,6 +523,19 @@ class TestConfigErrors:
         # JSON, into report.json
         ("M1", float("nan"), "scaling constants M1, M2 must be finite"),
         ("M2", float("inf"), "scaling constants M1, M2 must be finite"),
+        # used to exit 1 for the wrong reason, "f1 (t^inf): vanishes at a
+        # positive argument"
+        ("f1", {"family": "power", "gamma": float("inf")},
+         "power nonlinearity: gamma inf is not finite"),
+        # used to print numpy's "invalid value encountered in multiply"
+        # RuntimeWarning before its config error line
+        ("f1", {"family": "power_combination", "coeffs": [1.0, float("inf")],
+                "exponents": [1.0, 2.0]},
+         "power combination: coeffs [1.0, inf] and exponents [1.0, 2.0] must be finite"),
+        # these two parsed into expressions whose pretty() did not reparse
+        ("weight2", {"expr": "(1+r)^(-s)", "params": {"s": float("inf")}},
+         "parameter 's' is inf, not a finite number at offset 8"),
+        ("weight1", "1e400/(1+r^2)", "number 1e400 overflows a float at offset 0"),
     ])
     def test_non_finite_problem_scalar_exits_1(self, tmp_path, capsys, command, key, value,
                                                line):
@@ -567,15 +583,16 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: config cannot be read as JSON: 'utf-8' codec")
 
-    @pytest.mark.parametrize("command", ["classify", "sweep"])
-    @pytest.mark.parametrize("module,name", [
-        ("criteria", "build_report"),
+    @pytest.mark.parametrize("module,name,command", [
+        ("criteria", "build_report", "classify"),
+        # a sweep probes its points in batches
+        ("criteria", "build_reports", "sweep"),
         # inside problem assembly, after the config values are read
-        ("model", "derive_envelopes"),
-        ("model", "build_problem"),
+        *[("model", name, command) for name in ("derive_envelopes", "build_problem")
+          for command in ("classify", "sweep")],
     ])
     def test_programming_error_is_not_a_config_error(self, tmp_path, capsys, monkeypatch,
-                                                     command, module, name):
+                                                     module, name, command):
         def broken(*args, **kwargs):
             raise TypeError("planted")
 
@@ -799,19 +816,19 @@ class TestSweepCommand:
         monkeypatch.setenv("RPS_THREADS", "2")
         calls = []
 
-        def record(cfg):
-            calls.append((threading.get_ident(),
-                          cfg["problem"]["f1"]["gamma"], cfg["problem"]["f2"]["gamma"]))
-            cls = SimpleNamespace(verdict="both_large", matched_rule="large_both")
-            return None, None, None, None, cls
+        def record(configs):
+            calls.append([(threading.get_ident(), cfg["problem"]["f1"]["gamma"],
+                           cfg["problem"]["f2"]["gamma"]) for cfg in configs])
+            return [SimpleNamespace(verdict="both_large", matched_rule="large_both")] * len(configs)
 
-        monkeypatch.setattr(cli, "_classification", record)
+        monkeypatch.setattr(cli, "_classify_batch", record)
         cfg = manufactured_config(tmp_path, sweep={"axes": [
             {"name": "gamma1", "paths": ["problem.f1.gamma"], "values": [0.5, 1.0]},
             {"name": "gamma2", "paths": ["problem.f2.gamma"], "values": [0.5, 1.0, 2.0]},
         ], "csv": str(tmp_path / "sweep.csv")})
         assert cli.run_config("sweep", cfg) == 0
-        assert calls == [(threading.get_ident(), g1, g2)
+        # a sweep that is not of the weights alone is one batch per point
+        assert calls == [[(threading.get_ident(), g1, g2)]
                          for g1 in (0.5, 1.0) for g2 in (0.5, 1.0, 2.0)]
 
     def test_points_leave_the_callers_config_alone(self, tmp_path, monkeypatch):
@@ -820,12 +837,11 @@ class TestSweepCommand:
         # still see its own combination and nothing of the point before
         seen = []
 
-        def record(cfg):
-            seen.append(copy.deepcopy(cfg))
-            cls = SimpleNamespace(verdict="both_large", matched_rule="large_both")
-            return None, None, None, None, cls
+        def record(configs):
+            seen.extend(copy.deepcopy(configs))
+            return [SimpleNamespace(verdict="both_large", matched_rule="large_both")] * len(configs)
 
-        monkeypatch.setattr(cli, "_classification", record)
+        monkeypatch.setattr(cli, "_classify_batch", record)
         cfg = manufactured_config(tmp_path, sweep={"axes": [
             {"name": "sigma", "values": [3.0, 4.0],
              "paths": ["problem.weight1.params.sigma", "problem.weight2.params.sigma"]},
@@ -854,8 +870,7 @@ class TestSweepCommand:
     def test_stdout_holds_only_the_csv(self, tmp_path, capsys, monkeypatch, to_file):
         # the summary line used to follow the rows on stdout
         cls = SimpleNamespace(verdict="both_large", matched_rule="large_both")
-        monkeypatch.setattr(cli, "_classification",
-                            lambda cfg: (None, None, None, None, cls))
+        monkeypatch.setattr(cli, "_classify_batch", lambda configs: [cls] * len(configs))
         sweep = {"axes": [{"name": "alpha", "paths": ["problem.alpha"],
                            "values": [1.0, 2.0, 3.0]}]}
         if to_file:
@@ -900,6 +915,42 @@ class TestSweepCommand:
                 for path in ax["paths"]:
                     cli._set_path(local, path, value, ax["name"])
             model.assemble(local["problem"])
+
+    def test_cold_process_writes_the_warm_csv(self, tmp_path, capsys):
+        # the README sweep (one batch) and an alpha sweep (a batch per point)
+        # in a fresh interpreter, against this process after other configs
+        # have filled the kept caches: no output may depend on what the
+        # process built before
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        base = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        alpha = copy.deepcopy(base)
+        alpha["sweep"]["axes"] = [{"name": "alpha", "paths": ["problem.alpha"],
+                                   "values": [0.5, 1.0, 2.0]}]
+        warm = copy.deepcopy(base)
+        warm["outputs"] = {"report_json": str(tmp_path / "warm.json")}
+        for problem in (manufactured_config(tmp_path)["problem"], base["problem"]):
+            assert cli.run_config("classify", dict(warm, problem=problem)) == 0
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for name, cfg in (("readme", base), ("alpha", alpha)):
+            points = len(cfg["sweep"]["axes"][0]["values"])
+            csvs = []
+            for run in ("cold", "warm"):
+                cfg["sweep"]["csv"] = str(tmp_path / f"{name}_{run}.csv")
+                path = write_config(tmp_path, cfg, f"{name}_{run}.json")
+                if run == "cold":
+                    done = subprocess.run([sys.executable, "-m", "radialphi.cli", "sweep",
+                                           "--config", str(path)], cwd=tmp_path, env=env,
+                                          capture_output=True, text=True, timeout=60)
+                    assert (done.returncode, done.stdout, done.stderr) == (
+                        0, f"sweep: {points} points\n", "")
+                else:
+                    capsys.readouterr()
+                    assert cli.main(["sweep", "--config", str(path)]) == 0
+                    assert capsys.readouterr() == (f"sweep: {points} points\n", "")
+                csvs.append((tmp_path / f"{name}_{run}.csv").read_bytes())
+            assert csvs[0] == csvs[1] and csvs[0].count(b"\n") == points + 1
 
     def test_exponent_pair_sweep_all_large(self, tmp_path):
         # unit weights keep both couplings divergent for any exponent pair

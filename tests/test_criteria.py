@@ -282,11 +282,13 @@ class TestBudgetProbes:
         return calls
 
     def test_weight_sweep_builds_plain_budgets_once(self, built):
-        # assembly hands both points the same envelopes and nonlinearities
-        first = cr.build_report(model.assemble(sweep_config(3.0)))
+        # a reweighted point keeps the envelopes and nonlinearities of the
+        # problem it came from
+        spec = model.assemble(sweep_config(3.0))
+        first = cr.build_report(spec)
         plain = [b for b in built if not b.endswith("_relaxed")]
         assert sorted(plain) == ["12", "21"]
-        second = cr.build_report(model.assemble(sweep_config(4.0)))
+        second = cr.build_report(model.reweight(spec, sweep_config(4.0)))
         assert [b for b in built if not b.endswith("_relaxed")] == plain
         for name in ("growth_budget_12", "growth_budget_21"):
             assert second.verdicts[name] == first.verdicts[name]
@@ -295,7 +297,7 @@ class TestBudgetProbes:
         spec = model.assemble(sweep_config(3.0))
         radii = qd.ProbeSchedule().radii().tolist()
         cached = cr._budget_probes(spec, "12", radii)
-        again = cr._budget_probes(model.assemble(sweep_config(5.0)), "12", radii)
+        again = cr._budget_probes(model.reweight(spec, sweep_config(5.0)), "12", radii)
         fresh = cr.GrowthBudget(spec, "12")
         assert again is cached and not cached.flags.writeable
         assert np.array_equal(cached, [fresh.value(r) for r in radii])
@@ -329,7 +331,8 @@ class TestBudgetProbes:
         assert len(cr._BUDGETS._entries) == 8
 
     def test_threads_build_once(self, built):
-        specs = [model.assemble(sweep_config(s)) for s in (3.0, 3.5, 4.0, 4.5)]
+        spec = model.assemble(sweep_config(3.0))
+        specs = [model.reweight(spec, sweep_config(s)) for s in (3.0, 3.5, 4.0, 4.5)]
         radii = qd.ProbeSchedule().radii().tolist()
         barrier = threading.Barrier(4)
         got = [None] * 4

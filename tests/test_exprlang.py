@@ -119,6 +119,7 @@ def same_bits(a, b):
     ("exp(-a*r)", {"a": 0.3}),
     # a negative value is written in parentheses: -2.0 ^ 2.0 reads as -4
     ("c^2 + r", {"c": -2}),
+    ("c*r", {"c": 1e300}),
 ])
 def test_slots_evaluate_as_literals(source, params):
     # the same float scalars enter the same numpy calls, so numpy's scalar
@@ -131,6 +132,21 @@ def test_slots_evaluate_as_literals(source, params):
         assert same_bits(expr(x), lit(x))
         assert same_bits(again(x), expr(x))
     assert type(expr(1.0)) is float
+
+
+@pytest.mark.parametrize("source,params,position", [
+    ("c*r", {"c": np.inf}, 0),
+    ("r + c", {"c": np.nan}, 4),
+    ("(1+r)^(-c)", {"c": -np.inf}, 8),
+    ("1e400*r", None, 0),
+    ("r + 2e308", None, 4),
+])
+def test_non_finite_number_refused_where_it_stands(source, params, position):
+    # pretty() wrote these as (inf), (nan) or inf, which parse reads as an
+    # identifier, so the text form did not reparse
+    with pytest.raises(ex.NumberError) as err:
+        ex.parse(source, params)
+    assert err.value.position == position and isinstance(err.value, ex.ExprError)
 
 
 def test_unary_minus_binds_below_power():

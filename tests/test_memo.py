@@ -1,8 +1,11 @@
+import importlib
+import pkgutil
 import sys
 import threading
 
 import pytest
 
+import radialphi
 from radialphi._memo import BoundedCache
 
 
@@ -63,3 +66,20 @@ class TestBoundedCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert len(built) == 1 and all(g is got[0] for g in got)
+
+
+def test_cache_inventory():
+    # each kept cache earns its place by measured traffic; a new one is
+    # named here, in README and in CHANGES.md with the lookups it serves
+    found = []
+    for info in pkgutil.iter_modules(radialphi.__path__):
+        module = importlib.import_module(f"radialphi.{info.name}")
+        found += [(info.name, name, value.size) for name, value in vars(module).items()
+                  if isinstance(value, BoundedCache)]
+    assert sorted(found) == [
+        ("criteria", "_BUDGETS", 8),
+        ("exprlang", "_TREES", 64),
+        ("model", "_ENVELOPES", 2),
+        ("model", "_OPERATORS", 2),
+        ("quadrature", "_PANEL_MATRICES", 16),
+    ]

@@ -169,7 +169,8 @@ class TestHypothesisChecks:
                                    g=ident, xi_bar=ident, threshold=1.0)
         lower = model.Nonlinearity(f=ident, label="t", family="custom", c_under=1.0,
                                    xi_under=nudged(ulps), m_small=1.0)
-        for check in (model._sample_upper_split(upper), model._sample_lower_split(lower)):
+        for check in (model._sample_upper_split(upper, "upper_split_f1"),
+                      model._sample_lower_split(lower, "lower_split_f1")):
             assert check.ok
             assert (check.worst == 0.0) if ulps <= 4 else (0.0 < check.worst < 1e-14)
 
@@ -224,7 +225,7 @@ class TestHypothesisChecks:
     def test_weight_failure_flagged_without_assembly(self, lap):
         # positive at 0, negative further out on the screening span, in a
         # spec that build_problem never screened: the report flags it
-        # instead of raising, and a failed screen is not kept
+        # instead of raising, every time
         env = ops.derive_envelopes(lap)[0]
         spec = model.ProblemSpec(
             N=3, alpha=1.0, beta=1.0, op1=lap, op2=lap, env1=env, env2=env,
@@ -236,7 +237,6 @@ class TestHypothesisChecks:
             assert "negative" in rep["weight_1"].note
             assert rep.ok("weight_2")
             assert rep["weight_2"].note == "sampled on [0, 64]"
-        assert "_screen" not in vars(spec.a1)
 
     def test_overflowing_upper_split_flagged_without_warning(self, lap):
         # f(t*w) and its bound both overflow for gamma = 50: a violation, not
@@ -321,15 +321,6 @@ class TestOperatorCache:
         assert spec.env1.description == "user override"
         assert spec.op1 is spec.op2 and derived == ["laplacian"]
 
-    def test_nonlinearity_sections_shared(self, monkeypatch):
-        monkeypatch.setattr(model, "_NONLINEARITIES", BoundedCache(2))
-        cfg = operator_config("laplacian")
-        a, b = model.assemble(cfg), model.assemble(cfg)
-        # finalizing copies the record, but the functions are the shared ones
-        assert a.f1 is not b.f1 and a.f1.f is b.f1.f and a.f1.g is b.f1.g
-        other = model.assemble(dict(cfg, f1={"family": "power", "gamma": 2.0}))
-        assert other.f1.f is not a.f1.f and other.f2.f is a.f2.f
-
     def test_non_json_section_built_afresh(self, cache):
         from radialphi import exprlang
         section = {"family": "custom", "expr": exprlang.parse("1 + t")}
@@ -365,12 +356,10 @@ class TestOperatorCache:
         assert built == ["elasticity"] and derived == ["elasticity(p=1)"]
 
 
-_CHECK_CACHES = ("_MONOTONE", "_UPPER_SPLITS", "_LOWER_SPLITS", "_SCREENS")
-
-
 def cold_caches(monkeypatch):
-    """Fresh config-assembly and hypothesis-check caches."""
-    for name in ("_OPERATORS", "_NONLINEARITIES", "_ENVELOPES") + _CHECK_CACHES:
+    """Fresh operator and envelope caches, the only ones config assembly
+    keeps."""
+    for name in ("_OPERATORS", "_ENVELOPES"):
         monkeypatch.setattr(model, name, BoundedCache(2))
 
 
@@ -470,11 +459,13 @@ class TestCheckCache:
         assert batches == [8]
         # the weight source is parsed once: sigma is a slot of the tree
         assert parsed == ["(1+r)^(-sigma)"]
-        for kind, counts in runs.items():
-            assert len(counts) == 2 and set(counts.values()) == {1}, kind
-        # a point's a1 and a2 are one function, screened once, by assembly
-        # or reweighting; the report reuses that
-        assert len(screens) == 8 and len({w.fn for w in screens}) == 8
+        # only the first point is checked: monotonicity by its assembly and
+        # by its report, each split by its report
+        for kind, times in (("monotone", 2), ("upper", 1), ("lower", 1)):
+            assert len(runs[kind]) == 2 and set(runs[kind].values()) == {times}, kind
+        # a point's a1 and a2 are one function, screened once by assembly or
+        # reweighting; the first point's report samples both again
+        assert len(screens) == 10 and len({w.fn for w in screens}) == 8
 
     @pytest.mark.parametrize("problem,axis,path,values", [
         (decay_config(), "gamma", "problem.f1.gamma", [1.0, 50.0, 2.0, 0.5, 50.0]),
@@ -517,20 +508,6 @@ class TestCheckCache:
         assert rep["monotone_f1"].note.startswith("monotone_f1 (exp(-t)): fails monotonicity")
         # a spec made without build_problem has its weights sampled
         assert rep.ok("weight_1")
-
-    def test_failed_split_check_kept(self, monkeypatch):
-        # a split check depends on its key alone and is returned, not
-        # raised, so a failed one is kept like a passed one
-        cold_caches(monkeypatch)
-        runs = []
-        upper = model._sample_upper_split
-        monkeypatch.setattr(model, "_sample_upper_split",
-                            lambda nl: runs.append(nl.f) or upper(nl))
-        spec = model.assemble(decay_config(alpha=0.1, **ALPHA_SENSITIVE))
-        first, again = (model.check_hypotheses(spec) for _ in range(2))
-        assert not first.ok("upper_split_f1")
-        assert again.to_dict() == first.to_dict()
-        assert runs.count(spec.f1.f) == 1
 
     def test_replaced_weight_sampled_again(self, lap):
         spec = replace(unit_problem(lap), a1=model.weight_from_expr("0 - 1"))
