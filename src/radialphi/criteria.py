@@ -42,12 +42,13 @@ pair-indexed functional reads its own and other side from
 
 ``build_reports`` probes such a batch and ``build_report`` a batch of one;
 a report holds the verdicts in one ordered mapping keyed by the JSON names
-(``accumulation_1`` ... ``growth_budget_21_relaxed``).
+(``accumulation_1`` ... ``growth_budget_21_relaxed``).  A growth budget
+reads no weight, so a batch builds each of its budgets once, for every row,
+and keeps none after the call; only probe grids outlive a report.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,15 +234,12 @@ _BUDGET_VALUE_CAP = 1e18
 # one block of budget nodes per decade, as multiples of the block's start
 _BUDGET_BLOCK = np.logspace(0.0, 1.0, _BUDGET_NODES_PER_DECADE + 1)[1:]
 _BUDGET_BLOCK.flags.writeable = False
-# the factor from a decade's start to its last node
-_BUDGET_DECADE = float(_BUDGET_BLOCK[-1])
 
 
 def _budget_inputs(spec: ProblemSpec, pair: str, relaxed: bool,
                    acc_limit: float | None) -> tuple:
     """Every input of a growth budget: (pair, anchor, scaling m_eff, outer
-    growth, other f, other theta_bar, own theta_bar).  Budgets with equal
-    inputs are equal; functions compare by identity, expressions by value."""
+    growth, other f, other theta_bar, own theta_bar)."""
     own, other = spec.pair(pair)
     if relaxed:
         if acc_limit is None or acc_limit <= 0:
@@ -264,9 +262,10 @@ class GrowthBudget:
     """H functional of one pair: integral from the start value of the
     reciprocal enveloped composite growth, with its numeric inverse.
 
-    The node set extends on demand, by decades, both to evaluate H at large
-    arguments and to invert it at large values.  Inversion beyond the cap
-    (or beyond the limit of a convergent budget) returns +inf.
+    The node set extends on demand, one decade of trapezoids per integrand
+    call, both to evaluate H at large arguments and to invert it at large
+    values.  Inversion beyond the cap (or beyond the limit of a convergent
+    budget) returns +inf.
     """
 
     def __init__(self, spec: ProblemSpec, pair: str, relaxed: bool = False,
@@ -285,72 +284,42 @@ class GrowthBudget:
         self._denominator = denominator
         self.ts = np.array([self.anchor])
         self.hs = np.array([0.0])
-        self._extend(1)
+        self._extend()
 
-    def _extend(self, decades: int):
-        """Append ``decades`` decades of trapezoid nodes in one integrand
-        call.  Each decade's trapezoids are summed along its own row, then
-        the decades' carries are added in order, so every sum, and the
-        first failure, is that of one decade at a time."""
-        starts = [float(self.ts[-1])]
-        for _ in range(decades - 1):
-            starts.append(starts[-1] * _BUDGET_DECADE)
-        # nodes past the float range are inf, which ``_fail`` reports
+    def _extend(self):
+        """Append one decade of trapezoid nodes, summed in place; a
+        degenerate integrand fails first, then the trapezoid rule's checks."""
+        # nodes past the float range are inf, which the trapezoid rule refuses
         with np.errstate(over="ignore"):
-            ts = np.concatenate((self.ts[-1:], np.multiply.outer(starts, _BUDGET_BLOCK).ravel()))
+            ts = np.concatenate((self.ts[-1:], self.ts[-1] * _BUDGET_BLOCK))
         den = self._denominator(ts)
-        bad = ~(np.isfinite(den) | np.isposinf(den)) | (den <= 0)
-        with np.errstate(divide="ignore"):
-            vals = np.where(np.isposinf(den), 0.0, 1.0 / den)
-        if bad.any() or not (np.isfinite(vals).all() and np.isfinite(ts).all()
-                             and (ts[1:] > ts[:-1]).all()):
-            self._fail(ts, bad, vals)
+        bad = ~(den > 0)  # NaN too; +inf is fine, its reciprocal is 0
+        if bad.any():
+            raise CriteriaError(f"growth budget {self.pair}: degenerate integrand "
+                                f"at t={ts[int(np.argmax(bad))]:.6g}")
+        vals = 1.0 / den
+        if not (np.isfinite(vals).all() and np.isfinite(ts).all() and (ts[1:] > ts[:-1]).all()):
+            prefix_trapezoid(vals, ts)  # raises the rule's ValueError
         half = np.diff(ts)
         half *= 0.5
         sums = np.add(vals[1:], vals[:-1])
         sums *= half
-        rows = sums.reshape(decades, _BUDGET_NODES_PER_DECADE)
-        rows.cumsum(axis=1, out=rows)
-        carry = self.hs[-1]
-        for row in rows:
-            row += carry
-            carry = row[-1]
+        sums.cumsum(out=sums)
+        sums += self.hs[-1]
         self.ts = np.concatenate((self.ts, ts[1:]))
         self.hs = np.concatenate((self.hs, sums))
 
-    def _fail(self, ts: np.ndarray, bad: np.ndarray, vals: np.ndarray):
-        """Raise the error of the first decade that fails, as that decade
-        alone would: a degenerate integrand, then a non-finite value, then
-        nodes that are not finite and strictly increasing."""
-        width = _BUDGET_NODES_PER_DECADE
-        for top in range(0, ts.size - 1, width):
-            decade = slice(top, top + width + 1)
-            if bad[decade].any():
-                k = top + int(np.argmax(bad[decade]))
-                raise CriteriaError(
-                    f"growth budget {self.pair}: degenerate integrand at t={ts[k]:.6g}")
-            prefix_trapezoid(vals[decade], ts[decade])
-
-    def ensure_radius(self, r: float):
-        # every decade that takes the last node to r, or past the cap
-        top, decades = float(self.ts[-1]), 0
-        while top < r and top < _BUDGET_VALUE_CAP:
-            top *= _BUDGET_DECADE
-            decades += 1
-        if decades:
-            self._extend(decades)
-
     def ensure_value(self, y: float):
         while self.hs[-1] < y and self.ts[-1] < _BUDGET_VALUE_CAP:
-            self._extend(1)
+            self._extend()
 
     def value(self, r):
         """H(r), 0 at and below the anchor; a float for a scalar ``r``, an
         array for an array of radii."""
         arr = np.asarray(r, dtype=float)
         top = float(np.max(arr, initial=self.anchor, where=arr > self.anchor))
-        if top > self.anchor:
-            self.ensure_radius(top)
+        while self.ts[-1] < top and self.ts[-1] < _BUDGET_VALUE_CAP:
+            self._extend()
         out = np.where(arr <= self.anchor, 0.0, np.interp(arr, self.ts, self.hs))
         return float(out) if arr.ndim == 0 else out
 
@@ -364,25 +333,6 @@ class GrowthBudget:
         out = np.interp(arr, self.hs, self.ts)
         out = np.where(arr > self.hs[-1], np.inf, out)
         return float(out[0]) if scalar else out
-
-
-# a report probes up to four budgets: two plain, two relaxed
-_BUDGETS = BoundedCache(8)
-
-
-def _budget_probes(spec: ProblemSpec, pair: str, radii: list, relaxed: bool = False,
-                   acc_limit: float | None = None) -> np.ndarray:
-    """Growth-budget values at probe radii, read-only and kept by the
-    budget's inputs and the radii.  The reweighted points of a weight sweep
-    share every input of the plain budgets, so they share these values."""
-    def build():
-        gb = GrowthBudget(spec, pair, relaxed=relaxed, acc_limit=acc_limit)
-        values = gb.value(radii)
-        values.flags.writeable = False
-        return values
-
-    key = (_budget_inputs(spec, pair, relaxed, acc_limit), tuple(radii))
-    return _BUDGETS.get(key, build)
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +361,14 @@ def probe_grid(schedule: ProbeSchedule):
 
     The arrays are read-only and all three are shared: one grid per probe
     geometry, built when it is first asked for."""
-    return _probe_grid(tuple(schedule.radii().tolist()), schedule.segment_nodes)
+    key = (tuple(schedule.radii().tolist()), schedule.segment_nodes)
+    return _PROBE_GRIDS.get(key, lambda: _probe_grid(*key))
 
 
-@functools.lru_cache(maxsize=4)
+# every report after the first reads its probe geometry from here
+_PROBE_GRIDS = BoundedCache(4)
+
+
 def _probe_grid(radii: tuple, segment_nodes: int):
     """Nodes, probe indices and panel layout of one probe geometry."""
     edges = _graded_edges(list(radii))
@@ -517,10 +471,17 @@ def build_reports(specs, schedule: ProbeSchedule = ProbeSchedule()) -> list:
         for p in rows if vals is not None else ():
             verdicts[p][name] = schedule.verdict(probes[p])
 
+    # a budget reads no weight: the batch's problem builds one per pair and
+    # accumulation limit, and it serves every row
+    budgets = {}
+
     def budget(name, rows, pair, limits=None):
         for p in rows:
-            verdicts[p][name] = _guarded(schedule, _budget_probes, specs[p], pair, radii,
-                                         limits is not None, limits and limits[p])
+            limit = None if limits is None else limits[p]
+            if (pair, limit) not in budgets:
+                budgets[pair, limit] = _guarded(schedule, lambda: GrowthBudget(
+                    batch.spec, pair, limit is not None, limit).value(radii))
+            verdicts[p][name] = budgets[pair, limit]
 
     every = range(len(specs))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -234,6 +234,9 @@ def custom_nonlinearity(source: str, params: Mapping[str, float] | None = None,
                         xi_under: str | None = None) -> Nonlinearity:
     """Expression-backed nonlinearity; envelope expressions are optional and
     validated by sampling after assembly."""
+    for name, c in (("c_bar", c_bar), ("c_under", c_under)):
+        if c is not None and not math.isfinite(c):
+            raise SpecError(f"custom nonlinearity: {name} {c!r} is not finite")
     f = exprlang.parse(source, params)
     upper_split_builder = None
     if c_bar is not None and g is not None and xi_bar is not None:
@@ -370,6 +373,10 @@ def build_problem(N: int, alpha: float, beta: float,
         if env is None:
             env = _ENVELOPES.get(op, lambda: derive_envelopes(op)[0])
         else:
+            for name, k in (("k_under", env.k_under), ("k_bar", env.k_bar)):
+                if not math.isfinite(k):
+                    raise SpecError(
+                        f"override envelope for operator {i}: {name} {k!r} is not finite")
             worst = check_envelope(op, env, n=24, s_min=1e-4)
             if worst > 1e-9:
                 raise SpecError(

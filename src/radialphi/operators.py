@@ -48,7 +48,6 @@ __all__ = [
     "GrowthExponents",
     "OperatorError",
     "InversionRangeError",
-    "FAMILIES",
     "make_operator",
     "h_eval",
     "h_inverse",
@@ -181,10 +180,6 @@ def _phi_newtonian(p, q):
     return phi
 
 
-FAMILIES = ("laplacian", "p_laplacian", "plasma", "elasticity",
-            "plasticity", "newtonian", "custom")
-
-
 def make_operator(family: str, **params) -> PhiOperator:
     """Build and validate an operator from the catalog.
 
@@ -301,11 +296,12 @@ def _validate_profile(op: PhiOperator):
 # Flux map and inverse
 
 def h_eval(op: PhiOperator, t):
-    """Flux map h(t) = t*phi(t), with h(0) = 0 by the vanishing limit."""
+    """Flux map h(t) = t*phi(t), with h(0) = 0 by the vanishing limit; an
+    argument that is negative or NaN raises ValueError."""
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any(arr < 0):
+    if not (arr >= 0).all():
         raise ValueError("flux map argument must be nonnegative")
     out = np.zeros_like(arr)
     pos = arr > 0
@@ -328,10 +324,11 @@ def h_inverse(op: PhiOperator, s):
     step with the exact slope and is checked again.  Other values go to a
     bisection in log space: the upper
     bracket doubles from 1 until h catches s (capped at 1e300, beyond which
-    the operator is reported unsuitable), the lower one halves.
+    the operator is reported unsuitable), the lower one halves.  An
+    argument that is negative or NaN raises ValueError.
     """
     arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if (arr < 0).any():
+    if not (arr >= 0).all():
         raise ValueError("flux inverse argument must be nonnegative")
     if op.analytic_h_inverse is not None:
         out = np.asarray(op.analytic_h_inverse(arr), dtype=float)

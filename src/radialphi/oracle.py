@@ -23,7 +23,6 @@ trapezoid kernel, where the report uses Chebyshev–Lobatto panels.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +54,8 @@ def _oracle_grid(schedule: ProbeSchedule):
     """Read-only nodes on [0, R_last], the indices of the probe radii and
     the nodes' ``LinearPanels``: [0, r0 / 2**10] is one segment, ten halving
     segments reach r0, and one segment follows per later probe radius,
-    each of 1024 uniform panels."""
-    return _trapezoid_grid(tuple(schedule.radii().tolist()))
-
-
-@functools.lru_cache(maxsize=4)
-def _trapezoid_grid(radii: tuple):
+    each of 1024 uniform panels, built afresh for every call."""
+    radii = schedule.radii().tolist()
     edges = [0.0, *(radii[0] / 2.0 ** k for k in range(_HEAD_HALVINGS, 0, -1)), *radii]
     layout = LinearPanels(np.concatenate(
         [[0.0]] + [np.linspace(lo, hi, _SEGMENT_PANELS + 1)[1:]

@@ -377,8 +377,9 @@ def _panel_matrix(dim: int, n: int, rho: float) -> tuple:
     return matrix, decay
 
 
-# one matrix per (dimension, points, panel ratio): a probe grid with
-# factor 2 needs two per dimension plus the integration matrix
+# one matrix per (dimension, points, panel ratio), fetched once by each
+# layout that uses it: a probe grid with factor 2 needs two per dimension
+# plus the integration matrix
 _PANEL_MATRICES = BoundedCache(16)
 
 
@@ -400,7 +401,8 @@ class PanelLayout:
     repeat, so one cached matrix per ratio serves all its panels, and no
     stored power exceeds 1.  For each N the layout stacks its panels'
     matrices and decays on first use and keeps them, so a kernel is one
-    batched product.
+    batched product; it keeps the integration matrix from its first prefix
+    the same way.
 
     Rejects, with ValueError, edges that do not start at 0 or are not
     finite and strictly increasing, and fewer than 2 points per segment.
@@ -445,10 +447,14 @@ class PanelLayout:
         np.add(local, start, out=out[..., 1:].reshape(local.shape))
         return out
 
+    @functools.cached_property
+    def _integral(self) -> np.ndarray:
+        """The integration matrix of [0, 1], fetched on first use."""
+        return _matrix(1, self.n, 0.0)[0]
+
     def prefix(self, values: np.ndarray) -> np.ndarray:
         """Running integral of the samples ``values`` from 0."""
-        matrix = _matrix(1, self.n, 0.0)[0]
-        local = np.einsum("...pj,ij->...pi", self._panels(values), matrix)
+        local = np.einsum("...pj,ij->...pi", self._panels(values), self._integral)
         local *= self._widths
         # each panel starts from the totals of the panels before it
         start = np.empty(local.shape[:-1] + (1,))

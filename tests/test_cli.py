@@ -49,6 +49,12 @@ def manufactured_config(tmp_path, **overrides):
     return cfg
 
 
+def override_envelope(**constants):
+    """The identity envelope override of a Laplacian side, with ``constants``."""
+    return {"theta_under": "s", "theta_bar": "s",
+            "psi_under": "h_inverse", "psi_bar": "h_inverse", **constants}
+
+
 def assert_same_report(got, want, path="report"):
     """Equal JSON documents, floats to 1e-12 relative: the last bits of a
     libm or numpy function may differ between machines."""
@@ -536,6 +542,20 @@ class TestConfigErrors:
         ("weight2", {"expr": "(1+r)^(-s)", "params": {"s": float("inf")}},
          "parameter 's' is inf, not a finite number at offset 8"),
         ("weight1", "1e400/(1+r^2)", "number 1e400 overflows a float at offset 0"),
+        # these used to exit 0: an infinite or NaN k_bar with a confident
+        # verdict, an infinite c_under with an unclassified one
+        ("envelope1", override_envelope(k_bar=float("inf")),
+         "override envelope for operator 1: k_bar inf is not finite"),
+        ("envelope1", override_envelope(k_bar=float("nan")),
+         "override envelope for operator 1: k_bar nan is not finite"),
+        ("envelope2", override_envelope(k_under=float("inf")),
+         "override envelope for operator 2: k_under inf is not finite"),
+        ("f1", {"family": "custom", "expr": "t",
+                "envelopes": {"c_bar": float("inf"), "g": "t", "xi_bar": "t"}},
+         "custom nonlinearity: c_bar inf is not finite"),
+        ("f2", {"family": "custom", "expr": "t",
+                "envelopes": {"c_under": float("inf"), "xi_under": "t"}},
+         "custom nonlinearity: c_under inf is not finite"),
     ])
     def test_non_finite_problem_scalar_exits_1(self, tmp_path, capsys, command, key, value,
                                                line):

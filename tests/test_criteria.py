@@ -4,8 +4,6 @@ import itertools
 import json
 import math
 import re
-import sys
-import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -65,7 +63,7 @@ class TestAccumulation:
         # every single-radius probe layout is a new panel layout, but its
         # panels have the ratios 0 and 1/2 of every other one: two kernel
         # matrices and the integration matrix serve all 50 radii
-        cr._probe_grid.cache_clear()
+        monkeypatch.setattr(cr, "_PROBE_GRIDS", BoundedCache(4))
         built = []
         matrix = qd._panel_matrix
         monkeypatch.setattr(qd, "_PANEL_MATRICES", BoundedCache(16))
@@ -81,7 +79,7 @@ class TestAccumulation:
         # single-radius layouts share the probe grid's kernel matrices
         # instead of pushing them out of the cache; a probe layout keeps
         # stacked copies of its matrices, so it is rebuilt here to fetch them
-        cr._probe_grid.cache_clear()
+        monkeypatch.setattr(cr, "_PROBE_GRIDS", BoundedCache(4))
         monkeypatch.setattr(qd, "_PANEL_MATRICES", BoundedCache(16))
         spec = make_spec(lap, w1="1/(1+r)^2", w2="1/(1+r)^2")
         cr.build_report(spec)
@@ -265,94 +263,66 @@ def sweep_config(sigma, f1=None):
             "f2": {"family": "log1p"}}
 
 
-class TestBudgetProbes:
-    """Growth-budget probe values shared by reports with equal budget inputs."""
+class TestBatchBudgets:
+    """Growth budgets of a batch: a budget reads no weight, so each is built
+    once per ``build_reports`` call and serves every row."""
+
+    SIGMAS = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0)
+    SCHEDULE = qd.ProbeSchedule(tail_tol=1e-2)
 
     @pytest.fixture
     def built(self, monkeypatch):
-        monkeypatch.setattr(cr, "_BUDGETS", BoundedCache(8))
         calls = []
         init = cr.GrowthBudget.__init__
 
         def counting(self, spec, pair, relaxed=False, acc_limit=None):
-            calls.append(pair + ("_relaxed" if relaxed else ""))
+            calls.append((pair, acc_limit if relaxed else None))
             init(self, spec, pair, relaxed, acc_limit)
 
         monkeypatch.setattr(cr.GrowthBudget, "__init__", counting)
         return calls
 
-    def test_weight_sweep_builds_plain_budgets_once(self, built):
-        # a reweighted point keeps the envelopes and nonlinearities of the
-        # problem it came from
-        spec = model.assemble(sweep_config(3.0))
-        first = cr.build_report(spec)
-        plain = [b for b in built if not b.endswith("_relaxed")]
-        assert sorted(plain) == ["12", "21"]
-        second = cr.build_report(model.reweight(spec, sweep_config(4.0)))
-        assert [b for b in built if not b.endswith("_relaxed")] == plain
-        for name in ("growth_budget_12", "growth_budget_21"):
-            assert second.verdicts[name] == first.verdicts[name]
+    def sweep(self, sigmas):
+        """The reweighted points of a sigma sweep, as ``rps sweep`` makes them."""
+        spec = model.assemble(sweep_config(sigmas[0]))
+        return [model.reweight(spec, sweep_config(s)) for s in sigmas]
 
-    def test_cached_values_match_a_fresh_budget(self, built):
-        spec = model.assemble(sweep_config(3.0))
-        radii = qd.ProbeSchedule().radii().tolist()
-        cached = cr._budget_probes(spec, "12", radii)
-        again = cr._budget_probes(model.reweight(spec, sweep_config(5.0)), "12", radii)
-        fresh = cr.GrowthBudget(spec, "12")
-        assert again is cached and not cached.flags.writeable
-        assert np.array_equal(cached, [fresh.value(r) for r in radii])
-
-    def test_distinct_inputs_kept_apart(self, built):
-        radii = qd.ProbeSchedule().radii().tolist()
-        linear = cr._budget_probes(model.assemble(sweep_config(3.0)), "12", radii)
-        sqrt = cr._budget_probes(model.assemble(
-            sweep_config(3.0, {"family": "power", "gamma": 0.5})), "12", radii)
-        assert built == ["12", "12"] and not np.array_equal(linear, sqrt)
-        # relaxed budgets key on their accumulation limit
-        spec = model.assemble(sweep_config(3.0))
-        cr._budget_probes(spec, "12", radii, relaxed=True, acc_limit=0.5)
-        cr._budget_probes(spec, "12", radii, relaxed=True, acc_limit=0.25)
-        assert built == ["12", "12", "12_relaxed", "12_relaxed"]
-
-    def test_size_bounded_and_failures_not_kept(self, lap, built):
-        radii = qd.ProbeSchedule().radii().tolist()
-        spec = make_spec(lap)
-        for limit in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0):
-            cr._budget_probes(spec, "12", radii, relaxed=True, acc_limit=limit)
-        assert len(cr._BUDGETS._entries) == 8
-        # exp(t) - 1 has no upper split: the plain budget fails every time
-        no_split = model.build_problem(
-            N=3, alpha=1.0, beta=1.0, op1=lap, op2=lap,
-            a1=model.weight_from_expr("1"), a2=model.weight_from_expr("1"),
-            f1=model.exp_minus_one_nonlinearity(), f2=model.power_nonlinearity(1.0))
+    def test_each_call_builds_two_plain_budgets(self, built):
+        # every call builds its own: none is kept between calls
+        specs = self.sweep(self.SIGMAS)
         for _ in range(2):
-            with pytest.raises(cr.CriteriaError, match="no upper envelope"):
-                cr._budget_probes(no_split, "12", radii)
-        assert len(cr._BUDGETS._entries) == 8
+            built.clear()
+            reports = cr.build_reports(specs)
+            assert sorted(pair for pair, limit in built if limit is None) == ["12", "21"]
+            for name in ("growth_budget_12", "growth_budget_21"):
+                assert all(r.verdicts[name] is reports[0].verdicts[name] for r in reports)
 
-    def test_threads_build_once(self, built):
-        spec = model.assemble(sweep_config(3.0))
-        specs = [model.reweight(spec, sweep_config(s)) for s in (3.0, 3.5, 4.0, 4.5)]
-        radii = qd.ProbeSchedule().radii().tolist()
-        barrier = threading.Barrier(4)
-        got = [None] * 4
+    @staticmethod
+    def decaying(lap, powers):
+        """Problems whose two weights are (1+r)^-k, one per power k, with a
+        finite accumulation limit each under ``SCHEDULE``."""
+        spec = make_spec(lap)
+        weights = {k: model.weight_from_expr(f"(1+r)^(-{k})") for k in set(powers)}
+        return [replace(spec, a1=weights[k], a2=weights[k]) for k in powers]
 
-        def work(i):
-            barrier.wait(timeout=10)
-            got[i] = cr._budget_probes(specs[i], "21", radii)
+    def test_one_relaxed_budget_per_limit(self, lap, built):
+        reports = cr.build_reports(self.decaying(lap, (4, 5, 4, 5)), self.SCHEDULE)
+        relaxed = [(pair, limit) for pair, limit in built if limit is not None]
+        assert len(relaxed) == len(set(relaxed)) == 4
+        for name in ("growth_budget_12_relaxed", "growth_budget_21_relaxed"):
+            assert reports[2].verdicts[name] is reports[0].verdicts[name]
+            assert reports[1].verdicts[name] != reports[0].verdicts[name]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert built == ["21"] and all(g is got[0] for g in got)
+    def test_rows_read_a_fresh_budget(self, lap):
+        specs = self.decaying(lap, (4, 5))
+        radii = self.SCHEDULE.radii().tolist()
+        for spec, report in zip(specs, cr.build_reports(specs, self.SCHEDULE)):
+            for pair in ("12", "21"):
+                limit = report.verdicts[f"accumulation_{spec.pair(pair)[1].index}"].value
+                for name, budget in ((f"growth_budget_{pair}", cr.GrowthBudget(spec, pair)),
+                                     (f"growth_budget_{pair}_relaxed",
+                                      cr.GrowthBudget(spec, pair, True, limit))):
+                    assert report.verdicts[name] == self.SCHEDULE.verdict(budget.value(radii))
 
 
 class DecadeBudget:
@@ -542,6 +512,15 @@ class TestProbeGrid:
         assert xs.size == 45 * 16 + 1 and xs[idx[-1]] == 16384.0
         assert xs[idx].tobytes() == qd.ProbeSchedule().radii().tobytes()
         assert np.all(np.diff(xs) > 0)
+
+    def test_reports_after_the_first_build_no_grid(self, lap, monkeypatch):
+        monkeypatch.setattr(cr, "_PROBE_GRIDS", BoundedCache(4))
+        built = []
+        grid = cr._probe_grid
+        monkeypatch.setattr(cr, "_probe_grid", lambda *key: built.append(key) or grid(*key))
+        for w in ("1", "(1+r)^(-4)", "1"):
+            cr.build_report(make_spec(lap, w1=w))
+        assert len(built) == 1
 
 
 class TestProbeAccuracy:

@@ -74,10 +74,13 @@ def test_cache_inventory():
     found = []
     for info in pkgutil.iter_modules(radialphi.__path__):
         module = importlib.import_module(f"radialphi.{info.name}")
-        found += [(info.name, name, value.size) for name, value in vars(module).items()
-                  if isinstance(value, BoundedCache)]
+        for name, value in vars(module).items():
+            # a functools cache would keep values outside this inventory
+            assert not hasattr(value, "cache_info"), f"{info.name}.{name}"
+            if isinstance(value, BoundedCache):
+                found.append((info.name, name, value.size))
     assert sorted(found) == [
-        ("criteria", "_BUDGETS", 8),
+        ("criteria", "_PROBE_GRIDS", 4),
         ("exprlang", "_TREES", 64),
         ("model", "_ENVELOPES", 2),
         ("model", "_OPERATORS", 2),

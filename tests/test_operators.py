@@ -498,3 +498,13 @@ class TestInverseInput:
         assert np.array_equal(ss, before)
         out[:] = -1.0
         assert np.array_equal(ss, before)
+
+    @pytest.mark.parametrize("family,params", [("plasma", {"p": 2, "q": 3}), ("laplacian", {})])
+    @pytest.mark.parametrize("arg", [float("nan"), [1.0, float("nan")], -1.0])
+    def test_nan_and_negative_refused(self, family, params, arg):
+        # a tabulated inverse and every flux map used to turn NaN into 0.0
+        op = ops.make_operator(family, **params)
+        with pytest.raises(ValueError, match="flux inverse argument must be nonnegative"):
+            ops.h_inverse(op, arg)
+        with pytest.raises(ValueError, match="flux map argument must be nonnegative"):
+            ops.h_eval(op, arg)

@@ -438,6 +438,19 @@ class TestPanelLayout:
             assert not matrix.flags.writeable and not decay.flags.writeable
             assert np.all(decay <= 1.0)
 
+    def test_layout_keeps_what_it_fetched(self, monkeypatch):
+        # later kernels and prefixes of a layout look up no cache
+        layout = qd.PanelLayout(doubling_edges(), 6)
+        ones = np.ones_like(layout.nodes)
+        want = (layout.kernel(ones, 3), layout.prefix(ones))
+
+        def refuse(*key):
+            raise AssertionError(f"matrix {key} fetched again")
+
+        monkeypatch.setattr(qd, "_matrix", refuse)
+        assert np.array_equal(layout.kernel(ones, 3), want[0])
+        assert np.array_equal(layout.prefix(ones), want[1])
+
     @pytest.mark.parametrize("edges, n", [
         ([1.0, 2.0], 4), ([0.0, 1.0, 1.0], 4), ([0.0, 2.0, 1.0], 4),
         ([0.0, np.inf], 4), ([0.0, np.nan], 4), ([0.0], 4), ([0.0, 1.0], 1)])
