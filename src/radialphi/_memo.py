@@ -1,7 +1,7 @@
 """The one cache policy of the package: a bounded map of values built once.
 
-Panel matrices, probe grids, operators, their derived envelopes and
-expression trees are kept this way, each for the traffic README lists:
+Probe grids with their panel layouts, operators, their derived envelopes
+and expression trees are kept this way, each for the traffic README lists:
 least recently used out first, each value built under the lock so that
 threads share one build, and nothing kept from a build that raises.  The
 lock is not reentrant: a build must not look up its own cache.

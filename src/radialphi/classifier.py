@@ -257,8 +257,7 @@ def _sharp_bounds(spec: ProblemSpec, p: _Predicates) -> dict:
     for pair, name in zip(PAIRS, "uv"):
         own, other = spec.pair(pair)
         acc = p.report.verdicts[f"accumulation_{other.index}"]
-        gb = GrowthBudget(spec, pair, relaxed=p.relaxed[pair],
-                          acc_limit=acc.value if p.relaxed[pair] else None)
+        gb = GrowthBudget(spec, pair, acc_limit=acc.value if p.relaxed[pair] else None)
         out[f"{name}_upper_limit"] = float(gb.inverse(own.env.k_bar * p.upper[pair].value))
     for pair, name in zip(PAIRS, "uv"):
         low = p.report.verdicts[f"lower_coupling_{pair}"]

@@ -12,7 +12,8 @@ Subcommands, all driven by one JSON config (``--config``):
                 write one CSV row per point.
 
 Exit codes: 0 success (an indeterminate verdict is an honest outcome, not
-an error), 1 config error, 2 numeric failure.  Outputs are byte-stable for
+an error), 1 config error (an output path that cannot be written among
+them), 2 numeric failure.  Outputs are byte-stable for
 identical configs: fixed key order, fixed float formats, no timestamps.
 
 Config values are read with ``model``'s checked readers, so every config
@@ -34,7 +35,7 @@ from . import classifier, criteria, iteration, model, oracle
 from .exprlang import ExprError
 from .model import ConfigShapeError, SpecError
 from .operators import OperatorError, check_envelope
-from .quadrature import NumericsError, ProbeSchedule, RadialGrid, central_diff
+from .quadrature import NumericsError, ProbeSchedule, RadialGrid
 
 __all__ = ["main", "run_config"]
 
@@ -121,19 +122,27 @@ def _instance_echo(spec) -> dict:
     }
 
 
+def _open_output(path: str, key: str, mode: str, **kwargs):
+    """``open`` of the artifact that config key ``key`` names, as a config error."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise ConfigShapeError(f"cannot write {key}: {exc}") from exc
+
+
 def _write_json(path: str | None, payload: dict):
     if not path:
         return
     # one write: json.dump streams about 1,200 chunks per classify report
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path, "outputs.report_json", "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _numeric_failure(cfg: dict, exc: NumericsError, payload: dict) -> int:
-    """Report a numeric failure: the error JSON, a stderr line, exit 2."""
+    """Report a numeric failure: a stderr line, then the error JSON, exit 2."""
+    print(f"numeric failure: {exc}", file=sys.stderr)
     payload["error"] = {"kind": type(exc).__name__, "message": str(exc)}
     _write_json(_output(cfg, "report_json"), payload)
-    print(f"numeric failure: {exc}", file=sys.stderr)
     return 2
 
 
@@ -164,8 +173,8 @@ def _write_solution_csv(path: str | None, sol) -> None:
     if not path:
         return
     cols = (sol.grid.nodes, sol.u, sol.v,
-            central_diff(sol.u, sol.grid.step), central_diff(sol.v, sol.grid.step))
-    with open(path, "wb") as fh:
+            np.gradient(sol.u, sol.grid.step), np.gradient(sol.v, sol.grid.step))
+    with _open_output(path, "outputs.solution_csv", "wb") as fh:
         fh.write(b"r,u,v,u_prime,v_prime\n")
         for start in range(0, cols[0].size, _CSV_BLOCK):
             fh.write(_csv_rows(np.column_stack([c[start:start + _CSV_BLOCK] for c in cols])))
@@ -428,7 +437,9 @@ def _classify_batch(configs: list) -> list:
 def cmd_sweep(cfg: dict) -> int:
     sweep = _section(cfg, "sweep")
     axes = _sweep_axes(sweep)
-    out_path = _output(cfg, "csv", "sweep") or _output(cfg, "sweep_csv")
+    out_key, out_path = "sweep.csv", _output(cfg, "csv", "sweep")
+    if not out_path:
+        out_key, out_path = "outputs.sweep_csv", _output(cfg, "sweep_csv")
     # every combination, the last axis fastest; no axes means no points,
     # not the one empty combination of an empty product
     combos = list(itertools.product(*(ax["values"] for ax in axes))) if axes else []
@@ -451,7 +462,7 @@ def cmd_sweep(cfg: dict) -> int:
 
     table = [[ax["name"] for ax in axes] + ["verdict", "matched_rule"]] + rows
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        with _open_output(out_path, out_key, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(table)
     else:
         csv.writer(sys.stdout, lineterminator="\n").writerows(table)

@@ -29,9 +29,10 @@ bounds reuse the kernel weights the solve built.  Every probe consumer
 takes one ``ProbeSchedule`` with all probe settings.
 The arrays an evaluator keeps (weights, kernels, accumulations, coupling
 prefixes) are read-only, because one may serve several consumers: both
-sides share one kernel when their weights are equal.  An evaluator of
-problems that differ only in their weights gives each array a leading axis
-of one row per problem, so a weight sweep's points run as one batch.
+sides share one kernel when side 2 holds side 1's weight array.  An
+evaluator of problems that differ only in their weights gives each array a
+leading axis of one row per problem, so a weight sweep's points run as one
+batch.
 
 Index conventions: the outer envelope of a coupling integral belongs to the
 equation being bounded (psi_bar_1 for P_12, psi_bar_2 for P_21), matching
@@ -152,12 +153,11 @@ class CriteriaEvaluator:
         return self._get(("w", side), build)
 
     def kernel(self, side: int) -> np.ndarray:
-        """K[a_i] at the nodes; side 2 returns side 1's array when side 1's
-        weight is already sampled and equal to side 2's on the nodes."""
+        """K[a_i] at the nodes; side 2 returns side 1's array when it holds
+        side 1's weight array."""
         def build():
             w = self.weight(side)
-            held = self._cache.get(("w", 1))
-            if side == 2 and held is not None and np.array_equal(held, w):
+            if side == 2 and w is self._cache.get(("w", 1)):
                 return self.kernel(1)
             return self._kernel(w)
         return self._get(("K", side), build)
@@ -236,13 +236,13 @@ _BUDGET_BLOCK = np.logspace(0.0, 1.0, _BUDGET_NODES_PER_DECADE + 1)[1:]
 _BUDGET_BLOCK.flags.writeable = False
 
 
-def _budget_inputs(spec: ProblemSpec, pair: str, relaxed: bool,
-                   acc_limit: float | None) -> tuple:
-    """Every input of a growth budget: (pair, anchor, scaling m_eff, outer
-    growth, other f, other theta_bar, own theta_bar)."""
+def _budget_inputs(spec: ProblemSpec, pair: str, acc_limit: float | None) -> tuple:
+    """Every input of a growth budget, relaxed when ``acc_limit`` is given:
+    (pair, anchor, scaling m_eff, outer growth, other f, other theta_bar,
+    own theta_bar)."""
     own, other = spec.pair(pair)
-    if relaxed:
-        if acc_limit is None or acc_limit <= 0:
+    if acc_limit is not None:
+        if acc_limit <= 0:
             raise ValueError("relaxed growth budget needs a positive accumulation limit")
         coupled = float(np.asarray(other.env.theta_bar(
             np.asarray(other.nl.f(own.start), dtype=float))))
@@ -260,7 +260,8 @@ def _budget_inputs(spec: ProblemSpec, pair: str, relaxed: bool,
 
 class GrowthBudget:
     """H functional of one pair: integral from the start value of the
-    reciprocal enveloped composite growth, with its numeric inverse.
+    reciprocal enveloped composite growth, with its numeric inverse; a
+    positive accumulation limit ``acc_limit`` makes it the relaxed budget.
 
     The node set extends on demand, one decade of trapezoids per integrand
     call, both to evaluate H at large arguments and to invert it at large
@@ -268,10 +269,9 @@ class GrowthBudget:
     budget) returns +inf.
     """
 
-    def __init__(self, spec: ProblemSpec, pair: str, relaxed: bool = False,
-                 acc_limit: float | None = None):
+    def __init__(self, spec: ProblemSpec, pair: str, acc_limit: float | None = None):
         (pair, self.anchor, m_eff, outer, f_other, theta_other,
-         theta_own) = _budget_inputs(spec, pair, relaxed, acc_limit)
+         theta_own) = _budget_inputs(spec, pair, acc_limit)
         self.pair = pair
 
         def denominator(ts: np.ndarray) -> np.ndarray:
@@ -309,30 +309,25 @@ class GrowthBudget:
         self.ts = np.concatenate((self.ts, ts[1:]))
         self.hs = np.concatenate((self.hs, sums))
 
-    def ensure_value(self, y: float):
-        while self.hs[-1] < y and self.ts[-1] < _BUDGET_VALUE_CAP:
+    def _grow(self, column: str, top: float):
+        """Extend until ``column``'s last entry reaches ``top``, or the cap."""
+        while getattr(self, column)[-1] < top and self.ts[-1] < _BUDGET_VALUE_CAP:
             self._extend()
 
     def value(self, r):
         """H(r), 0 at and below the anchor; a float for a scalar ``r``, an
         array for an array of radii."""
         arr = np.asarray(r, dtype=float)
-        top = float(np.max(arr, initial=self.anchor, where=arr > self.anchor))
-        while self.ts[-1] < top and self.ts[-1] < _BUDGET_VALUE_CAP:
-            self._extend()
+        self._grow("ts", float(np.max(arr, initial=self.anchor, where=arr > self.anchor)))
         out = np.where(arr <= self.anchor, 0.0, np.interp(arr, self.ts, self.hs))
         return float(out) if arr.ndim == 0 else out
 
     def inverse(self, y):
         """H^-1(y); +inf where y exceeds the reachable range."""
         arr = np.asarray(y, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        top = float(np.max(arr[np.isfinite(arr)], initial=0.0))
-        self.ensure_value(top)
-        out = np.interp(arr, self.hs, self.ts)
-        out = np.where(arr > self.hs[-1], np.inf, out)
-        return float(out[0]) if scalar else out
+        self._grow("hs", float(np.max(arr, initial=0.0, where=np.isfinite(arr))))
+        out = np.where(arr > self.hs[-1], np.inf, np.interp(arr, self.hs, self.ts))
+        return float(out) if arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +475,7 @@ def build_reports(specs, schedule: ProbeSchedule = ProbeSchedule()) -> list:
             limit = None if limits is None else limits[p]
             if (pair, limit) not in budgets:
                 budgets[pair, limit] = _guarded(schedule, lambda: GrowthBudget(
-                    batch.spec, pair, limit is not None, limit).value(radii))
+                    batch.spec, pair, limit).value(radii))
             verdicts[p][name] = budgets[pair, limit]
 
     every = range(len(specs))

@@ -709,7 +709,9 @@ def check_hypotheses(spec: ProblemSpec) -> HypothesisReport:
     checks = []
     for tag, w in (("weight_1", spec.a1), ("weight_2", spec.a2)):
         try:
-            w.sample(_SCREEN_GRID)
+            # a2 that is a1's function passes with a1
+            if not (checks and checks[0].ok and w.fn == spec.a1.fn):
+                w.sample(_SCREEN_GRID)
             checks.append(HypothesisCheck(tag, True, note=f"sampled on [0, {_SCREEN_SPAN:g}]"))
         except SpecError as exc:
             checks.append(HypothesisCheck(tag, False, note=str(exc)))

@@ -51,8 +51,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._memo import BoundedCache
-
 __all__ = [
     "RadialGrid",
     "LimitVerdict",
@@ -60,7 +58,6 @@ __all__ = [
     "NumericsError",
     "LinearPanels",
     "PanelLayout",
-    "central_diff",
     "prefix_trapezoid",
     "radial_kernel_at",
     "verdict_from_trace",
@@ -116,16 +113,6 @@ def prefix_trapezoid(values: np.ndarray, xs: np.ndarray, *,
     """
     values, xs = _samples(values, xs)
     return _layout(panels, xs).prefix(values)
-
-
-def central_diff(values: np.ndarray, step: float) -> np.ndarray:
-    """Derivative of samples on a uniform grid: central differences inside,
-    one-sided differences at both ends."""
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * step)
-    out[0] = (values[1] - values[0]) / step
-    out[-1] = (values[-1] - values[-2]) / step
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -377,16 +364,6 @@ def _panel_matrix(dim: int, n: int, rho: float) -> tuple:
     return matrix, decay
 
 
-# one matrix per (dimension, points, panel ratio), fetched once by each
-# layout that uses it: a probe grid with factor 2 needs two per dimension
-# plus the integration matrix
-_PANEL_MATRICES = BoundedCache(16)
-
-
-def _matrix(dim: int, n: int, rho: float) -> tuple:
-    return _PANEL_MATRICES.get((dim, n, rho), lambda: _panel_matrix(dim, n, rho))
-
-
 class PanelLayout:
     """Read-only Chebyshev–Lobatto panels between increasing ``edges``.
 
@@ -398,11 +375,12 @@ class PanelLayout:
     K(x_i) = (lo/x_i)^(N-1) K(lo) + hi * sum_j W_ij w_j, with
     W_ij = integral (s/x_i)^(N-1) l_j(s) ds over [lo, x_i] in units of hi;
     W depends only on (N, n, lo/hi), the ratios of a geometric layout
-    repeat, so one cached matrix per ratio serves all its panels, and no
-    stored power exceeds 1.  For each N the layout stacks its panels'
-    matrices and decays on first use and keeps them, so a kernel is one
-    batched product; it keeps the integration matrix from its first prefix
-    the same way.
+    repeat, so one matrix per ratio serves all its panels, and no stored
+    power exceeds 1.  For each N the layout builds one matrix per ratio on
+    first use, stacks its panels' matrices and decays and keeps them, so a
+    kernel is one batched product; it keeps the integration matrix from its
+    first prefix the same way.  Nothing is shared between layouts: a new
+    layout builds its matrices again.
 
     Rejects, with ValueError, edges that do not start at 0 or are not
     finite and strictly increasing, and fewer than 2 points per segment.
@@ -449,8 +427,8 @@ class PanelLayout:
 
     @functools.cached_property
     def _integral(self) -> np.ndarray:
-        """The integration matrix of [0, 1], fetched on first use."""
-        return _matrix(1, self.n, 0.0)[0]
+        """The integration matrix of [0, 1], built on first use."""
+        return _panel_matrix(1, self.n, 0.0)[0]
 
     def prefix(self, values: np.ndarray) -> np.ndarray:
         """Running integral of the samples ``values`` from 0."""
@@ -469,7 +447,7 @@ class PanelLayout:
             matrices = np.empty((self._index.shape[0], self.n, self.n + 1))
             decay = np.empty(matrices.shape[:2])
             for rho, panels in self._groups:
-                matrices[panels], decay[panels] = _matrix(dim, self.n, rho)
+                matrices[panels], decay[panels] = _panel_matrix(dim, self.n, rho)
             matrices.flags.writeable = decay.flags.writeable = False
             self._weights[dim] = matrices, decay
         return self._weights[dim]

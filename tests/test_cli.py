@@ -19,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 from radialphi import cli, criteria, iteration, model, quadrature
 from radialphi._memo import BoundedCache
-from radialphi.quadrature import RadialGrid, central_diff
+from radialphi.quadrature import RadialGrid
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -484,6 +484,34 @@ class TestConfigErrors:
             path.write_text(text, encoding="utf-8")
         assert cli.main(["solve", "--config", str(path)]) == 1
         assert capsys.readouterr() == ("", f"config error: {line.format(path=str(path))}\n")
+
+    @pytest.mark.parametrize("command,key", [
+        ("classify", "outputs.report_json"),
+        ("solve", "outputs.solution_csv"),
+        ("sweep", "sweep.csv"),
+    ])
+    def test_unwritable_output_line(self, tmp_path, capsys, command, key):
+        # a directory, or a file in a missing directory, used to escape as
+        # IsADirectoryError or FileNotFoundError
+        path = str(tmp_path / "missing" / "out") if command == "solve" else str(tmp_path)
+        cfg = manufactured_config(tmp_path, sweep={**ALPHA_SWEEP, "csv": path})
+        cfg["outputs"] = {"solution_csv": path} if command == "solve" else {"report_json": path}
+        try:
+            open(path, "w").close()
+        except OSError as exc:
+            reason = str(exc)
+        assert cli.run_config(command, cfg) == 1
+        assert capsys.readouterr() == ("", f"config error: cannot write {key}: {reason}\n")
+
+    def test_unwritable_report_keeps_the_numeric_failure_line(self, tmp_path, capsys):
+        # the kernel overflows at N = 1100; the report of that failure
+        # cannot be written, and both are said
+        cfg = manufactured_config(tmp_path, outputs={"report_json": str(tmp_path)})
+        cfg["problem"]["N"] = 1100
+        assert cli.run_config("solve", cfg) == 1
+        first, second = capsys.readouterr().err.splitlines()
+        assert first.startswith("numeric failure: radial kernel overflowed")
+        assert second.startswith("config error: cannot write outputs.report_json: ")
 
     @pytest.mark.parametrize("command,key,value,line", [
         pytest.param("solve", "problem", None, "missing config key: config.problem",
@@ -1119,7 +1147,7 @@ class TestSolutionCsv:
         grid = RadialGrid(0.5 * (rows - 1), 0.5)
         u = 1.0 + grid.nodes ** 2
         v = np.where(np.arange(rows) < cli._CSV_BLOCK + 100, u, -1e150 * u)
-        cols = (grid.nodes, u, v, central_diff(u, 0.5), central_diff(v, 0.5))
+        cols = (grid.nodes, u, v, np.gradient(u, 0.5), np.gradient(v, 0.5))
         table = np.column_stack(cols)
         head, tail = table[:cli._CSV_BLOCK], table[cli._CSV_BLOCK:]
         assert not np.signbit(head).any() and head.max() < 1e99
@@ -1144,7 +1172,7 @@ class TestSolutionCsv:
         sol = iteration.solve(model.assemble(cfg["problem"]), num["grid"],
                               num["conv_tol"], num["max_iter"])
         cols = (sol.grid.nodes, sol.u, sol.v,
-                central_diff(sol.u, sol.grid.step), central_diff(sol.v, sol.grid.step))
+                np.gradient(sol.u, sol.grid.step), np.gradient(sol.v, sol.grid.step))
         assert (tmp_path / "solution.csv").read_bytes() == reference_csv(cols)
 
     @pytest.mark.parametrize("rows", [2, cli._CSV_BLOCK - 1, cli._CSV_BLOCK,
@@ -1157,10 +1185,31 @@ class TestSolutionCsv:
         v = np.exp(rng.uniform(-50, 50, rows))
         path = tmp_path / "solution.csv"
         cli._write_solution_csv(str(path), SimpleNamespace(grid=grid, u=u, v=v))
-        cols = (grid.nodes, u, v, central_diff(u, 0.5), central_diff(v, 0.5))
+        cols = (grid.nodes, u, v, np.gradient(u, 0.5), np.gradient(v, 0.5))
         text = path.read_bytes()
         assert text == reference_csv(cols)
         assert text.count(b"\n") == rows + 1
+
+    def test_gradient_is_the_central_difference(self):
+        # u' and v' come from np.gradient; on a solve grid it must give the
+        # bits of central differences inside and one-sided ones at the ends
+        def central_diff(values, step):
+            out = np.empty_like(values)
+            out[1:-1] = (values[2:] - values[:-2]) / (2.0 * step)
+            out[0] = (values[1] - values[0]) / step
+            out[-1] = (values[-1] - values[-2]) / step
+            return out
+
+        grid = RadialGrid(2.0, 1e-4)
+        assert len(grid) == 20_001
+        rng = np.random.default_rng(30)
+        r = grid.nodes
+        for values in (1.0 + r ** 2, np.exp(3.0 * r), r ** 2 * (1.0 + 0.5 * r ** 2) ** -0.5,
+                       rng.standard_normal(r.size) * 10.0 ** rng.integers(-8, 8, r.size)):
+            assert np.array_equal(np.gradient(values, grid.step), central_diff(values, grid.step))
+        for step in (0.5, 1e-3):
+            values = rng.standard_normal(7)
+            assert np.array_equal(np.gradient(values, step), central_diff(values, step))
 
     def test_single_row(self):
         table = np.array([[0.0, 1.0, 1.0, -0.0, 2.5e-13]])

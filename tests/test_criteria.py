@@ -59,37 +59,6 @@ class TestAccumulation:
         spec = make_spec(lap)
         assert up_to(spec, 3.0).accumulation_values(1, "bar")[-1] == pytest.approx(1.5, rel=1e-9)
 
-    def test_desk_calls_keep_matrix_cache_bounded(self, lap, monkeypatch):
-        # every single-radius probe layout is a new panel layout, but its
-        # panels have the ratios 0 and 1/2 of every other one: two kernel
-        # matrices and the integration matrix serve all 50 radii
-        monkeypatch.setattr(cr, "_PROBE_GRIDS", BoundedCache(4))
-        built = []
-        matrix = qd._panel_matrix
-        monkeypatch.setattr(qd, "_PANEL_MATRICES", BoundedCache(16))
-        monkeypatch.setattr(qd, "_panel_matrix",
-                            lambda *key: built.append(key) or matrix(*key))
-        spec = make_spec(lap)
-        for t in np.linspace(1.0, 3.0, 50):
-            got = up_to(spec, t).accumulation_values(1, "bar")[-1]
-            assert got == pytest.approx(t * t / 6, rel=1e-9)
-        assert sorted(built) == [(1, 16, 0.0), (3, 16, 0.0), (3, 16, 0.5)]
-
-    def test_desk_calls_keep_the_probe_matrices(self, lap, monkeypatch):
-        # single-radius layouts share the probe grid's kernel matrices
-        # instead of pushing them out of the cache; a probe layout keeps
-        # stacked copies of its matrices, so it is rebuilt here to fetch them
-        monkeypatch.setattr(cr, "_PROBE_GRIDS", BoundedCache(4))
-        monkeypatch.setattr(qd, "_PANEL_MATRICES", BoundedCache(16))
-        spec = make_spec(lap, w1="1/(1+r)^2", w2="1/(1+r)^2")
-        cr.build_report(spec)
-        held = dict(qd._PANEL_MATRICES._entries)
-        assert (3, 16, 0.5) in held
-        for t in np.linspace(1.0, 3.0, 10):
-            up_to(spec, t).accumulation_values(1, "bar")
-        assert qd._PANEL_MATRICES._entries.keys() == held.keys()
-        assert all(qd._PANEL_MATRICES._entries[k] is v for k, v in held.items())
-
     def test_desk_call_builds_no_kernel_plan(self, lap, monkeypatch):
         # values up to one radius used to need a 4097-node grid and its
         # trapezoid kernel weights; they run on Chebyshev–Lobatto panels alone
@@ -141,9 +110,10 @@ class TestAccumulation:
 
 
 class TestEvaluatorArrays:
-    # equal functions, equal samples of distinct functions, distinct samples
+    # equal functions share one sample and one kernel; equal samples of
+    # distinct functions, like distinct samples, get a kernel each
     @pytest.mark.parametrize("w2, samples, kernels", [
-        ("1/(1+r)^2", 1, 1), ("1/(1+r)^2*1", 2, 1), ("1/(1+r)^3", 2, 2)])
+        ("1/(1+r)^2", 1, 1), ("1/(1+r)^2*1", 2, 2), ("1/(1+r)^3", 2, 2)])
     def test_equal_weights_share_one_kernel(self, lap, monkeypatch, w2, samples, kernels):
         calls, sampled = [], []
         kernel = cr.radial_kernel_at
@@ -275,9 +245,9 @@ class TestBatchBudgets:
         calls = []
         init = cr.GrowthBudget.__init__
 
-        def counting(self, spec, pair, relaxed=False, acc_limit=None):
-            calls.append((pair, acc_limit if relaxed else None))
-            init(self, spec, pair, relaxed, acc_limit)
+        def counting(self, spec, pair, acc_limit=None):
+            calls.append((pair, acc_limit))
+            init(self, spec, pair, acc_limit)
 
         monkeypatch.setattr(cr.GrowthBudget, "__init__", counting)
         return calls
@@ -321,7 +291,7 @@ class TestBatchBudgets:
                 limit = report.verdicts[f"accumulation_{spec.pair(pair)[1].index}"].value
                 for name, budget in ((f"growth_budget_{pair}", cr.GrowthBudget(spec, pair)),
                                      (f"growth_budget_{pair}_relaxed",
-                                      cr.GrowthBudget(spec, pair, True, limit))):
+                                      cr.GrowthBudget(spec, pair, limit))):
                     assert report.verdicts[name] == self.SCHEDULE.verdict(budget.value(radii))
 
 
@@ -329,9 +299,9 @@ class DecadeBudget:
     """The growth budget as it was before it appended several decades per
     integrand call: one decade of trapezoids at a time."""
 
-    def __init__(self, spec, pair, relaxed=False, acc_limit=None):
+    def __init__(self, spec, pair, acc_limit=None):
         (pair, self.anchor, m_eff, outer, f_other, theta_other,
-         theta_own) = cr._budget_inputs(spec, pair, relaxed, acc_limit)
+         theta_own) = cr._budget_inputs(spec, pair, acc_limit)
 
         def integrand(ts):
             with np.errstate(over="ignore"):
@@ -366,9 +336,10 @@ class DecadeBudget:
             self.extend()
         return float(np.interp(r, self.ts, self.hs))
 
-    def ensure_value(self, y):
+    def inverse(self, y):
         while self.hs[-1] < y and self.ts[-1] < cr._BUDGET_VALUE_CAP:
             self.extend()
+        return np.inf if y > self.hs[-1] else float(np.interp(y, self.hs, self.ts))
 
 
 class TestBudgetDecades:
@@ -387,17 +358,17 @@ class TestBudgetDecades:
                                  op2=ops.make_operator("plasma", p=2, q=3)), False),
             "converging": (make_spec(lap, g1=2.0, g2=2.0), False)}[case]
         limit = 0.37 if relaxed else None
-        old = DecadeBudget(spec, "12", relaxed, limit)
+        old = DecadeBudget(spec, "12", limit)
         want = [old.value(r) for r in self.RADII]
-        new = cr.GrowthBudget(spec, "12", relaxed, limit)
+        new = cr.GrowthBudget(spec, "12", limit)
         got = new.value(self.RADII)
         assert got.tolist() == want
         assert np.array_equal(new.ts, old.ts) and np.array_equal(new.hs, old.hs)
         # scalars one at a time, on a fresh budget, give the same floats
-        fresh = cr.GrowthBudget(spec, "12", relaxed, limit)
+        fresh = cr.GrowthBudget(spec, "12", limit)
         assert [fresh.value(r) for r in self.RADII] == want
-        for budget in (old, new):
-            budget.ensure_value(2.0 * float(old.hs[-1]) + 50.0)
+        y = 2.0 * float(old.hs[-1]) + 50.0
+        assert new.inverse(y) == old.inverse(y)
         assert np.array_equal(new.ts, old.ts) and np.array_equal(new.hs, old.hs)
         assert new.value(self.RADII).tolist() == [old.value(r) for r in self.RADII]
 

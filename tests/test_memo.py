@@ -84,5 +84,4 @@ def test_cache_inventory():
         ("exprlang", "_TREES", 64),
         ("model", "_ENVELOPES", 2),
         ("model", "_OPERATORS", 2),
-        ("quadrature", "_PANEL_MATRICES", 16),
     ]

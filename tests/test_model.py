@@ -238,6 +238,30 @@ class TestHypothesisChecks:
             assert rep.ok("weight_2")
             assert rep["weight_2"].note == "sampled on [0, 64]"
 
+    @pytest.mark.parametrize("source, samples", [("1/(1+r)", 1), ("10 - r", 2)])
+    def test_shared_weight_screened_once_when_it_passes(self, lap, monkeypatch, source,
+                                                        samples):
+        # a2 is a1's function under its own label: a passing a1 screens both,
+        # a failing one leaves a2 to be screened for a note of its own
+        env = ops.derive_envelopes(lap)[0]
+        a1 = model.weight_from_expr(source, label="a1")
+        spec = model.ProblemSpec(
+            N=3, alpha=1.0, beta=1.0, op1=lap, op2=lap, env1=env, env2=env,
+            a1=a1, a2=replace(a1, label="a2"),
+            f1=model.power_nonlinearity(1.0), f2=model.power_nonlinearity(1.0))
+        screened, sample = [], model.Weight.sample
+        monkeypatch.setattr(model.Weight, "sample", lambda w, xs: (
+            screened.append(w.label) if xs is model._SCREEN_GRID else None) or sample(w, xs))
+        rep = model.check_hypotheses(spec)
+        assert screened == ["a1", "a2"][:samples]
+        if samples == 1:
+            assert rep.ok("weight_1") and rep.ok("weight_2")
+            assert rep["weight_2"].note == rep["weight_1"].note == "sampled on [0, 64]"
+        else:
+            for side in (1, 2):
+                assert not rep.ok(f"weight_{side}")
+                assert rep[f"weight_{side}"].note.startswith(f"weight a{side}: negative")
+
     def test_overflowing_upper_split_flagged_without_warning(self, lap):
         # f(t*w) and its bound both overflow for gamma = 50: a violation, not
         # a RuntimeWarning from inf - inf
@@ -464,8 +488,9 @@ class TestCheckCache:
         for kind, times in (("monotone", 2), ("upper", 1), ("lower", 1)):
             assert len(runs[kind]) == 2 and set(runs[kind].values()) == {times}, kind
         # a point's a1 and a2 are one function, screened once by assembly or
-        # reweighting; the first point's report samples both again
-        assert len(screens) == 10 and len({w.fn for w in screens}) == 8
+        # reweighting; the first point's hypothesis check screens it again,
+        # once for both sides
+        assert len(screens) == 9 and len({w.fn for w in screens}) == 8
 
     @pytest.mark.parametrize("problem,axis,path,values", [
         (decay_config(), "gamma", "problem.f1.gamma", [1.0, 50.0, 2.0, 0.5, 50.0]),

@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +30,14 @@ def test_star_import(name):
     exec(f"from radialphi.{name} import *", namespace)
     module = importlib.import_module(f"radialphi.{name}")
     assert set(module.__all__) <= set(namespace)
+
+
+def test_readme_library_use(capsys):
+    # the README's "Library use" block runs as written and prints one line
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(code, {})
+    line, = capsys.readouterr().out.splitlines()
+    converged, residual, verdict, rule = line.split()
+    assert (converged, verdict, rule) == ("True", "both_large", "large_both")
+    assert 0.0 <= float(residual) < 1e-6

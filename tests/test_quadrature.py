@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from radialphi import criteria, oracle
 from radialphi import quadrature as qd
-from radialphi._memo import BoundedCache
 
 
 def probe(func, schedule):
@@ -423,31 +422,31 @@ class TestPanelLayout:
     def test_matrices_built_on_first_use_and_shared(self, monkeypatch):
         built = []
         matrix = qd._panel_matrix
-        monkeypatch.setattr(qd, "_PANEL_MATRICES", BoundedCache(16))
         monkeypatch.setattr(qd, "_panel_matrix", lambda *key: built.append(key) or matrix(*key))
-        first = qd.PanelLayout(doubling_edges(), 6)
-        second = qd.PanelLayout(doubling_edges(radii=(3.0, 6.0)), 6)
+        layout = qd.PanelLayout(doubling_edges(), 6)
         assert built == []
-        for layout in (first, second):
-            ones = np.ones_like(layout.nodes)
+        ones = np.ones_like(layout.nodes)
+        for _ in range(2):
             qd.radial_kernel_at(ones, 3, layout.nodes, panels=layout)
             qd.prefix_trapezoid(ones, layout.nodes, panels=layout)
-        # the head, the ratio 1/2 and the integration matrix, once each
+        # the head, the ratio 1/2 shared by every later panel, and the
+        # integration matrix, once each
         assert sorted(built) == [(1, 6, 0.0), (3, 6, 0.0), (3, 6, 0.5)]
-        for matrix, decay in qd._PANEL_MATRICES._entries.values():
-            assert not matrix.flags.writeable and not decay.flags.writeable
-            assert np.all(decay <= 1.0)
+        matrices, decay = layout.weights(3)
+        for arr in (matrices, decay, layout._integral):
+            assert not arr.flags.writeable
+        assert np.all(decay <= 1.0)
 
     def test_layout_keeps_what_it_fetched(self, monkeypatch):
-        # later kernels and prefixes of a layout look up no cache
+        # later kernels and prefixes of a layout build no matrix
         layout = qd.PanelLayout(doubling_edges(), 6)
         ones = np.ones_like(layout.nodes)
         want = (layout.kernel(ones, 3), layout.prefix(ones))
 
         def refuse(*key):
-            raise AssertionError(f"matrix {key} fetched again")
+            raise AssertionError(f"matrix {key} built again")
 
-        monkeypatch.setattr(qd, "_matrix", refuse)
+        monkeypatch.setattr(qd, "_panel_matrix", refuse)
         assert np.array_equal(layout.kernel(ones, 3), want[0])
         assert np.array_equal(layout.prefix(ones), want[1])
 
@@ -477,7 +476,7 @@ def grouped_kernel(layout, values, dim):
     local = np.empty((rows.shape[0], layout.n))
     decay = np.empty_like(local)
     for rho, panels in layout._groups:
-        matrix, decay[panels] = qd._matrix(dim, layout.n, rho)
+        matrix, decay[panels] = qd._panel_matrix(dim, layout.n, rho)
         local[panels] = np.einsum("pj,ij->pi", rows[panels], matrix)
     local *= layout._tops
     carried, start = 0.0, []
@@ -490,7 +489,7 @@ def grouped_kernel(layout, values, dim):
 
 def concatenated_prefix(layout, values):
     """The prefix as it was before its panel starts were written in place."""
-    local = np.einsum("pj,ij->pi", layout._panels(values), qd._matrix(1, layout.n, 0.0)[0])
+    local = np.einsum("pj,ij->pi", layout._panels(values), qd._panel_matrix(1, layout.n, 0.0)[0])
     local *= layout._widths
     start = np.cumsum(local[:, -1])
     return layout._assemble(local, np.concatenate(([0.0], start[:-1]))[:, None])
@@ -549,7 +548,7 @@ class TestStackedPanels:
         assert matrices.shape == (34, 6, 7) and decay.shape == (34, 6)
         assert not matrices.flags.writeable and not decay.flags.writeable
         for rho, panels in layout._groups:
-            matrix, fade = qd._matrix(3, 6, rho)
+            matrix, fade = qd._panel_matrix(3, 6, rho)
             assert np.array_equal(matrices[panels], np.broadcast_to(matrix, matrices[panels].shape))
             assert np.array_equal(decay[panels], np.broadcast_to(fade, decay[panels].shape))
 
